@@ -379,6 +379,8 @@ _SUITES = {
 
 def _cmd_verify(args) -> tuple[dict, dict, int, list[str]]:
     checks = _SUITES[args.suite](args)
+    if not checks:
+        raise ValueError(f"suite {args.suite!r} ran zero checks with these bounds")
     passed = sum(1 for c in checks if c["pass"])
     failed = len(checks) - passed
     inputs = {"suite": args.suite}

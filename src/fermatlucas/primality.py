@@ -99,6 +99,18 @@ class CongruenceReport:
         return all(c.passed for c in self.checks)
 
 
+def square_chain(x: int, steps: int, c: int, reduce, m: int) -> int:
+    """Return x after `steps` rounds of x = reduce(x*x - c, m).
+
+    The one loop behind every squaring-chain test here: `reduce` is
+    `fermat_mod` for moduli 2^m + 1 or `mersenne_mod` for 2^m - 1, so no
+    step divides.
+    """
+    for _ in range(steps):
+        x = reduce(x * x - c, m)
+    return x
+
+
 def s_sequence(n: int, keep_trace: bool = False, seed: int = PROVEN_SEED) -> SSequenceTrace:
     """Run S_0 = seed, S_i = S_{i-1}^2 - 2 for 2^n - 2 steps mod F_n.
 
@@ -111,12 +123,12 @@ def s_sequence(n: int, keep_trace: bool = False, seed: int = PROVEN_SEED) -> SSe
     fermat = FermatNumber(n)
     e = 1 << n  # F_n = 2^e + 1
     s = seed % fermat.value
-    trace = [s] if keep_trace else None
+    if not keep_trace:
+        return SSequenceTrace(n, seed, square_chain(s, e - 2, 2, fermat_mod, e))
+    trace = [s]
     for _ in range(e - 2):
-        s = fermat_mod(s * s - 2, e)
-        if trace is not None:
-            trace.append(s)
-    return SSequenceTrace(n, seed, s, tuple(trace) if trace is not None else None)
+        trace.append(square_chain(trace[-1], 1, 2, fermat_mod, e))
+    return SSequenceTrace(n, seed, trace[-1], tuple(trace))
 
 
 def fermat_llt(n: int, seed: int = PROVEN_SEED, experimental: bool = False) -> Verdict:
@@ -137,9 +149,13 @@ def fermat_llt(n: int, seed: int = PROVEN_SEED, experimental: bool = False) -> V
 
 
 def pepin(n: int) -> Verdict:
-    """Independent oracle: F_n is prime iff 3^((F_n-1)/2) == -1 (mod F_n)."""
+    """Pepin's oracle: F_n is prime iff 3^((F_n-1)/2) == -1 (mod F_n).
+
+    (F_n - 1)/2 = 2^(2^n - 1), so the power is 2^n - 1 squarings of 3 on
+    the fold kernel; the tests check it against pow().
+    """
     F = FermatNumber(n).value
-    r = pow(3, (F - 1) >> 1, F)
+    r = square_chain(3, (1 << n) - 1, 0, fermat_mod, 1 << n)
     if r == F - 1:
         return Verdict("prime", "pepin")
     return Verdict("composite", "pepin", witness=r)
@@ -149,9 +165,7 @@ def mersenne_llt(q: int) -> Verdict:
     """Classical squaring chain for M_q = 2^q - 1: seed 4, q - 2 steps."""
     if q < 3 or q % 2 == 0 or not is_prime(q):
         raise ValueError(f"exponent must be an odd prime, got {q}")
-    s = 4
-    for _ in range(q - 2):
-        s = mersenne_mod(s * s - 2, q)
+    s = square_chain(4, q - 2, 2, mersenne_mod, q)
     if s == 0:
         return Verdict("prime", "llt-mersenne")
     return Verdict("composite", "llt-mersenne", witness=s)
@@ -223,8 +237,9 @@ def certify_via_rank(
 
     N is prime if u_bar(N-1) == 0 and u_bar((N-1)/q) != 0 mod N for every
     distinct prime q | N - 1: the rank is then exactly N - 1, which forces
-    primality.  `factors` lists those primes; omitted, it is inferred only
-    when N - 1 is a power of two (the Fermat case).
+    primality.  `factors` lists those primes, each checked by `is_prime`;
+    omitted, it is inferred only when N - 1 is a power of two (the Fermat
+    case).
 
     A nonzero u_bar(N-1) refutes primality only when sigma*epsilon = +1
     (otherwise a prime N need not have rank dividing N - 1); failing that,
@@ -243,6 +258,8 @@ def certify_via_rank(
     for q in set(factors):
         if q < 2 or (N - 1) % q != 0:
             raise ValueError(f"{q} is not a divisor of N - 1")
+        if not is_prime(q):
+            raise ValueError(f"{q} is not prime; the certificate needs the prime factors of N - 1")
         while remaining % q == 0:
             remaining //= q
     if remaining != 1:

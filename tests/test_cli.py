@@ -176,6 +176,15 @@ def test_verify_suites_pass(suite):
     assert rec["result"]["passed"] == len(rec["result"]["checks"]) > 0
 
 
+@pytest.mark.parametrize("p_max", ["3", "5"])
+def test_verify_empty_suite_exits_2(p_max):
+    # p = 3 divides QRD for both parameter sets, so these bounds leave no prime.
+    proc = run_cli("verify", "congruences", "--p-max", p_max)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "zero checks" in proc.stderr
+
+
 def test_verify_identities_flags():
     rec = record_of(run_cli("verify", "identities", "--m-max", "4", "--n-max", "4"))
     names = {c["name"] for c in rec["result"]["checks"]}

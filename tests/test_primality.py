@@ -30,6 +30,14 @@ from golden_data import TRACES
 P7 = STANDARD_PARAMS
 
 
+def percent_chain(seed, c, steps, modulus):
+    """Division-based reference for the fold chains: reduce every step with %."""
+    x = seed % modulus
+    for _ in range(steps):
+        x = (x * x - c) % modulus
+    return x
+
+
 def test_fermat_number():
     assert FermatNumber(1).value == 5
     assert FermatNumber(2).value == 17
@@ -105,8 +113,28 @@ def test_pepin():
 
 
 def test_oracles_agree_small():
-    for n in range(1, 9):
-        assert fermat_llt(n).classification == pepin(n).classification
+    for n in range(1, 13):
+        # Pepin runs on the fold kernel; pow() is its division-based
+        # reference, compared on the full residue, not just the verdict.
+        F = FermatNumber(n).value
+        r = pow(3, (F - 1) // 2, F)
+        verdict = pepin(n)
+        assert (verdict.witness if verdict.witness is not None else F - 1) == r, n
+        assert verdict.classification == fermat_llt(n).classification, n
+
+
+def test_s_sequence_final_against_percent():
+    for n in range(1, 11):
+        F = FermatNumber(n).value
+        assert s_sequence(n).final == percent_chain(5, 2, (1 << n) - 2, F)
+
+
+def test_mersenne_llt_witness_against_percent():
+    for q in (3, 7, 11, 23, 29, 31, 61, 67, 521, 523):
+        r = percent_chain(4, 2, q - 2, (1 << q) - 1)
+        verdict = mersenne_llt(q)
+        assert verdict.witness == (r or None)
+        assert verdict.is_prime == (r == 0)
 
 
 def test_mersenne_llt():
@@ -196,6 +224,15 @@ def test_certify_via_rank_supplied_factors():
         assert verdict.classification in ("prime", "composite")
     except InconclusiveError:
         pass  # also a legal outcome for the N-1 branch
+
+
+@pytest.mark.parametrize("N", [551, 1807, 2071])
+def test_certify_via_rank_rejects_composite_factor(N):
+    # Lehmer pseudoprimes with u_bar(N-1) == 0: taking q = N - 1 as the only
+    # "prime" factor used to certify them as prime.
+    assert not is_prime(N) and uv_mod(P7, N - 1, N).u_bar == 0
+    with pytest.raises(ValueError, match="not prime"):
+        certify_via_rank(P7, N, factors=(N - 1,))
 
 
 def test_certify_via_rank_errors():
