@@ -10,37 +10,18 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 
-from .lucas import (
-    ALTERNATE_PARAMS,
-    EXACT_INDEX_CAP,
-    LucasParams,
-    STANDARD_PARAMS,
-    alternate_params_pair,
-    check_sum_identity_u,
-    check_sum_identity_v,
-    iter_pairs,
-    lehmer_pairs_exact,
-    normalize,
-    s_from_v,
-    uv_mod,
-    _iter_uv_exact,
-)
+from . import verify
+from .lucas import LucasParams, STANDARD_PARAMS, lehmer_pairs_exact, uv_mod
 from .primality import (
     FermatNumber,
     InconclusiveError,
-    appendix_residues,
-    certify_via_rank,
     fermat_llt,
-    is_prime,
-    lehmer_congruence_checks,
     mersenne_llt,
     pepin,
     rank_of_apparition,
-    s_sequence,
 )
 from .quadratic import balanced_residue
 
@@ -134,27 +115,16 @@ def _cmd_table(args) -> tuple[dict, dict, int, list[str]]:
         "indices": list(args.indices) if args.indices is not None else None,
     }
     rows = []
-    human = []
     if args.which == "uv-exact":
         if modulus is not None:
             raise ValueError("uv-exact takes no modulus")
-        top = indices[-1] if indices else 0
-        if top > EXACT_INDEX_CAP:
-            raise ValueError(f"exact table capped at index {EXACT_INDEX_CAP}")
         wanted = set(indices)
-        for i, u, v in _iter_uv_exact(params, top):
-            if i not in wanted:
-                continue
-            pair = normalize(params, i, u, v)
-            rows.append(
-                {
-                    "i": i,
-                    "u": pair.u_bar,
-                    "u_radical": i % 2 == 0,
-                    "v": pair.v_bar,
-                    "v_radical": i % 2 == 1,
-                }
-            )
+        rows = [
+            {"i": p.index, "u": p.u_bar, "u_radical": p.index % 2 == 0,
+             "v": p.v_bar, "v_radical": p.index % 2 == 1}
+            for p in lehmer_pairs_exact(params, indices[-1])
+            if p.index in wanted
+        ]
         human = _render_exact_table(params, rows)
     else:
         if modulus is None:
@@ -215,184 +185,36 @@ def _render_mod_table(params: LucasParams, modulus: int, rows: list[dict]) -> li
 # verify suites
 
 
-def _check(name: str, ok: bool, detail: str | None = None) -> dict:
-    entry = {"name": name, "pass": bool(ok)}
-    if detail and not ok:
-        entry["detail"] = detail
-    return entry
-
-
-def _suite_identities(args) -> list[dict]:
-    checks = []
-    for params in (STANDARD_PARAMS, ALTERNATE_PARAMS):
-        label = f"R{params.R}_Q{params.Q}"
-        pairs = lehmer_pairs_exact(params, 200)
-
-        bad = []
-        for i, u, v in _iter_uv_exact(params, 200):
-            if i % 2 == 0:
-                ok = u.a == 0 and v.b == 0 and v.a != 0 and (i == 0 or u.b != 0)
-            else:
-                ok = u.b == 0 and v.a == 0 and u.a != 0 and v.b != 0
-            if not ok:
-                bad.append(i)
-        checks.append(_check(f"parity_structure_{label}", not bad, f"indices {bad[:5]}"))
-
-        q_pow = 1
-        bad_u, bad_v = [], []
-        for n in range(0, 101):
-            c = params.R if n % 2 else 1
-            if pairs[2 * n].u_bar != pairs[n].u_bar * pairs[n].v_bar:
-                bad_u.append(n)
-            if pairs[2 * n].v_bar != c * pairs[n].v_bar ** 2 - 2 * q_pow:
-                bad_v.append(n)
-            q_pow *= params.Q
-        checks.append(_check(f"doubling_u_{label}", not bad_u, f"n {bad_u[:5]}"))
-        checks.append(_check(f"doubling_v_{label}", not bad_v, f"n {bad_v[:5]}"))
-
-        bad = [n for n in range(201) if (2 * abs(params.Q) ** n) % math.gcd(pairs[n].u_bar, pairs[n].v_bar) != 0]
-        checks.append(_check(f"gcd_divides_2Qn_{label}", not bad, f"n {bad[:5]}"))
-
-    for m in range(2, args.m_max + 1):
-        for n in range(1, args.n_max + 1):
-            checks.append(
-                _check(f"sum_identity_u_m{m}_n{n}", check_sum_identity_u(STANDARD_PARAMS, m, n))
-            )
-            checks.append(
-                _check(f"sum_identity_v_m{m}_n{n}", check_sum_identity_v(STANDARD_PARAMS, m, n))
-            )
-
-    # Odd-index subsequence of u_bar for (7, 1) obeys x_{j+1} = 5 x_j - x_{j-1}
-    # (the step-two recurrence, since v_bar(2) = 5 and Q^2 = 1).
-    pairs7 = lehmer_pairs_exact(STANDARD_PARAMS, 200)
-    x_prev, x = 1, 6  # u_bar(1), u_bar(3)
-    ok = pairs7[1].u_bar == x_prev and pairs7[3].u_bar == x
-    for j in range(2, 100):
-        x_prev, x = x, 5 * x - x_prev
-        ok = ok and pairs7[2 * j + 1].u_bar == x
-    checks.append(_check("odd_index_recurrence", ok))
-
-    pairs3 = lehmer_pairs_exact(ALTERNATE_PARAMS, 60)
-    swapped = all(alternate_params_pair(n, pairs7[:61]) == pairs3[n] for n in range(61))
-    checks.append(_check("alternate_params_swap", swapped))
-    return checks
-
-
-def _suite_congruences(args) -> list[dict]:
-    checks = []
-    for params in (STANDARD_PARAMS, ALTERNATE_PARAMS):
-        label = f"R{params.R}_Q{params.Q}"
-        qrd = params.Q * params.R * params.D
-        for p in range(3, args.p_max, 2):
-            if not is_prime(p) or qrd % p == 0:
-                continue
-            report = lehmer_congruence_checks(params, p)
-            failed = [c.name for c in report.checks if not c.passed]
-            checks.append(_check(f"congruences_{label}_p{p}", not failed, ", ".join(failed)))
-    return checks
-
-
-def _suite_appendix(args) -> list[dict]:
-    ns = (args.n,) if args.n is not None else (2, 3, 4)
-    checks = []
-    for n in ns:
-        for c in appendix_residues(STANDARD_PARAMS, n):
-            checks.append(_check(c.name, c.passed, f"expected {c.expected}, got {c.actual}"))
-    return checks
-
-
-def _suite_rank(args) -> list[dict]:
-    checks = []
-    for m, expected in ((5, 4), (17, 16), (257, 256)):
-        got = rank_of_apparition(STANDARD_PARAMS, m).omega
-        checks.append(_check(f"omega_{m}_is_{expected}", got == expected, f"got {got}"))
-
-    missing = []
-    for m in range(2, args.sweep_max + 1):
-        if math.gcd(m, STANDARD_PARAMS.Q) != 1:
-            continue
-        if rank_of_apparition(STANDARD_PARAMS, m, cap=args.cap).omega is None:
-            missing.append(m)
-    checks.append(
-        _check(f"omega_exists_to_{args.sweep_max}", not missing, f"missing {missing[:5]}")
-    )
-
-    bad = []
-    for m in range(3, 201, 2):
-        omega = rank_of_apparition(STANDARD_PARAMS, m, cap=5000).omega
-        if omega is None:
-            bad.append((m, "no omega"))
-            continue
-        for pair in iter_pairs(STANDARD_PARAMS, modulus=m):
-            if pair.index > 2000:
-                break
-            if pair.index >= 1 and (pair.u_bar == 0) != (pair.index % omega == 0):
-                bad.append((m, pair.index))
-                break
-    checks.append(_check("divisibility_iff_rank_divides", not bad, f"first {bad[:3]}"))
-
-    pairs = lehmer_pairs_exact(STANDARD_PARAMS, 60)
-    bad = [
-        (k, n)
-        for k in range(1, 61)
-        for n in range(k, 61, k)
-        if pairs[n].u_bar % pairs[k].u_bar != 0
-    ]
-    checks.append(_check("u_divides_u_at_multiples", not bad, f"first {bad[:3]}"))
-
-    for N, name in ((17, "certify_17"), (257, "certify_257"), (65537, "certify_65537")):
-        verdict = certify_via_rank(STANDARD_PARAMS, N)
-        checks.append(_check(name, verdict.classification == "prime"))
-    f5 = certify_via_rank(STANDARD_PARAMS, (1 << 32) + 1)
-    checks.append(_check("certify_F5_composite", f5.classification == "composite"))
-    return checks
-
-
-def _suite_traces(args) -> list[dict]:
-    checks = []
-    for n in (1, 2, 3, 4):
-        F = FermatNumber(n).value
-        trace = s_sequence(n, keep_trace=True).residues
-        s = 5 % F
-        generic = [s]
-        for _ in range((1 << n) - 2):
-            s = (s * s - 2) % F
-            generic.append(s)
-        checks.append(_check(f"trace_special_vs_generic_F{n}", list(trace) == generic))
-        bridge = all(s_from_v(STANDARD_PARAMS, k, F) == trace[k] for k in range(len(trace)))
-        checks.append(_check(f"trace_bridge_F{n}", bridge))
-    for n in range(1, args.max_n + 1):
-        F = FermatNumber(n).value
-        v_route = uv_mod(STANDARD_PARAMS, (F - 1) // 2, F).v_bar
-        checks.append(_check(f"final_matches_v_route_F{n}", v_route == s_sequence(n).final))
-    return checks
-
-
 _SUITES = {
-    "identities": _suite_identities,
-    "congruences": _suite_congruences,
-    "appendix": _suite_appendix,
-    "rank": _suite_rank,
-    "traces": _suite_traces,
+    "identities": lambda args: verify.identities(args.m_max, args.n_max),
+    "congruences": lambda args: verify.congruences(args.p_max),
+    "appendix": lambda args: verify.appendix(args.n),
+    "rank": lambda args: verify.rank(args.sweep_max, args.cap),
+    "traces": lambda args: verify.traces(args.max_n),
 }
+
+
+def _check_record(check: verify.Check) -> dict:
+    entry = {"name": check.name, "pass": check.passed}
+    if check.detail is not None:
+        entry["detail"] = check.detail
+    return entry
 
 
 def _cmd_verify(args) -> tuple[dict, dict, int, list[str]]:
     checks = _SUITES[args.suite](args)
     if not checks:
         raise ValueError(f"suite {args.suite!r} ran zero checks with these bounds")
-    passed = sum(1 for c in checks if c["pass"])
+    passed = sum(1 for c in checks if c.passed)
     failed = len(checks) - passed
-    inputs = {"suite": args.suite}
-    for key in ("m_max", "n_max", "p_max", "n", "sweep_max", "cap", "max_n"):
-        if hasattr(args, key):
-            inputs[key] = getattr(args, key)
-    result = {"checks": checks, "passed": passed, "failed": failed}
+    keys = ("m_max", "n_max", "p_max", "n", "sweep_max", "cap", "max_n")
+    inputs = {"suite": args.suite, **{key: getattr(args, key) for key in keys}}
+    result = {"checks": [_check_record(c) for c in checks], "passed": passed, "failed": failed}
     human = []
     for c in checks:
-        mark = "ok  " if c["pass"] else "FAIL"
-        detail = f"  ({c['detail']})" if "detail" in c else ""
-        human.append(f"{mark} {c['name']}{detail}")
+        mark = "ok  " if c.passed else "FAIL"
+        detail = f"  ({c.detail})" if c.detail is not None else ""
+        human.append(f"{mark} {c.name}{detail}")
     human.append(f"{passed} passed, {failed} failed")
     return inputs, result, (0 if failed == 0 else 1), human
 
@@ -468,6 +290,9 @@ def main(argv: list[str] | None = None) -> int:
         inputs, result, code, human = args.func(args)
     except (ValueError, InconclusiveError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
     if args.human:
         print("\n".join(human))

@@ -24,7 +24,6 @@ from .quadratic import (
     SQRT,
     ZERO,
     QuadInt,
-    RingCtx,
     is_perfect_square,
     make_reducer,
     qadd,
@@ -80,21 +79,30 @@ class LehmerPair:
     v_bar: int
 
 
+def iter_uv_exact(params: LucasParams, max_index: int) -> Iterator[tuple[int, QuadInt, QuadInt]]:
+    """Yield (n, U_n, V_n) as ring elements for n = 0..max_index.
+
+    The one place the ring recurrence X_{n+1} = sqrt(R)*X_n - Q*X_{n-1} is
+    stepped; max_index is capped at EXACT_INDEX_CAP.
+    """
+    if max_index < 0:
+        raise ValueError(f"index must be >= 0, got {max_index}")
+    if max_index > EXACT_INDEX_CAP:
+        raise ValueError(f"exact evaluation is capped at index {EXACT_INDEX_CAP}, got {max_index}")
+    R, Q = params.R, params.Q
+    u, v = ZERO, QuadInt(2, 0)
+    u1, v1 = ONE, SQRT
+    for n in range(max_index + 1):
+        yield n, u, v
+        u, u1 = u1, qsub(qmul(R, SQRT, u1), qscale(Q, u))
+        v, v1 = v1, qsub(qmul(R, SQRT, v1), qscale(Q, v))
+
+
 def uv_exact(params: LucasParams, n: int) -> tuple[QuadInt, QuadInt]:
     """Exact (U_n, V_n) as ring elements; n is capped at EXACT_INDEX_CAP."""
-    if n < 0:
-        raise ValueError(f"index must be >= 0, got {n}")
-    if n > EXACT_INDEX_CAP:
-        raise ValueError(f"exact evaluation is capped at index {EXACT_INDEX_CAP}, got {n}")
-    ctx = RingCtx(params.R)
-    u, v = ZERO, QuadInt(2, 0)
-    if n == 0:
-        return u, v
-    u1, v1 = ONE, SQRT
-    for _ in range(n - 1):
-        u, u1 = u1, qsub(ctx, qmul(ctx, SQRT, u1), qscale(ctx, params.Q, u))
-        v, v1 = v1, qsub(ctx, qmul(ctx, SQRT, v1), qscale(ctx, params.Q, v))
-    return u1, v1
+    for _, U, V in iter_uv_exact(params, n):
+        pass
+    return U, V
 
 
 def normalize(params: LucasParams, n: int, U: QuadInt, V: QuadInt) -> LehmerPair:
@@ -119,28 +127,7 @@ def normalize(params: LucasParams, n: int, U: QuadInt, V: QuadInt) -> LehmerPair
 
 def lehmer_pairs_exact(params: LucasParams, max_index: int) -> list[LehmerPair]:
     """Normalized exact pairs for indices 0..max_index in one pass."""
-    if max_index < 0:
-        raise ValueError(f"max_index must be >= 0, got {max_index}")
-    if max_index > EXACT_INDEX_CAP:
-        raise ValueError(f"exact evaluation is capped at index {EXACT_INDEX_CAP}")
-    out = []
-    for n, u, v in _iter_uv_exact(params, max_index):
-        out.append(normalize(params, n, u, v))
-    return out
-
-
-def _iter_uv_exact(params: LucasParams, max_index: int) -> Iterator[tuple[int, QuadInt, QuadInt]]:
-    ctx = RingCtx(params.R)
-    u, v = ZERO, QuadInt(2, 0)
-    yield 0, u, v
-    if max_index == 0:
-        return
-    u1, v1 = ONE, SQRT
-    yield 1, u1, v1
-    for n in range(2, max_index + 1):
-        u, u1 = u1, qsub(ctx, qmul(ctx, SQRT, u1), qscale(ctx, params.Q, u))
-        v, v1 = v1, qsub(ctx, qmul(ctx, SQRT, v1), qscale(ctx, params.Q, v))
-        yield n, u1, v1
+    return [normalize(params, n, U, V) for n, U, V in iter_uv_exact(params, max_index)]
 
 
 def iter_pairs(params: LucasParams, modulus: int | None = None) -> Iterator[LehmerPair]:
@@ -214,23 +201,15 @@ def uv_mod(params: LucasParams, n: int, N: int) -> LehmerPair:
 
 
 def s_from_v(params: LucasParams, k: int, N: int) -> int:
-    """v_bar at index 2^(k+1) mod N: term k of the seed-5 squaring chain.
+    """v_bar at index 2^(k+1) mod odd N: term k of the seed-5 squaring chain.
 
-    Requires the standard (7, 1) parameters.  Odd moduli go through fast
-    doubling; an even modulus falls back to the exact value (so k is then
-    limited by the exact-index cap).
+    Requires the standard (7, 1) parameters; evaluated by fast doubling.
     """
     if (params.R, params.Q) != (7, 1):
         raise ValueError("the squaring-chain bridge holds only for parameters (7, 1)")
     if k < 0:
         raise ValueError(f"chain index must be >= 0, got {k}")
-    if N < 2:
-        raise ValueError(f"modulus must be >= 2, got {N}")
-    index = 1 << (k + 1)
-    if N % 2 == 1:
-        return uv_mod(params, index, N).v_bar
-    U, V = uv_exact(params, index)
-    return normalize(params, index, U, V).v_bar % N
+    return uv_mod(params, 1 << (k + 1), N).v_bar
 
 
 def check_sum_identity_u(params: LucasParams, m: int, n: int) -> bool:
@@ -248,39 +227,33 @@ def _check_sum_identity(params: LucasParams, m: int, n: int, odd_side: bool) -> 
         raise ValueError("need m >= 1 and n >= 0")
     if m * n > EXACT_INDEX_CAP:
         raise ValueError(f"m*n exceeds the exact-index cap {EXACT_INDEX_CAP}")
-    ctx = RingCtx(params.R)
+    R = params.R
     Un, Vn = uv_exact(params, n)
     Umn, Vmn = uv_exact(params, m * n)
-    lhs = qscale(ctx, 1 << (m - 1), Umn if odd_side else Vmn)
+    lhs = qscale(1 << (m - 1), Umn if odd_side else Vmn)
     total = ZERO
     for i in range(m // 2 + 1):
         k = 2 * i + 1 if odd_side else 2 * i
         c = math.comb(m, k)
         if c == 0:
             continue  # C(m, m+1) term: present in the formal sum, zero here
-        term = qmul(ctx, qpow(ctx, Un, k), qpow(ctx, Vn, m - k))
-        total = qadd(ctx, total, qscale(ctx, c * params.D**i, term))
+        term = qmul(R, qpow(R, Un, k), qpow(R, Vn, m - k))
+        total = qadd(total, qscale(c * params.D**i, term))
     return lhs == total
-
-
-def gcd_uv(params: LucasParams, n: int) -> int:
-    """gcd(u_bar(n), v_bar(n)); it divides 2*Q^n."""
-    U, V = uv_exact(params, n)
-    pair = normalize(params, n, U, V)
-    return math.gcd(pair.u_bar, pair.v_bar)
 
 
 def alternate_params_pair(n: int, pairs: Sequence[LehmerPair]) -> LehmerPair:
     """Pair at index n for the (3, -1) parameters, built from (7, 1) pairs.
 
     Even indices carry over unchanged; odd indices swap u_bar and v_bar.
-    `pairs` must contain index n (any order, extras ignored).
+    `pairs` is indexed by index, as `lehmer_pairs_exact` returns it, and must
+    reach index n.
     """
     if n < 0:
         raise ValueError(f"index must be >= 0, got {n}")
-    for p in pairs:
-        if p.index == n:
-            if n % 2:
-                return LehmerPair(n, p.v_bar, p.u_bar)
-            return LehmerPair(n, p.u_bar, p.v_bar)
-    raise ValueError(f"no pair with index {n} supplied")
+    if n >= len(pairs) or pairs[n].index != n:
+        raise ValueError(f"no pair with index {n} at position {n}")
+    p = pairs[n]
+    if n % 2:
+        return LehmerPair(n, p.v_bar, p.u_bar)
+    return p

@@ -1,9 +1,9 @@
-"""Exact and modular arithmetic on elements a + b*sqrt(R) of Z[sqrt(R)].
+"""Exact arithmetic on elements a + b*sqrt(R) of Z[sqrt(R)], and fast reductions.
 
 Representing sqrt(R) as the pair (0, 1) keeps every computation in integer
-arithmetic; no irrational numbers ever appear.  A `RingCtx` fixes R and an
-optional odd modulus N; with a modulus, both components of every result are
-kept canonical in [0, N).
+arithmetic; no irrational numbers ever appear.  Only `qmul` and `qpow` need
+R, so only they take it.  Modular work runs on the integer Lehmer pair
+instead (see `lucas.uv_mod`).
 
 Reduction modulo numbers of the form 2^m + 1 (and 2^q - 1) has a dedicated
 shift-and-fold path, cross-checked against plain division in the test suite.
@@ -24,7 +24,7 @@ def is_perfect_square(n: int) -> bool:
 
 @dataclass(frozen=True)
 class QuadInt:
-    """The element a + b*sqrt(R); R is carried by the RingCtx, not the value."""
+    """The element a + b*sqrt(R); R is passed to the products, not stored."""
 
     a: int
     b: int
@@ -89,72 +89,30 @@ def balanced_residue(r: int, N: int) -> int:
     return r - N if r > N // 2 else r
 
 
-class RingCtx:
-    """R plus an optional odd modulus N >= 3; all ring ops take a ctx."""
-
-    __slots__ = ("R", "modulus", "_reduce")
-
-    def __init__(self, R: int, modulus: int | None = None):
-        if R <= 0 or is_perfect_square(R):
-            raise ValueError(f"R must be a positive non-square, got {R}")
-        if modulus is not None:
-            if modulus < 3 or modulus % 2 == 0:
-                raise ValueError(f"modulus must be an odd integer >= 3, got {modulus}")
-        self.R = R
-        self.modulus = modulus
-        self._reduce = make_reducer(modulus) if modulus is not None else None
-
-    def reduce_scalar(self, x: int) -> int:
-        return self._reduce(x) if self._reduce is not None else x
-
-    def reduce(self, x: QuadInt) -> QuadInt:
-        if self._reduce is None:
-            return x
-        return QuadInt(self._reduce(x.a), self._reduce(x.b))
-
-    def __repr__(self) -> str:
-        if self.modulus is None:
-            return f"RingCtx(R={self.R})"
-        return f"RingCtx(R={self.R}, modulus={self.modulus})"
+def qadd(x: QuadInt, y: QuadInt) -> QuadInt:
+    return QuadInt(x.a + y.a, x.b + y.b)
 
 
-def qadd(ctx: RingCtx, x: QuadInt, y: QuadInt) -> QuadInt:
-    return ctx.reduce(QuadInt(x.a + y.a, x.b + y.b))
+def qsub(x: QuadInt, y: QuadInt) -> QuadInt:
+    return QuadInt(x.a - y.a, x.b - y.b)
 
 
-def qsub(ctx: RingCtx, x: QuadInt, y: QuadInt) -> QuadInt:
-    return ctx.reduce(QuadInt(x.a - y.a, x.b - y.b))
-
-
-def qneg(ctx: RingCtx, x: QuadInt) -> QuadInt:
-    return ctx.reduce(QuadInt(-x.a, -x.b))
-
-
-def qmul(ctx: RingCtx, x: QuadInt, y: QuadInt) -> QuadInt:
+def qmul(R: int, x: QuadInt, y: QuadInt) -> QuadInt:
     # (a + b*sqrt(R))(c + d*sqrt(R)) = (ac + bdR) + (ad + bc)*sqrt(R)
-    return ctx.reduce(QuadInt(x.a * y.a + x.b * y.b * ctx.R, x.a * y.b + x.b * y.a))
+    return QuadInt(x.a * y.a + x.b * y.b * R, x.a * y.b + x.b * y.a)
 
 
-def qscale(ctx: RingCtx, k: int, x: QuadInt) -> QuadInt:
-    return ctx.reduce(QuadInt(k * x.a, k * x.b))
+def qscale(k: int, x: QuadInt) -> QuadInt:
+    return QuadInt(k * x.a, k * x.b)
 
 
-def qpow(ctx: RingCtx, x: QuadInt, e: int) -> QuadInt:
+def qpow(R: int, x: QuadInt, e: int) -> QuadInt:
     if e < 0:
         raise ValueError("negative exponents are not supported")
     result = ONE
-    base = ctx.reduce(x)
     while e:
         if e & 1:
-            result = qmul(ctx, result, base)
-        base = qmul(ctx, base, base)
+            result = qmul(R, result, x)
+        x = qmul(R, x, x)
         e >>= 1
     return result
-
-
-def half_mod(N: int, x: QuadInt) -> QuadInt:
-    """The y with 2y == x (mod N), componentwise; N must be odd."""
-    if N % 2 == 0:
-        raise ValueError(f"halving needs an odd modulus, got {N}")
-    inv2 = (N + 1) // 2
-    return QuadInt(x.a * inv2 % N, x.b * inv2 % N)

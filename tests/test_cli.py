@@ -1,4 +1,5 @@
 import json
+import resource
 import subprocess
 import sys
 
@@ -18,6 +19,23 @@ def run_cli(*args):
         env=cli_env(),
     )
     return proc
+
+
+def run_cli_limited(*args):
+    """run_cli under a 2 GB address-space limit and a time limit.
+
+    A command that tried to build a huge Fermat number fails fast here
+    instead of exhausting the machine's memory.
+    """
+    limit = 2 * 10**9
+    return subprocess.run(
+        [sys.executable, "-m", "fermatlucas", *args],
+        capture_output=True,
+        text=True,
+        env=cli_env(),
+        timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
 
 
 def record_of(proc):
@@ -214,3 +232,34 @@ def test_human_flag_on_test_and_rank():
     assert "F_3 is prime" in proc.stdout
     proc = run_cli("--human", "rank", "5")
     assert "omega(5) = 4" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("test", "fermat", "33"),
+        ("test", "fermat", "40"),
+        ("test", "pepin", "63"),
+        ("table", "uv-mod", "--modulus-fermat", "40"),
+    ],
+    ids=["fermat33", "fermat40", "pepin63", "uv-mod-F40"],
+)
+def test_oversized_fermat_index_exits_2(argv):
+    proc = run_cli_limited(*argv)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Fermat index must be <= 32" in proc.stderr
+
+
+def test_memory_error_exits_2(monkeypatch, capsys):
+    # Exit 1 means "composite"; running out of memory must never read as that.
+    from fermatlucas import cli
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "fermat_llt", exhausted)
+    assert cli.main(["test", "fermat", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: out of memory\n"

@@ -10,12 +10,11 @@ from fermatlucas.lucas import (
     LucasParams,
     ParityMismatchError,
     STANDARD_PARAMS,
-    _iter_uv_exact,
     alternate_params_pair,
     check_sum_identity_u,
     check_sum_identity_v,
-    gcd_uv,
     iter_pairs,
+    iter_uv_exact,
     lehmer_pairs_exact,
     normalize,
     s_from_v,
@@ -56,6 +55,18 @@ def test_uv_exact_cap():
         uv_exact(P7, -1)
 
 
+def test_iter_uv_exact_steps_every_index():
+    steps = list(iter_uv_exact(P7, 40))
+    assert [n for n, _, _ in steps] == list(range(41))
+    assert steps[3] == (3, QuadInt(6, 0), QuadInt(0, 4))
+    assert steps[40][1:] == uv_exact(P7, 40)
+    assert list(iter_uv_exact(P3, 0)) == [(0, QuadInt(0, 0), QuadInt(2, 0))]
+    with pytest.raises(ValueError):
+        list(iter_uv_exact(P7, EXACT_INDEX_CAP + 1))
+    with pytest.raises(ValueError):
+        list(iter_uv_exact(P7, -1))
+
+
 def test_exact_table_golden():
     pairs = lehmer_pairs_exact(P7, 40)
     for i, u, v in EXACT_ROWS:
@@ -80,7 +91,7 @@ def test_normalize_parity_mismatch():
 def test_parity_structure(params):
     # The component the normalization discards is zero, and the kept one is
     # not (apart from index 0), for every index up to 200.
-    for i, u, v in _iter_uv_exact(params, 200):
+    for i, u, v in iter_uv_exact(params, 200):
         if i % 2 == 0:
             assert u.a == 0 and v.b == 0
             assert v.a != 0 and (i == 0 or u.b != 0)
@@ -146,7 +157,7 @@ def test_uv_mod_huge_index():
 def test_s_from_v_examples():
     assert s_from_v(P7, 0, 257) == 5
     assert s_from_v(P7, 1, 257) == 23
-    assert s_from_v(P7, 2, 10**9) == 527  # even modulus takes the exact route
+    assert s_from_v(P7, 2, 10**9 + 7) == 527
 
 
 def test_s_from_v_bridges_the_squaring_chain():
@@ -163,7 +174,7 @@ def test_s_from_v_validation():
     with pytest.raises(ValueError):
         s_from_v(P7, -1, 257)
     with pytest.raises(ValueError):
-        s_from_v(P7, 20, 10**9)  # even modulus + index beyond the exact cap
+        s_from_v(P7, 2, 10**9)  # even modulus: fast doubling halves
 
 
 def test_sum_identity_examples():
@@ -181,9 +192,10 @@ def test_sum_identity_cap():
 
 
 def test_gcd_uv_examples():
-    assert gcd_uv(P7, 4) == 1  # gcd(5, 23)
-    assert gcd_uv(P7, 1) == 1
-    assert gcd_uv(P7, 6) == 2  # gcd(24, 110), divides 2*Q^6
+    pairs = lehmer_pairs_exact(P7, 6)
+    assert math.gcd(pairs[4].u_bar, pairs[4].v_bar) == 1  # gcd(5, 23)
+    assert math.gcd(pairs[1].u_bar, pairs[1].v_bar) == 1
+    assert math.gcd(pairs[6].u_bar, pairs[6].v_bar) == 2  # gcd(24, 110), divides 2*Q^6
 
 
 @pytest.mark.parametrize("params", [P7, P3], ids=["R7Q1", "R3Qm1"])
@@ -227,6 +239,8 @@ def test_alternate_params_pair_matches_direct_computation():
 def test_alternate_params_pair_missing_index():
     with pytest.raises(ValueError):
         alternate_params_pair(9, lehmer_pairs_exact(P7, 8))
+    with pytest.raises(ValueError):
+        alternate_params_pair(3, lehmer_pairs_exact(P7, 8)[1:])  # not indexed by index
 
 
 def test_odd_index_u_recurrence():

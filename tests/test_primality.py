@@ -12,6 +12,7 @@ from fermatlucas.lucas import (
 from fermatlucas.primality import (
     FermatNumber,
     InconclusiveError,
+    MAX_FERMAT_INDEX,
     TRACE_INDEX_LIMIT,
     appendix_residues,
     certify_via_rank,
@@ -45,6 +46,15 @@ def test_fermat_number():
     assert FermatNumber(4).value == 65537
     with pytest.raises(ValueError):
         FermatNumber(0)
+
+
+def test_fermat_index_cap():
+    # F_33 is the first Fermat number of unknown character; from there on the
+    # value alone exceeds 1 GiB, so the index is refused before allocating.
+    assert MAX_FERMAT_INDEX == 32
+    for n in (MAX_FERMAT_INDEX + 1, 40):
+        with pytest.raises(ValueError, match="must be <= 32"):
+            FermatNumber(n)
 
 
 def test_s_sequence_traces_golden():

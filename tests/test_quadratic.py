@@ -4,11 +4,9 @@ import pytest
 
 from fermatlucas.quadratic import (
     QuadInt,
-    RingCtx,
     balanced_residue,
     fermat_form_exponent,
     fermat_mod,
-    half_mod,
     is_perfect_square,
     make_reducer,
     mersenne_mod,
@@ -21,97 +19,56 @@ from fermatlucas.quadratic import (
 
 
 def test_qadd_examples():
-    ctx = RingCtx(7)
-    assert qadd(ctx, QuadInt(1, 2), QuadInt(3, 4)) == QuadInt(4, 6)
-    assert qadd(ctx, QuadInt(0, 0), QuadInt(9, -3)) == QuadInt(9, -3)
-    ctx17 = RingCtx(7, 17)
-    assert qadd(ctx17, QuadInt(16, 16), QuadInt(2, 2)) == QuadInt(1, 1)
+    assert qadd(QuadInt(1, 2), QuadInt(3, 4)) == QuadInt(4, 6)
+    assert qadd(QuadInt(0, 0), QuadInt(9, -3)) == QuadInt(9, -3)
 
 
 def test_qmul_examples():
-    ctx = RingCtx(7)
     root = QuadInt(0, 1)
-    assert qmul(ctx, root, root) == QuadInt(7, 0)
-    assert qmul(ctx, root, QuadInt(5, 0)) == QuadInt(0, 5)
-    assert qmul(ctx, QuadInt(0, 4), QuadInt(0, 4)) == QuadInt(112, 0)  # (4*sqrt7)^2 = 16*7
-
-
-def test_half_mod_examples():
-    assert half_mod(17, QuadInt(6, 0)) == QuadInt(3, 0)
-    assert half_mod(17, QuadInt(5, 0)) == QuadInt(11, 0)  # 9*5 mod 17
-    assert half_mod(5, QuadInt(1, 1)) == QuadInt(3, 3)
-
-
-def test_half_mod_rejects_even_modulus():
-    with pytest.raises(ValueError):
-        half_mod(16, QuadInt(2, 0))
-
-
-def test_half_mod_undoes_doubling():
-    rng = random.Random(1801)
-    for _ in range(200):
-        N = rng.randrange(3, 1 << 40) | 1
-        x = QuadInt(rng.randrange(N), rng.randrange(N))
-        ctx = RingCtx(7, N)
-        assert half_mod(N, qadd(ctx, x, x)) == x
+    assert qmul(7, root, root) == QuadInt(7, 0)
+    assert qmul(7, root, QuadInt(5, 0)) == QuadInt(0, 5)
+    assert qmul(7, QuadInt(0, 4), QuadInt(0, 4)) == QuadInt(112, 0)  # (4*sqrt7)^2 = 16*7
 
 
 def test_ring_axioms_random():
     rng = random.Random(20050927)
-    exact = RingCtx(7)
     for _ in range(1000):
-        N = rng.randrange(3, 1 << 32) | 1
-        modular = RingCtx(7, N)
-        for ctx in (exact, modular):
-            x = QuadInt(rng.randrange(1 << 64), rng.randrange(1 << 64))
-            y = QuadInt(rng.randrange(1 << 64), rng.randrange(1 << 64))
-            z = QuadInt(rng.randrange(1 << 64), rng.randrange(1 << 64))
-            assert qadd(ctx, x, y) == qadd(ctx, y, x)
-            assert qmul(ctx, x, y) == qmul(ctx, y, x)
-            assert qadd(ctx, qadd(ctx, x, y), z) == qadd(ctx, x, qadd(ctx, y, z))
-            assert qmul(ctx, qmul(ctx, x, y), z) == qmul(ctx, x, qmul(ctx, y, z))
-            assert qmul(ctx, x, qadd(ctx, y, z)) == qadd(ctx, qmul(ctx, x, y), qmul(ctx, x, z))
+        x = QuadInt(rng.randrange(1 << 64), rng.randrange(1 << 64))
+        y = QuadInt(rng.randrange(1 << 64), rng.randrange(1 << 64))
+        z = QuadInt(rng.randrange(1 << 64), rng.randrange(1 << 64))
+        assert qadd(x, y) == qadd(y, x)
+        assert qmul(7, x, y) == qmul(7, y, x)
+        assert qadd(qadd(x, y), z) == qadd(x, qadd(y, z))
+        assert qmul(7, qmul(7, x, y), z) == qmul(7, x, qmul(7, y, z))
+        assert qmul(7, x, qadd(y, z)) == qadd(qmul(7, x, y), qmul(7, x, z))
+        assert qsub(qadd(x, y), y) == x
 
 
 def test_reduction_is_a_homomorphism():
+    # Reducing both components mod N commutes with the ring product.
     rng = random.Random(74)
-    exact = RingCtx(7)
     for _ in range(500):
         N = rng.randrange(3, 1 << 48) | 1
-        modular = RingCtx(7, N)
+        red = lambda q: QuadInt(q.a % N, q.b % N)  # noqa: E731
         x = QuadInt(rng.randrange(1 << 64), rng.randrange(1 << 64))
         y = QuadInt(rng.randrange(1 << 64), rng.randrange(1 << 64))
-        lhs = modular.reduce(qmul(exact, x, y))
-        rhs = qmul(modular, modular.reduce(x), modular.reduce(y))
-        assert lhs == rhs
+        assert red(qmul(7, x, y)) == red(qmul(7, red(x), red(y)))
 
 
 def test_qpow_matches_repeated_mul():
-    ctx = RingCtx(7)
     x = QuadInt(3, 2)
     acc = QuadInt(1, 0)
     for e in range(8):
-        assert qpow(ctx, x, e) == acc
-        acc = qmul(ctx, acc, x)
+        assert qpow(7, x, e) == acc
+        acc = qmul(7, acc, x)
     with pytest.raises(ValueError):
-        qpow(ctx, x, -1)
+        qpow(7, x, -1)
 
 
 def test_qsub_qscale():
-    ctx = RingCtx(7, 11)
-    assert qsub(ctx, QuadInt(1, 1), QuadInt(3, 5)) == QuadInt(9, 7)
-    assert qscale(ctx, 4, QuadInt(3, 9)) == QuadInt(1, 3)
-
-
-def test_ringctx_validation():
-    with pytest.raises(ValueError):
-        RingCtx(9)  # perfect square
-    with pytest.raises(ValueError):
-        RingCtx(0)
-    with pytest.raises(ValueError):
-        RingCtx(7, 10)  # even modulus
-    with pytest.raises(ValueError):
-        RingCtx(7, 1)
+    assert qsub(QuadInt(1, 1), QuadInt(3, 5)) == QuadInt(-2, -4)
+    assert qscale(4, QuadInt(3, 9)) == QuadInt(12, 36)
+    assert qscale(-1, QuadInt(3, -9)) == QuadInt(-3, 9)
 
 
 def test_is_perfect_square():
