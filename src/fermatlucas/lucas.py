@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .quadratic import (
     ONE,
@@ -70,9 +70,12 @@ STANDARD_PARAMS = LucasParams(7, 1)
 ALTERNATE_PARAMS = LucasParams(3, -1)
 
 
-@dataclass(frozen=True)
-class LehmerPair:
-    """The normalized integer pair (u_bar, v_bar) at one index."""
+class LehmerPair(NamedTuple):
+    """The normalized integer pair (u_bar, v_bar) at one index.
+
+    A tuple, so cheap to build in the stepping loops; it compares equal to a
+    plain tuple with the same values.
+    """
 
     index: int
     u_bar: int
@@ -225,12 +228,21 @@ def check_sum_identity_v(params: LucasParams, m: int, n: int) -> bool:
 def _check_sum_identity(params: LucasParams, m: int, n: int, odd_side: bool) -> bool:
     if m < 1 or n < 0:
         raise ValueError("need m >= 1 and n >= 0")
-    if m * n > EXACT_INDEX_CAP:
-        raise ValueError(f"m*n exceeds the exact-index cap {EXACT_INDEX_CAP}")
+    for i, U, V in iter_uv_exact(params, m * n):
+        if i == n:
+            Un, Vn = U, V
+    return sum_identity_holds(params, m, Un, Vn, U if odd_side else V, odd_side)
+
+
+def sum_identity_holds(
+    params: LucasParams, m: int, Un: QuadInt, Vn: QuadInt, Xmn: QuadInt, odd_side: bool
+) -> bool:
+    """The sum identity for U_{mn} (odd_side) or V_{mn}, given ring values.
+
+    Un, Vn are U_n, V_n and Xmn is U_{mn} or V_{mn}; a caller holding one
+    exact table checks every (m, n) without re-stepping the recurrence.
+    """
     R = params.R
-    Un, Vn = uv_exact(params, n)
-    Umn, Vmn = uv_exact(params, m * n)
-    lhs = qscale(1 << (m - 1), Umn if odd_side else Vmn)
     total = ZERO
     for i in range(m // 2 + 1):
         k = 2 * i + 1 if odd_side else 2 * i
@@ -239,7 +251,7 @@ def _check_sum_identity(params: LucasParams, m: int, n: int, odd_side: bool) -> 
             continue  # C(m, m+1) term: present in the formal sum, zero here
         term = qmul(R, qpow(R, Un, k), qpow(R, Vn, m - k))
         total = qadd(total, qscale(c * params.D**i, term))
-    return lhs == total
+    return qscale(1 << (m - 1), Xmn) == total
 
 
 def alternate_params_pair(n: int, pairs: Sequence[LehmerPair]) -> LehmerPair:

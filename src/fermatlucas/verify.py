@@ -13,12 +13,11 @@ from .lucas import (
     ALTERNATE_PARAMS,
     STANDARD_PARAMS,
     alternate_params_pair,
-    check_sum_identity_u,
-    check_sum_identity_v,
     iter_pairs,
     iter_uv_exact,
     lehmer_pairs_exact,
     s_from_v,
+    sum_identity_holds,
     uv_mod,
 )
 from .primality import (
@@ -47,6 +46,9 @@ def _check(name: str, ok: bool, detail: str | None = None) -> Check:
 
 def identities(m_max: int, n_max: int) -> list[Check]:
     """Parity structure, doubling, gcd, sum identities and the parity swap."""
+    # One exact table serves every sum identity; building it first checks
+    # m_max*n_max against the exact-index cap before any other work.
+    ring = list(iter_uv_exact(STANDARD_PARAMS, m_max * n_max)) if m_max >= 2 and n_max >= 1 else []
     checks = []
     tables = {}
     for params in (STANDARD_PARAMS, ALTERNATE_PARAMS):
@@ -80,8 +82,11 @@ def identities(m_max: int, n_max: int) -> list[Check]:
 
     for m in range(2, m_max + 1):
         for n in range(1, n_max + 1):
-            for side, holds in (("u", check_sum_identity_u), ("v", check_sum_identity_v)):
-                checks.append(_check(f"sum_identity_{side}_m{m}_n{n}", holds(STANDARD_PARAMS, m, n)))
+            _, Un, Vn = ring[n]
+            _, Umn, Vmn = ring[m * n]
+            for side, Xmn in (("u", Umn), ("v", Vmn)):
+                holds = sum_identity_holds(STANDARD_PARAMS, m, Un, Vn, Xmn, odd_side=side == "u")
+                checks.append(_check(f"sum_identity_{side}_m{m}_n{n}", holds))
 
     # Odd-index subsequence of u_bar for (7, 1) obeys x_{j+1} = 5 x_j - x_{j-1}
     # (the step-two recurrence, since v_bar(2) = 5 and Q^2 = 1).

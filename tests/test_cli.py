@@ -21,7 +21,7 @@ def run_cli(*args):
     return proc
 
 
-def run_cli_limited(*args):
+def run_cli_limited(*args, timeout=60):
     """run_cli under a 2 GB address-space limit and a time limit.
 
     A command that tried to build a huge Fermat number fails fast here
@@ -33,7 +33,7 @@ def run_cli_limited(*args):
         capture_output=True,
         text=True,
         env=cli_env(),
-        timeout=60,
+        timeout=timeout,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
     )
 
@@ -249,6 +249,15 @@ def test_oversized_fermat_index_exits_2(argv):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "Fermat index must be <= 32" in proc.stderr
+
+
+def test_oversized_identity_bounds_exit_2():
+    # m_max*n_max = 20000 is over the exact-index cap; the suite must refuse
+    # before stepping anything, not after the checks for every m <= 100.
+    proc = run_cli_limited("verify", "identities", "--m-max", "200", "--n-max", "100", timeout=10)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "capped at index 10000" in proc.stderr
 
 
 def test_memory_error_exits_2(monkeypatch, capsys):
