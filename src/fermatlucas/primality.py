@@ -30,6 +30,15 @@ PROVEN_SEED = 5
 # refused up front instead of failing in the allocator.
 MAX_FERMAT_INDEX = 32
 
+# Chains mod 2^m +- 1 with GMP_MIN_BITS <= m <= GMP_MAX_BITS run on libgmp
+# when it loads.  The ctypes calls of a step cost about as much as GMP saves
+# near m = 2^11; at 2^12 libgmp is about 3x faster, more above, and shorter
+# chains (the CLI's warm-up among them) never load it.  Above the upper
+# bound a failed allocation inside libgmp would abort() the process
+# instead of raising MemoryError.
+GMP_MIN_BITS = 1 << 12
+GMP_MAX_BITS = 1 << 24
+
 
 class InconclusiveError(Exception):
     """The rank certificate neither proved nor refuted primality."""
@@ -106,13 +115,32 @@ class CongruenceReport:
         return all(c.passed for c in self.checks)
 
 
+def _native_kernel(bits: int):
+    """The libgmp kernel for a chain mod 2^bits +- 1, or None for the int loop."""
+    if not GMP_MIN_BITS <= bits <= GMP_MAX_BITS:
+        return None
+    from . import _gmp  # imported with the first long chain, not with this module
+
+    return _gmp.load()
+
+
+def chain_kernel(bits: int) -> str:
+    """The kernel `square_chain` uses mod 2^bits +- 1: "gmp" (libgmp) or "int"."""
+    return "int" if _native_kernel(bits) is None else "gmp"
+
+
 def square_chain(x: int, steps: int, c: int, reduce, m: int) -> int:
     """Return x after `steps` rounds of x = reduce(x*x - c, m).
 
     The one loop behind every squaring-chain test here: `reduce` is
     `fermat_mod` for moduli 2^m + 1 or `mersenne_mod` for 2^m - 1, so no
-    step divides.
+    step divides.  For those two, `chain_kernel(m)` picks libgmp or this
+    module's int loop; both return the same canonical residue.
     """
+    sign = 1 if reduce is fermat_mod else -1 if reduce is mersenne_mod else 0
+    native = _native_kernel(m) if sign else None
+    if native is not None:
+        return native.square_chain(x, steps, c, m, sign)
     for _ in range(steps):
         x = reduce(x * x - c, m)
     return x

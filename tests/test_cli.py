@@ -272,3 +272,18 @@ def test_memory_error_exits_2(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: out of memory\n"
+
+
+def test_closed_stdout_exits_2_quietly():
+    # A reader that stops early (`| head -c 10`) must not read as "composite".
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "fermatlucas", "table", "uv-exact", "--max", "3000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=cli_env(),
+    )
+    assert proc.stdout.read(10) == b'{"command"'
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    assert proc.wait(timeout=60) == 2
+    assert b"Traceback" not in stderr
