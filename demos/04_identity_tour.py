@@ -14,11 +14,11 @@ from fermatlucas import (
     STANDARD_PARAMS,
     alternate_params_pair,
     appendix_residues,
-    check_sum_identity_u,
-    check_sum_identity_v,
     fermat_symbols_closed_form,
+    iter_uv_exact,
     lehmer_pairs_exact,
     s_from_v,
+    sum_identity_holds,
     symbol_triple,
 )
 from fermatlucas.quadratic import balanced_residue
@@ -36,11 +36,17 @@ for k in range(6):
     print(f"  S_{k} = {s % (10**9 + 7)}  v_bar(2^{k + 1}) = {v}")
     s = s * s - 2
 
-ok = all(
-    check_sum_identity_u(STANDARD_PARAMS, m, n) and check_sum_identity_v(STANDARD_PARAMS, m, n)
-    for m in range(2, 8)
-    for n in range(1, 8)
-)
+ring = list(iter_uv_exact(STANDARD_PARAMS, 49))  # (n, U_n, V_n); one table for every (m, n)
+
+
+def sum_identities_hold(m, n):
+    _, Un, Vn = ring[n]
+    _, Umn, Vmn = ring[m * n]
+    u_side = sum_identity_holds(STANDARD_PARAMS, m, Un, Vn, Umn, odd_side=True)
+    return u_side and sum_identity_holds(STANDARD_PARAMS, m, Un, Vn, Vmn, odd_side=False)
+
+
+ok = all(sum_identities_hold(m, n) for m in range(2, 8) for n in range(1, 8))
 print(f"\nmultiplication-sum identities, m,n < 8: {ok}")
 
 pairs7 = lehmer_pairs_exact(STANDARD_PARAMS, 9)

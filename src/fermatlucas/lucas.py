@@ -1,4 +1,4 @@
-"""Lucas sequences for P = sqrt(R) and their integer Lehmer normalizations.
+"""Lucas sequences for P = sqrt(R) and their integer Lehmer pairs.
 
 U and V obey X_{n+1} = P*X_n - Q*X_{n-1} with U_0 = 0, U_1 = 1, V_0 = 2,
 V_1 = P.  With P = sqrt(R) the raw terms live in Z[sqrt(R)] and alternate
@@ -8,15 +8,18 @@ component out gives the always-integer pair
     u_bar(n) = U_n / sqrt(R)  if n even, else U_n
     v_bar(n) = V_n            if n even, else V_n / sqrt(R)
 
-Exact evaluation iterates the recurrence in the ring (bounded index);
-modular evaluation works directly on the integer pair with fast doubling,
-O(log n) multiplications, so indices like 2^16384 are routine.
+`iter_pairs` steps the pair's own integer recurrence, exactly or mod N,
+and exact tables come from it; the ring iterator `iter_uv_exact` is the
+independent reference for the parity structure and the sum identities.
+Fast doubling (`uv_mod`) handles indices like 2^16384 mod N.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
+from itertools import islice
 from typing import Iterator, NamedTuple, Sequence
 
 from .quadratic import (
@@ -24,8 +27,9 @@ from .quadratic import (
     SQRT,
     ZERO,
     QuadInt,
+    fermat_form_exponent,
+    fermat_mod,
     is_perfect_square,
-    make_reducer,
     qadd,
     qmul,
     qpow,
@@ -36,10 +40,6 @@ from .quadratic import (
 # Exact values grow geometrically (~1.13 bits per index for R=7); the cap
 # keeps exact mode comfortably in memory.  Modular mode has no cap.
 EXACT_INDEX_CAP = 10_000
-
-
-class ParityMismatchError(ValueError):
-    """A component that the index parity forces to zero was nonzero."""
 
 
 @dataclass(frozen=True)
@@ -82,16 +82,20 @@ class LehmerPair(NamedTuple):
     v_bar: int
 
 
+def _check_exact_index(max_index: int) -> None:
+    if max_index < 0:
+        raise ValueError(f"index must be >= 0, got {max_index}")
+    if max_index > EXACT_INDEX_CAP:
+        raise ValueError(f"exact evaluation is capped at index {EXACT_INDEX_CAP}, got {max_index}")
+
+
 def iter_uv_exact(params: LucasParams, max_index: int) -> Iterator[tuple[int, QuadInt, QuadInt]]:
     """Yield (n, U_n, V_n) as ring elements for n = 0..max_index.
 
     The one place the ring recurrence X_{n+1} = sqrt(R)*X_n - Q*X_{n-1} is
     stepped; max_index is capped at EXACT_INDEX_CAP.
     """
-    if max_index < 0:
-        raise ValueError(f"index must be >= 0, got {max_index}")
-    if max_index > EXACT_INDEX_CAP:
-        raise ValueError(f"exact evaluation is capped at index {EXACT_INDEX_CAP}, got {max_index}")
+    _check_exact_index(max_index)
     R, Q = params.R, params.Q
     u, v = ZERO, QuadInt(2, 0)
     u1, v1 = ONE, SQRT
@@ -101,36 +105,10 @@ def iter_uv_exact(params: LucasParams, max_index: int) -> Iterator[tuple[int, Qu
         v, v1 = v1, qsub(qmul(R, SQRT, v1), qscale(Q, v))
 
 
-def uv_exact(params: LucasParams, n: int) -> tuple[QuadInt, QuadInt]:
-    """Exact (U_n, V_n) as ring elements; n is capped at EXACT_INDEX_CAP."""
-    for _, U, V in iter_uv_exact(params, n):
-        pass
-    return U, V
-
-
-def normalize(params: LucasParams, n: int, U: QuadInt, V: QuadInt) -> LehmerPair:
-    """Strip the radical per index parity, yielding the integer pair.
-
-    Raises ParityMismatchError when the component that must vanish does not;
-    that signals (U, V) are not really the index-n terms.
-    """
-    if n % 2 == 0:
-        # U_n is a pure sqrt(R) multiple, V_n a pure integer.
-        if U.a != 0 or V.b != 0:
-            raise ParityMismatchError(
-                f"index {n} is even: U must be a sqrt({params.R}) multiple and V an integer"
-            )
-        return LehmerPair(n, U.b, V.a)
-    if U.b != 0 or V.a != 0:
-        raise ParityMismatchError(
-            f"index {n} is odd: U must be an integer and V a sqrt({params.R}) multiple"
-        )
-    return LehmerPair(n, U.a, V.b)
-
-
 def lehmer_pairs_exact(params: LucasParams, max_index: int) -> list[LehmerPair]:
-    """Normalized exact pairs for indices 0..max_index in one pass."""
-    return [normalize(params, n, U, V) for n, U, V in iter_uv_exact(params, max_index)]
+    """Exact pairs for indices 0..max_index, stepped by `iter_pairs`."""
+    _check_exact_index(max_index)
+    return list(islice(iter_pairs(params), max_index + 1))
 
 
 def iter_pairs(params: LucasParams, modulus: int | None = None) -> Iterator[LehmerPair]:
@@ -183,7 +161,8 @@ def uv_mod(params: LucasParams, n: int, N: int) -> LehmerPair:
         raise ValueError(f"modulus {N} shares a factor with Q = {params.Q}")
     if n < 0:
         raise ValueError(f"index must be >= 0, got {n}")
-    red = make_reducer(N)
+    m = fermat_form_exponent(N)
+    red = N.__rmod__ if m is None else partial(fermat_mod, m=m)
     if n == 0:
         return LehmerPair(0, 0, red(2))
     R, Q, D = params.R, params.Q, params.D
@@ -213,25 +192,6 @@ def s_from_v(params: LucasParams, k: int, N: int) -> int:
     if k < 0:
         raise ValueError(f"chain index must be >= 0, got {k}")
     return uv_mod(params, 1 << (k + 1), N).v_bar
-
-
-def check_sum_identity_u(params: LucasParams, m: int, n: int) -> bool:
-    """Exactly verify 2^(m-1) U_{mn} = sum_i C(m,2i+1) D^i U_n^(2i+1) V_n^(m-2i-1)."""
-    return _check_sum_identity(params, m, n, odd_side=True)
-
-
-def check_sum_identity_v(params: LucasParams, m: int, n: int) -> bool:
-    """Exactly verify 2^(m-1) V_{mn} = sum_i C(m,2i) D^i U_n^(2i) V_n^(m-2i)."""
-    return _check_sum_identity(params, m, n, odd_side=False)
-
-
-def _check_sum_identity(params: LucasParams, m: int, n: int, odd_side: bool) -> bool:
-    if m < 1 or n < 0:
-        raise ValueError("need m >= 1 and n >= 0")
-    for i, U, V in iter_uv_exact(params, m * n):
-        if i == n:
-            Un, Vn = U, V
-    return sum_identity_holds(params, m, Un, Vn, U if odd_side else V, odd_side)
 
 
 def sum_identity_holds(

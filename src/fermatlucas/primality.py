@@ -129,18 +129,20 @@ def chain_kernel(bits: int) -> str:
     return "int" if _native_kernel(bits) is None else "gmp"
 
 
-def square_chain(x: int, steps: int, c: int, reduce, m: int) -> int:
-    """Return x after `steps` rounds of x = reduce(x*x - c, m).
+def square_chain(x: int, steps: int, c: int, m: int, sign: int) -> int:
+    """Return x after `steps` rounds of x = x*x - c mod 2^m + sign, sign = +-1.
 
-    The one loop behind every squaring-chain test here: `reduce` is
-    `fermat_mod` for moduli 2^m + 1 or `mersenne_mod` for 2^m - 1, so no
-    step divides.  For those two, `chain_kernel(m)` picks libgmp or this
-    module's int loop; both return the same canonical residue.
+    The one loop behind every squaring-chain test here: the reduction is
+    `fermat_mod` for sign = +1 and `mersenne_mod` for sign = -1, so no step
+    divides.  `chain_kernel(m)` picks libgmp or this module's int loop; both
+    return the same canonical residue.
     """
-    sign = 1 if reduce is fermat_mod else -1 if reduce is mersenne_mod else 0
-    native = _native_kernel(m) if sign else None
+    if sign not in (1, -1):
+        raise ValueError(f"sign must be +-1, got {sign}")
+    native = _native_kernel(m)
     if native is not None:
         return native.square_chain(x, steps, c, m, sign)
+    reduce = fermat_mod if sign > 0 else mersenne_mod
     for _ in range(steps):
         x = reduce(x * x - c, m)
     return x
@@ -159,10 +161,10 @@ def s_sequence(n: int, keep_trace: bool = False, seed: int = PROVEN_SEED) -> SSe
     e = 1 << n  # F_n = 2^e + 1
     s = seed % fermat.value
     if not keep_trace:
-        return SSequenceTrace(n, seed, square_chain(s, e - 2, 2, fermat_mod, e))
+        return SSequenceTrace(n, seed, square_chain(s, e - 2, 2, e, 1))
     trace = [s]
     for _ in range(e - 2):
-        trace.append(square_chain(trace[-1], 1, 2, fermat_mod, e))
+        trace.append(square_chain(trace[-1], 1, 2, e, 1))
     return SSequenceTrace(n, seed, trace[-1], tuple(trace))
 
 
@@ -190,7 +192,7 @@ def pepin(n: int) -> Verdict:
     the fold kernel; the tests check it against pow().
     """
     F = FermatNumber(n).value
-    r = square_chain(3, (1 << n) - 1, 0, fermat_mod, 1 << n)
+    r = square_chain(3, (1 << n) - 1, 0, 1 << n, 1)
     if r == F - 1:
         return Verdict("prime", "pepin")
     return Verdict("composite", "pepin", witness=r)
@@ -200,7 +202,7 @@ def mersenne_llt(q: int) -> Verdict:
     """Classical squaring chain for M_q = 2^q - 1: seed 4, q - 2 steps."""
     if q < 3 or q % 2 == 0 or not is_prime(q):
         raise ValueError(f"exponent must be an odd prime, got {q}")
-    s = square_chain(4, q - 2, 2, mersenne_mod, q)
+    s = square_chain(4, q - 2, 2, q, -1)
     if s == 0:
         return Verdict("prime", "llt-mersenne")
     return Verdict("composite", "llt-mersenne", witness=s)

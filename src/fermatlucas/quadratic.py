@@ -76,14 +76,6 @@ def mersenne_mod(x: int, q: int) -> int:
     return 0 if x == M else x
 
 
-def make_reducer(N: int):
-    """Scalar reduction mod N, taking the fold path when N = 2^m + 1."""
-    m = fermat_form_exponent(N)
-    if m is None:
-        return lambda x: x % N
-    return lambda x: fermat_mod(x, m)
-
-
 def balanced_residue(r: int, N: int) -> int:
     """Map a canonical residue to its representative in (-N/2, N/2]."""
     return r - N if r > N // 2 else r

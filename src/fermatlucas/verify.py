@@ -55,13 +55,16 @@ def identities(m_max: int, n_max: int) -> list[Check]:
         label = f"R{params.R}_Q{params.Q}"
         pairs = tables[params] = lehmer_pairs_exact(params, 200)
 
+        # Against the ring: zero components vanish, kept ones are the pair.
         bad = []
         for i, u, v in iter_uv_exact(params, 200):
             if i % 2 == 0:
                 ok = u.a == 0 and v.b == 0 and v.a != 0 and (i == 0 or u.b != 0)
+                kept = (u.b, v.a)
             else:
                 ok = u.b == 0 and v.a == 0 and u.a != 0 and v.b != 0
-            if not ok:
+                kept = (u.a, v.b)
+            if not ok or kept != pairs[i][1:]:
                 bad.append(i)
         checks.append(_check(f"parity_structure_{label}", not bad, f"indices {bad[:5]}"))
 
@@ -169,6 +172,8 @@ def rank(sweep_max: int, cap: int) -> list[Check]:
 
 def traces(max_n: int) -> list[Check]:
     """Chain traces against plain `%` and the v-side bridge; final residues to max_n."""
+    if max_n >= 1:
+        FermatNumber(max_n)  # refuse an index out of range before any chain runs
     checks = []
     for n in (1, 2, 3, 4):
         F = FermatNumber(n).value

@@ -18,10 +18,10 @@ from fermatlucas.lucas import (
     ALTERNATE_PARAMS,
     STANDARD_PARAMS,
     alternate_params_pair,
-    check_sum_identity_u,
-    check_sum_identity_v,
     iter_pairs,
+    iter_uv_exact,
     lehmer_pairs_exact,
+    sum_identity_holds,
     uv_mod,
 )
 from fermatlucas.primality import (
@@ -141,10 +141,13 @@ def test_criterion_6_identity_suites():
         for n in range(1, 201):
             g = math.gcd(pairs[n].u_bar, pairs[n].v_bar)
             assert (2 * abs(params.Q) ** n) % g == 0
+    ring = list(iter_uv_exact(P7, 81))
     for m in range(2, 10):
         for n in range(1, 10):
-            assert check_sum_identity_u(P7, m, n), (m, n)
-            assert check_sum_identity_v(P7, m, n), (m, n)
+            _, Un, Vn = ring[n]
+            _, Umn, Vmn = ring[m * n]
+            assert sum_identity_holds(P7, m, Un, Vn, Umn, odd_side=True), (m, n)
+            assert sum_identity_holds(P7, m, Un, Vn, Vmn, odd_side=False), (m, n)
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0, f"identity suites took {elapsed:.2f}s"
     print(f"\ncriterion 6 PASS: doubling, multiplication-sum and gcd identities ({elapsed:.2f}s)")

@@ -241,11 +241,13 @@ def test_human_flag_on_test_and_rank():
         ("test", "fermat", "40"),
         ("test", "pepin", "63"),
         ("table", "uv-mod", "--modulus-fermat", "40"),
+        # Refused before the chains for n = 1..32, which would run for years.
+        ("verify", "traces", "--max-n", "33"),
     ],
-    ids=["fermat33", "fermat40", "pepin63", "uv-mod-F40"],
+    ids=["fermat33", "fermat40", "pepin63", "uv-mod-F40", "traces33"],
 )
 def test_oversized_fermat_index_exits_2(argv):
-    proc = run_cli_limited(*argv)
+    proc = run_cli_limited(*argv, timeout=20)
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "Fermat index must be <= 32" in proc.stderr

@@ -3,22 +3,19 @@ import random
 
 import pytest
 
+from fermatlucas import verify
 from fermatlucas.lucas import (
     ALTERNATE_PARAMS,
     EXACT_INDEX_CAP,
     LehmerPair,
     LucasParams,
-    ParityMismatchError,
     STANDARD_PARAMS,
     alternate_params_pair,
-    check_sum_identity_u,
-    check_sum_identity_v,
     iter_pairs,
     iter_uv_exact,
     lehmer_pairs_exact,
-    normalize,
     s_from_v,
-    uv_exact,
+    sum_identity_holds,
     uv_mod,
 )
 from fermatlucas.quadratic import QuadInt
@@ -43,28 +40,28 @@ def test_params_validation():
 
 
 def test_uv_exact_first_values():
-    assert uv_exact(P7, 0) == (QuadInt(0, 0), QuadInt(2, 0))
-    assert uv_exact(P7, 2) == (QuadInt(0, 1), QuadInt(5, 0))  # U_2 = sqrt7, V_2 = 5
-    assert uv_exact(P7, 3) == (QuadInt(6, 0), QuadInt(0, 4))
+    ring = list(iter_uv_exact(P7, 3))
+    assert ring[0] == (0, QuadInt(0, 0), QuadInt(2, 0))
+    assert ring[2] == (2, QuadInt(0, 1), QuadInt(5, 0))  # U_2 = sqrt7, V_2 = 5
+    assert ring[3] == (3, QuadInt(6, 0), QuadInt(0, 4))  # U_3 = 6, V_3 = 4 sqrt7
 
 
 def test_uv_exact_cap():
-    with pytest.raises(ValueError):
-        uv_exact(P7, EXACT_INDEX_CAP + 1)
-    with pytest.raises(ValueError):
-        uv_exact(P7, -1)
+    # Exact pairs no longer come from the ring, but keep its cap and messages.
+    for exact in (lehmer_pairs_exact, lambda params, n: list(iter_uv_exact(params, n))):
+        with pytest.raises(ValueError, match=f"^exact evaluation is capped at index {EXACT_INDEX_CAP}, got 10001$"):
+            exact(P7, EXACT_INDEX_CAP + 1)
+        with pytest.raises(ValueError, match="^index must be >= 0, got -1$"):
+            exact(P7, -1)
+    assert lehmer_pairs_exact(P3, 0) == [LehmerPair(0, 0, 2)]
+    assert len(lehmer_pairs_exact(P7, EXACT_INDEX_CAP)) == EXACT_INDEX_CAP + 1
 
 
 def test_iter_uv_exact_steps_every_index():
     steps = list(iter_uv_exact(P7, 40))
     assert [n for n, _, _ in steps] == list(range(41))
     assert steps[3] == (3, QuadInt(6, 0), QuadInt(0, 4))
-    assert steps[40][1:] == uv_exact(P7, 40)
     assert list(iter_uv_exact(P3, 0)) == [(0, QuadInt(0, 0), QuadInt(2, 0))]
-    with pytest.raises(ValueError):
-        list(iter_uv_exact(P7, EXACT_INDEX_CAP + 1))
-    with pytest.raises(ValueError):
-        list(iter_uv_exact(P7, -1))
 
 
 def test_exact_table_golden():
@@ -74,17 +71,11 @@ def test_exact_table_golden():
 
 
 def test_normalize_examples():
-    U, V = uv_exact(P7, 40)
-    pair = normalize(P7, 40, U, V)
-    assert (pair.u_bar, pair.v_bar) == (8870244889325, 40648568638127)
-    assert normalize(P7, 1, *uv_exact(P7, 1)) == LehmerPair(1, 1, 1)
-
-
-def test_normalize_parity_mismatch():
-    with pytest.raises(ParityMismatchError):
-        normalize(P7, 2, QuadInt(1, 0), QuadInt(5, 0))
-    with pytest.raises(ParityMismatchError):
-        normalize(P7, 3, QuadInt(6, 0), QuadInt(4, 0))
+    # The index-40 golden, as the stepped pair and as the ring's kept components.
+    assert lehmer_pairs_exact(P7, 40)[40] == LehmerPair(40, 8870244889325, 40648568638127)
+    _, U, V = list(iter_uv_exact(P7, 40))[40]
+    assert (U, V) == (QuadInt(0, 8870244889325), QuadInt(40648568638127, 0))
+    assert lehmer_pairs_exact(P7, 1)[1] == LehmerPair(1, 1, 1)
 
 
 @pytest.mark.parametrize("params", [P7, P3], ids=["R7Q1", "R3Qm1"])
@@ -142,6 +133,13 @@ def test_uv_mod_cross_evaluation():
         eu, ev = exact[n]
         assert (got.u_bar - eu) % N == 0
         assert (got.v_bar - ev) % N == 0
+    # The Fermat moduli F_1..F_5 take uv_mod's fold reduction.
+    for k in range(1, 6):
+        N = (1 << (1 << k)) + 1
+        near_n = [n for n in (N - 1, N, N + 1) if n <= 5000]
+        for n in [0, 1, 2, 5000, *near_n] + [rng.randrange(0, 5001) for _ in range(50)]:
+            eu, ev = exact[n]
+            assert uv_mod(P7, n, N) == (n, eu % N, ev % N)
 
 
 def test_uv_mod_huge_index():
@@ -178,17 +176,23 @@ def test_s_from_v_validation():
 
 
 def test_sum_identity_examples():
-    assert check_sum_identity_u(P7, 2, 1)
-    assert check_sum_identity_u(P7, 3, 2)
-    assert check_sum_identity_u(P7, 5, 3)
-    assert check_sum_identity_v(P7, 2, 1)
-    assert check_sum_identity_v(P7, 3, 2)
-    assert check_sum_identity_v(P7, 4, 3)
+    ring = list(iter_uv_exact(P7, 15))
+    for m, n in ((2, 1), (3, 2), (5, 3), (4, 3)):
+        _, Un, Vn = ring[n]
+        _, Umn, Vmn = ring[m * n]
+        assert sum_identity_holds(P7, m, Un, Vn, Umn, odd_side=True)
+        assert sum_identity_holds(P7, m, Un, Vn, Vmn, odd_side=False)
+    # A wrong U_{mn} or V_{mn} fails.
+    _, U1, V1 = ring[1]
+    assert not sum_identity_holds(P7, 2, U1, V1, ring[3][1], odd_side=True)
+    assert not sum_identity_holds(P7, 2, U1, V1, ring[3][2], odd_side=False)
 
 
 def test_sum_identity_cap():
-    with pytest.raises(ValueError):
-        check_sum_identity_u(P7, 101, 101)
+    # One exact ring table to index m*n serves the sum identities; over the
+    # cap the suite refuses before checking anything.
+    with pytest.raises(ValueError, match=f"capped at index {EXACT_INDEX_CAP}, got 10201"):
+        verify.identities(101, 101)
 
 
 def test_gcd_uv_examples():
@@ -257,9 +261,13 @@ def test_odd_index_u_recurrence():
 
 
 def test_iter_pairs_exact_matches_ring_path():
-    it = iter_pairs(P3)
-    for n in range(120):
-        assert next(it) == lehmer_pairs_exact(P3, n)[n]
+    # The stepped pair is the ring's kept components: (U.b, V.a) at even
+    # index, (U.a, V.b) at odd index.
+    for params in (P7, P3):
+        ring = list(iter_uv_exact(params, 200))
+        stepped = iter_pairs(params)
+        for i, U, V in ring:
+            assert next(stepped) == ((i, U.b, V.a) if i % 2 == 0 else (i, U.a, V.b))
 
 
 def test_iter_pairs_modular():

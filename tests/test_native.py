@@ -145,18 +145,19 @@ def test_dispatch_by_modulus_size(monkeypatch):
     assert chain_kernel(GMP_MAX_BITS + 1) == "int"
 
     below = GMP_MIN_BITS - 1
-    assert square_chain(5, 3, 2, fermat_mod, below) == int_chain(5, 3, 2, below, 1)
-    assert square_chain(4, 3, 2, mersenne_mod, below) == int_chain(4, 3, 2, below, -1)
-    assert square_chain(5, 1, 2, fermat_mod, GMP_MAX_BITS + 1) == 23
+    assert square_chain(5, 3, 2, below, 1) == int_chain(5, 3, 2, below, 1)
+    assert square_chain(4, 3, 2, below, -1) == int_chain(4, 3, 2, below, -1)
+    assert square_chain(5, 1, 2, GMP_MAX_BITS + 1, 1) == 23
     assert kernel.calls == []
 
-    assert square_chain(5, 3, 2, fermat_mod, GMP_MIN_BITS) == -1
-    assert square_chain(4, 3, 2, mersenne_mod, GMP_MAX_BITS) == -1
+    assert square_chain(5, 3, 2, GMP_MIN_BITS, 1) == -1
+    assert square_chain(4, 3, 2, GMP_MAX_BITS, -1) == -1
     assert kernel.calls == [(GMP_MIN_BITS, 1), (GMP_MAX_BITS, -1)]
 
-    # Any other reduction runs in the int loop.
-    N = (1 << GMP_MIN_BITS) + 1
-    assert square_chain(5, 1, 2, lambda x, m: x % N, GMP_MIN_BITS) == 23
+    # Only 2^m + 1 and 2^m - 1 are chain moduli, on either kernel.
+    for m in (below, GMP_MIN_BITS):
+        with pytest.raises(ValueError, match="sign must be"):
+            square_chain(5, 1, 2, m, 0)
     assert len(kernel.calls) == 2
 
     monkeypatch.setattr(_gmp, "load", lambda: None)

@@ -8,7 +8,6 @@ from fermatlucas.quadratic import (
     fermat_form_exponent,
     fermat_mod,
     is_perfect_square,
-    make_reducer,
     mersenne_mod,
     qadd,
     qmul,
@@ -122,13 +121,6 @@ def test_mersenne_mod_matches_division():
         for _ in range(300):
             x = rng.getrandbits(2 * q + 6)
             assert mersenne_mod(x, q) == x % M
-
-
-def test_make_reducer_picks_the_fold_path():
-    red = make_reducer(257)
-    assert red(527) == 13
-    red_generic = make_reducer(1000003)
-    assert red_generic(10**12 + 7) == (10**12 + 7) % 1000003
 
 
 def test_balanced_residue():

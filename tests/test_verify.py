@@ -1,6 +1,6 @@
 from fermatlucas import verify
 from fermatlucas.lucas import STANDARD_PARAMS as P7
-from fermatlucas.lucas import check_sum_identity_u, check_sum_identity_v
+from fermatlucas.lucas import LehmerPair, iter_uv_exact, sum_identity_holds
 from fermatlucas.quadratic import QuadInt
 
 
@@ -9,11 +9,17 @@ def sum_identity_checks(checks):
 
 
 def test_identity_table_matches_per_pair_checks():
+    # Each (m, n) checked on its own ring table to index m*n, against the
+    # suite's one shared table.
     expected = []
     for m in range(2, 9):
         for n in range(1, 9):
-            expected.append((f"sum_identity_u_m{m}_n{n}", check_sum_identity_u(P7, m, n)))
-            expected.append((f"sum_identity_v_m{m}_n{n}", check_sum_identity_v(P7, m, n)))
+            ring = list(iter_uv_exact(P7, m * n))
+            _, Un, Vn = ring[n]
+            _, Umn, Vmn = ring[m * n]
+            expected.append((f"sum_identity_u_m{m}_n{n}", sum_identity_holds(P7, m, Un, Vn, Umn, True)))
+            expected.append((f"sum_identity_v_m{m}_n{n}", sum_identity_holds(P7, m, Un, Vn, Vmn, False)))
+    assert all(holds for _, holds in expected)
     assert sum_identity_checks(verify.identities(8, 8)) == expected
 
 
@@ -31,3 +37,22 @@ def test_corrupted_table_entry_fails_sum_identities(monkeypatch):
     # U_6 enters as U_{mn} at (2, 3) and as U_n at (2, 6); no other suite part reads it.
     assert {"sum_identity_u_m2_n3", "sum_identity_u_m2_n6"} <= failed
     assert all(name.startswith("sum_identity_") for name in failed)
+
+
+def test_perturbed_pair_fails_parity_structure(monkeypatch):
+    exact = verify.lehmer_pairs_exact
+
+    def perturbed(params, max_index):
+        pairs = exact(params, max_index)
+        u, v = pairs[151].u_bar, pairs[151].v_bar
+        pairs[151] = LehmerPair(151, u, v + u)  # same gcd(u, v)
+        return pairs
+
+    monkeypatch.setattr(verify, "lehmer_pairs_exact", perturbed)
+    checks = {c.name: c for c in verify.identities(2, 2)}
+    # Of the other checks only the gcd one reads v_bar(151), and it cannot tell.
+    for label in ("R7_Q1", "R3_Q-1"):
+        check = checks[f"parity_structure_{label}"]
+        assert not check.passed and check.detail == "indices [151]"
+    assert [name for name, c in checks.items() if not c.passed] == [
+        "parity_structure_R7_Q1", "parity_structure_R3_Q-1"]
