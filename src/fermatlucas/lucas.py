@@ -22,6 +22,7 @@ from functools import partial
 from itertools import islice
 from typing import Iterator, NamedTuple, Sequence
 
+from .native import native_kernel
 from .quadratic import (
     ONE,
     SQRT,
@@ -151,9 +152,15 @@ def iter_pairs(params: LucasParams, modulus: int | None = None) -> Iterator[Lehm
 def uv_mod(params: LucasParams, n: int, N: int) -> LehmerPair:
     """(u_bar(n), v_bar(n)) mod N by binary fast doubling.
 
-    N must be odd (halving uses the inverse of 2) and coprime to Q.  The
+    N must be odd (halving is a shift of x or x + N) and coprime to Q.  The
     doubling step is u(2k) = u(k)*v(k) and v(2k) = c*v(k)^2 - 2*Q^k with
     c = R for odd k, 1 for even k; the +1 step halves (R*u + v, D*u + v).
+
+    For N = 2^m + 1 and Q = +-1 the ladder runs on libgmp under the size rule
+    `square_chain` uses (`native.native_kernel(m)`, reported by
+    `primality.chain_kernel`); every other modulus and Q, and every modulus
+    when libgmp does not load, takes the int loop here, which is also the
+    tests' oracle for the ladder.  Both return the same canonical residues.
     """
     if N < 3 or N % 2 == 0:
         raise ValueError(f"modulus must be an odd integer >= 3, got {N}")
@@ -161,13 +168,15 @@ def uv_mod(params: LucasParams, n: int, N: int) -> LehmerPair:
         raise ValueError(f"modulus {N} shares a factor with Q = {params.Q}")
     if n < 0:
         raise ValueError(f"index must be >= 0, got {n}")
+    R, Q, D = params.R, params.Q, params.D
+    unit_q = abs(Q) == 1  # Q^k is just a sign; skip the modular bookkeeping
     m = fermat_form_exponent(N)
+    native = native_kernel(m) if m is not None and unit_q else None
+    if native is not None:
+        return LehmerPair(n, *native.uv_ladder(R, Q, n, m))
     red = N.__rmod__ if m is None else partial(fermat_mod, m=m)
     if n == 0:
         return LehmerPair(0, 0, red(2))
-    R, Q, D = params.R, params.Q, params.D
-    half = (N + 1) >> 1
-    unit_q = abs(Q) == 1  # Q^k is just a sign; skip the modular bookkeeping
     u, v = red(1), red(1)
     k_odd = True
     qk = Q if unit_q else red(Q)
@@ -176,7 +185,9 @@ def uv_mod(params: LucasParams, n: int, N: int) -> LehmerPair:
         qk = 1 if unit_q else red(qk * qk)
         k_odd = False
         if bit == "1":
-            u, v = red((R * u + v) * half), red((D * u + v) * half)
+            u, v = red(R * u + v), red(D * u + v)
+            u = (u + N if u & 1 else u) >> 1
+            v = (v + N if v & 1 else v) >> 1
             qk = qk * Q if unit_q else red(qk * Q)
             k_odd = True
     return LehmerPair(n, u, v)

@@ -1,0 +1,27 @@
+"""The size rule that sends arithmetic mod 2^m +- 1 to the system's libgmp.
+
+`primality.square_chain` and `lucas.uv_mod` both ask `native_kernel(m)`, so
+squaring chains and fast doubling change kernels at the same modulus size.
+This module is imported by both and imports neither; `_gmp` (and with it
+ctypes) is imported only when a modulus inside the bounds first asks.
+"""
+
+from __future__ import annotations
+
+# Moduli 2^m +- 1 with GMP_MIN_BITS <= m <= GMP_MAX_BITS run on libgmp when
+# it loads.  The ctypes calls of a chain step cost about as much as GMP saves
+# near m = 2^11; at 2^12 libgmp is about 3x faster, more above, and smaller
+# moduli (the CLI's warm-up among them) never load it.  Above the upper
+# bound a failed allocation inside libgmp would abort() the process instead
+# of raising MemoryError.
+GMP_MIN_BITS = 1 << 12
+GMP_MAX_BITS = 1 << 24
+
+
+def native_kernel(bits: int):
+    """The libgmp kernel for arithmetic mod 2^bits +- 1, or None for Python ints."""
+    if not GMP_MIN_BITS <= bits <= GMP_MAX_BITS:
+        return None
+    from . import _gmp  # imported with the first large modulus, not with this module
+
+    return _gmp.load()

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .lucas import LucasParams, uv_mod
+from .native import GMP_MAX_BITS, GMP_MIN_BITS, native_kernel  # noqa: F401 (the bounds are re-exported)
 from .quadratic import fermat_mod, mersenne_mod
 from .symbols import jacobi
 
@@ -29,15 +30,6 @@ PROVEN_SEED = 5
 # n = 33 on the value alone takes more than 1 GiB, so larger indices are
 # refused up front instead of failing in the allocator.
 MAX_FERMAT_INDEX = 32
-
-# Chains mod 2^m +- 1 with GMP_MIN_BITS <= m <= GMP_MAX_BITS run on libgmp
-# when it loads.  The ctypes calls of a step cost about as much as GMP saves
-# near m = 2^11; at 2^12 libgmp is about 3x faster, more above, and shorter
-# chains (the CLI's warm-up among them) never load it.  Above the upper
-# bound a failed allocation inside libgmp would abort() the process
-# instead of raising MemoryError.
-GMP_MIN_BITS = 1 << 12
-GMP_MAX_BITS = 1 << 24
 
 
 class InconclusiveError(Exception):
@@ -115,18 +107,13 @@ class CongruenceReport:
         return all(c.passed for c in self.checks)
 
 
-def _native_kernel(bits: int):
-    """The libgmp kernel for a chain mod 2^bits +- 1, or None for the int loop."""
-    if not GMP_MIN_BITS <= bits <= GMP_MAX_BITS:
-        return None
-    from . import _gmp  # imported with the first long chain, not with this module
-
-    return _gmp.load()
-
-
 def chain_kernel(bits: int) -> str:
-    """The kernel `square_chain` uses mod 2^bits +- 1: "gmp" (libgmp) or "int"."""
-    return "int" if _native_kernel(bits) is None else "gmp"
+    """The kernel `square_chain` uses mod 2^bits +- 1: "gmp" (libgmp) or "int".
+
+    One size rule (`native.native_kernel`) serves the chains and `uv_mod`'s
+    fast doubling mod 2^bits + 1, so this names the kernel of both.
+    """
+    return "int" if native_kernel(bits) is None else "gmp"
 
 
 def square_chain(x: int, steps: int, c: int, m: int, sign: int) -> int:
@@ -139,7 +126,7 @@ def square_chain(x: int, steps: int, c: int, m: int, sign: int) -> int:
     """
     if sign not in (1, -1):
         raise ValueError(f"sign must be +-1, got {sign}")
-    native = _native_kernel(m)
+    native = native_kernel(m)
     if native is not None:
         return native.square_chain(x, steps, c, m, sign)
     reduce = fermat_mod if sign > 0 else mersenne_mod

@@ -24,7 +24,8 @@ GOLDEN_PATH = HERE / "cli_golden.json"
 README_PATH = HERE.parent / "README.md"
 INLINE_LIMIT = 4096
 
-# Every command in README's CLI block, plus the two heavy jobs of the benchmark.
+# Every command in README's CLI block, the two heavy jobs of the benchmark, and
+# uv-mod rows on F_12, the smallest modulus whose fast doubling runs on libgmp.
 COMMANDS = (
     "test fermat 4",
     "test fermat 5",
@@ -45,6 +46,9 @@ COMMANDS = (
     "rank 17 --cap 10",
     "table uv-exact --max 2000",
     "verify identities --m-max 20 --n-max 20",
+    "table uv-mod --modulus-fermat 12 --indices 0,1,2,4095,65535,170141183460469231731687303715884105727",
+    "table uv-mod --modulus-fermat 12 --indices 0,1,2,4095,65535,170141183460469231731687303715884105727 --params 3,-1",
+    "table uv-mod --modulus-fermat 12 --indices 0,1,2,4095,65535,170141183460469231731687303715884105727 --params 18446744073709551629,1",
 )
 
 _TIMING = re.compile(r', "timing_ms": [-+.0-9eE]+\}$', re.MULTILINE)

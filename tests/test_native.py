@@ -1,10 +1,12 @@
-"""The libgmp chain kernel against the int kernel, and the choice between them.
+"""The libgmp kernel against the int routes, and the choice between them.
 
-The int kernel (`quadratic.fermat_mod` / `mersenne_mod` in a Python loop) is
-the oracle.  Tests that call libgmp are skipped when it does not load; the
-dispatch tests use a stand-in kernel and run everywhere.
+The int kernels are the oracles: `quadratic.fermat_mod` / `mersenne_mod` in a
+Python loop for the squaring chain, and `lucas.uv_mod`'s int loop for the
+doubling ladder.  Tests that call libgmp are skipped when it does not load;
+the dispatch tests use a stand-in kernel and run everywhere.
 """
 
+import itertools
 import random
 import subprocess
 import sys
@@ -13,6 +15,14 @@ import pytest
 
 from conftest import cli_env
 from fermatlucas import _gmp
+from fermatlucas.lucas import (
+    ALTERNATE_PARAMS,
+    STANDARD_PARAMS,
+    LehmerPair,
+    LucasParams,
+    iter_pairs,
+    uv_mod,
+)
 from fermatlucas.primality import (
     GMP_MAX_BITS,
     GMP_MIN_BITS,
@@ -104,13 +114,94 @@ def test_property_random_x_and_m():
     check()
 
 
+def folded(native, m, sign, a, b, c):
+    """a*b + c mod 2^m + sign through the kernel's registers and its one fold."""
+    N = (1 << m) + sign
+    with native._registers(a, b, abs(c), N, 0) as ((z, pz), (_, pb), (_, pc), (_, pn), (_, phi)):
+        native._mul(pz, pz, pb)
+        (native._add if c >= 0 else native._sub)(pz, pz, pc)
+        native._folder(m, sign, phi, pn)(z, pz)
+        return native._get(z)
+
+
+@needs_gmp
+@pytest.mark.parametrize("sign", (1, -1))
+def test_fold_on_edge_operands(sign):
+    native = _gmp.load()
+    for m in (2, 3, 5, 64, 65, 4096):
+        N = (1 << m) + sign
+        # Products and R*u + v sums of 0, 1 and N - 1 (2^m = -1 for 2^m + 1);
+        # for 2^m + 1, (N - 1)*(N - 1) + (N - 1) = 2^m * N tops the fold's bound.
+        for a, b, c in itertools.product((0, 1, N - 1), (0, 1, N - 1), (0, 1, N - 1, -1, 1 - N)):
+            assert folded(native, m, sign, a, b, c) == (a * b + c) % N, (m, a, b, c)
+        # Both ends of the bound (-N, 2^m * N] and the values around 2^m.
+        for z in (1 - N, -1, N, (1 << m) - 1, 1 << m, (1 << m) + 1, (N << m) - 1, N << m):
+            a, c = (z, 0) if z >= 0 else (0, z)
+            assert folded(native, m, sign, a, 1, c) == z % N, (m, z)
+
+
+def ladder_indices(m, rng):
+    """0, 1, 2, N - 1, N, N + 1, all-ones and random odd indices (halving bits).
+
+    The int route costs about 50 us an index bit at m = 2^12 and 140 us at
+    2^13, so from 2^12 on the other indices stop at 256 bits, and at 2^13
+    N - 1, N and N + 1 are left out too.
+    """
+    N = (1 << m) + 1
+    bits = m + 1 if m < 1 << 12 else 256
+    indices = [0, 1, 2, (1 << bits) - 1, (1 << (bits // 2)) - 1]
+    indices += [rng.getrandbits(bits) | 1 for _ in range(2)]
+    return indices + ([N - 1, N, N + 1] if m < 1 << 13 else [])
+
+
+@needs_gmp
+@pytest.mark.parametrize("k", range(1, 14))
+def test_ladder_matches_int_uv_mod(k, monkeypatch):
+    m = 1 << k
+    N = (1 << m) + 1
+    native = _gmp.load()
+    monkeypatch.setattr(_gmp, "load", lambda: None)  # uv_mod below takes its int loop
+    rng = random.Random(k)
+    for params in (STANDARD_PARAMS, ALTERNATE_PARAMS):
+        for n in ladder_indices(m, rng):
+            pair = uv_mod(params, n, N)
+            assert native.uv_ladder(params.R, params.Q, n, m) == (pair.u_bar, pair.v_bar), n
+
+
+@needs_gmp
+def test_ladder_reduces_large_r_and_negative_d(monkeypatch):
+    native = _gmp.load()
+    monkeypatch.setattr(_gmp, "load", lambda: None)
+    rng = random.Random(64)
+    # R >= 2^64 would be cut to its low limb by a c_ulong argument; D = -1
+    # for (3, 1).  m = 2 with unreduced R = 7 broke a one-correction fold.
+    for params in (LucasParams(3, 1), LucasParams((1 << 64) + 13, 1),
+                   LucasParams((1 << 64) + 13, -1), LucasParams(7, 1), LucasParams(5, -1)):
+        for m in (1, 2, 3, 5, 64, 100, 1000):
+            N = (1 << m) + 1
+            for n in ladder_indices(m, rng) + [rng.getrandbits(200) | 1]:
+                pair = uv_mod(params, n, N)
+                assert native.uv_ladder(params.R, params.Q, n, m) == (pair.u_bar, pair.v_bar)
+
+
+@needs_gmp
+def test_ladder_rejects_what_it_cannot_compute():
+    native = _gmp.load()
+    for R, Q, n, m in ((7, 2, 5, 64), (7, 0, 5, 64), (7, 1, -1, 64), (7, 1, 5, 0)):
+        with pytest.raises(ValueError):
+            native.uv_ladder(R, Q, n, m)
+
+
 @needs_gmp
 def test_failed_loader_gives_the_same_verdicts(monkeypatch):
-    with_gmp = (fermat_llt(12), pepin(12), mersenne_llt(4253))
+    F12 = (1 << 4096) + 1
+    with_gmp = (fermat_llt(12), pepin(12), mersenne_llt(4253),
+                uv_mod(STANDARD_PARAMS, (1 << 4095) - 1, F12))
     assert chain_kernel(1 << 12) == "gmp"
     monkeypatch.setattr(_gmp, "load", lambda: None)
     assert chain_kernel(1 << 12) == "int"
-    assert (fermat_llt(12), pepin(12), mersenne_llt(4253)) == with_gmp
+    assert (fermat_llt(12), pepin(12), mersenne_llt(4253),
+            uv_mod(STANDARD_PARAMS, (1 << 4095) - 1, F12)) == with_gmp
     assert with_gmp[0].witness is not None and with_gmp[2].classification == "prime"
 
 
@@ -135,6 +226,10 @@ class RecordingKernel:
     def square_chain(self, x, steps, c, m, sign):
         self.calls.append((m, sign))
         return -1
+
+    def uv_ladder(self, R, Q, n, m):
+        self.calls.append(("uv", m, Q))
+        return -1, -1
 
 
 def test_dispatch_by_modulus_size(monkeypatch):
@@ -164,15 +259,42 @@ def test_dispatch_by_modulus_size(monkeypatch):
     assert chain_kernel(GMP_MIN_BITS) == "int"
 
 
+def test_uv_mod_dispatch_by_modulus_form_size_and_q(monkeypatch):
+    kernel = RecordingKernel()
+    monkeypatch.setattr(_gmp, "load", lambda: kernel)
+    for m in (GMP_MIN_BITS, GMP_MAX_BITS):
+        for params in (STANDARD_PARAMS, ALTERNATE_PARAMS):
+            assert uv_mod(params, 5, (1 << m) + 1) == LehmerPair(5, -1, -1)
+    assert kernel.calls == [("uv", GMP_MIN_BITS, 1), ("uv", GMP_MIN_BITS, -1),
+                            ("uv", GMP_MAX_BITS, 1), ("uv", GMP_MAX_BITS, -1)]
+    kernel.calls.clear()
+
+    fermat = (1 << GMP_MIN_BITS) + 1
+    int_route = [
+        (STANDARD_PARAMS, (1 << (GMP_MIN_BITS - 1)) + 1),   # below the lower bound
+        (ALTERNATE_PARAMS, (1 << (GMP_MAX_BITS + 1)) + 1),  # above the upper bound
+        (STANDARD_PARAMS, (1 << GMP_MIN_BITS) - 1),         # not 2^m + 1
+        (STANDARD_PARAMS, fermat + 2),
+        (LucasParams(7, 3), fermat),                        # |Q| != 1
+        (LucasParams(5, -2), fermat),
+    ]
+    for params, N in int_route:
+        for n in (0, 5, 6):
+            expected = next(itertools.islice(iter_pairs(params, N), n, None))
+            assert uv_mod(params, n, N) == expected
+    assert kernel.calls == []
+
+
 def test_short_chains_never_import_the_native_module():
-    # The CLI's import and its short chains do not even import the module
-    # that loads ctypes and libgmp.
+    # The CLI's import, its short chains and its uv-mod tables below 2^12
+    # bits do not even import the module that loads ctypes and libgmp.
     code = (
         "import contextlib, io, sys\n"
         "from fermatlucas import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    cli.main(['test', 'fermat', '11'])\n"
         "    cli.main(['test', 'mersenne', '4093'])\n"
+        "    cli.main(['table', 'uv-mod', '--modulus-fermat', '11', '--max', '16'])\n"
         "print('fermatlucas._gmp' in sys.modules)\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
