@@ -24,8 +24,10 @@ GOLDEN_PATH = HERE / "cli_golden.json"
 README_PATH = HERE.parent / "README.md"
 INLINE_LIMIT = 4096
 
-# Every command in README's CLI block, the two heavy jobs of the benchmark, and
-# uv-mod rows on F_12, the smallest modulus whose fast doubling runs on libgmp.
+# Every command in README's CLI block, the two heavy jobs of the benchmark,
+# uv-mod rows on F_12, the smallest modulus whose fast doubling runs on libgmp,
+# and the congruence, rank and identity suites at scale, in human form and with
+# zero checks.
 COMMANDS = (
     "test fermat 4",
     "test fermat 5",
@@ -49,6 +51,11 @@ COMMANDS = (
     "table uv-mod --modulus-fermat 12 --indices 0,1,2,4095,65535,170141183460469231731687303715884105727",
     "table uv-mod --modulus-fermat 12 --indices 0,1,2,4095,65535,170141183460469231731687303715884105727 --params 3,-1",
     "table uv-mod --modulus-fermat 12 --indices 0,1,2,4095,65535,170141183460469231731687303715884105727 --params 18446744073709551629,1",
+    "verify congruences --p-max 20000",
+    "--human verify congruences",
+    "--human verify rank",
+    "--human verify identities --m-max 9 --n-max 9",
+    "verify congruences --p-max 3",
 )
 
 _TIMING = re.compile(r', "timing_ms": [-+.0-9eE]+\}$', re.MULTILINE)
