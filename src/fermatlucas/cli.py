@@ -13,6 +13,8 @@ import json
 import os
 import sys
 import time
+from functools import partial
+from typing import Callable
 
 from . import verify
 from .lucas import LucasParams, STANDARD_PARAMS, lehmer_pairs_exact, uv_mod
@@ -25,6 +27,10 @@ from .primality import (
     rank_of_apparition,
 )
 from .quadratic import balanced_residue
+
+
+# Commands return (inputs, result, exit code, renderer of the --human lines).
+Renderer = Callable[[], list[str]]
 
 
 def _params_arg(text: str) -> LucasParams:
@@ -46,7 +52,7 @@ def _indices_arg(text: str) -> tuple[int, ...]:
 # test
 
 
-def _cmd_test(args) -> tuple[dict, dict, int, list[str]]:
+def _cmd_test(args) -> tuple[dict, dict, int, Renderer]:
     if args.kind != "fermat" and (args.seed is not None or args.experimental):
         raise ValueError("--seed/--experimental only apply to the fermat test")
     seed = args.seed if args.seed is not None else 5
@@ -66,18 +72,14 @@ def _cmd_test(args) -> tuple[dict, dict, int, list[str]]:
         "witness": verdict.witness,
         "proven": verdict.proven,
     }
-    number = {
-        "fermat": f"F_{args.index}",
-        "pepin": f"F_{args.index}",
-        "mersenne": f"M_{args.index}",
-    }[args.kind]
-    line = f"{number} is {verdict.classification} ({verdict.method})"
-    if not verdict.proven:
-        line += " [unproven: experimental seed]"
-    human = [line]
-    if verdict.witness is not None:
-        human.append(f"witness residue: {verdict.witness}")
-    return inputs, result, (0 if verdict.is_prime else 1), human
+
+    def render() -> list[str]:
+        number = f"{'M' if args.kind == 'mersenne' else 'F'}_{args.index}"
+        line = f"{number} is {verdict.classification} ({verdict.method})"
+        line += "" if verdict.proven else " [unproven: experimental seed]"
+        return [line] + ([] if verdict.witness is None else [f"witness residue: {verdict.witness}"])
+
+    return inputs, result, (0 if verdict.is_prime else 1), render
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +106,7 @@ def _table_indices(args) -> list[int]:
     return sorted(set(args.indices))
 
 
-def _cmd_table(args) -> tuple[dict, dict, int, list[str]]:
+def _cmd_table(args) -> tuple[dict, dict, int, Renderer]:
     params = args.params
     modulus = _resolve_modulus(args)
     indices = _table_indices(args)
@@ -115,7 +117,6 @@ def _cmd_table(args) -> tuple[dict, dict, int, list[str]]:
         "max": args.max,
         "indices": list(args.indices) if args.indices is not None else None,
     }
-    rows = []
     if args.which == "uv-exact":
         if modulus is not None:
             raise ValueError("uv-exact takes no modulus")
@@ -126,24 +127,17 @@ def _cmd_table(args) -> tuple[dict, dict, int, list[str]]:
             for p in lehmer_pairs_exact(params, indices[-1])
             if p.index in wanted
         ]
-        human = _render_exact_table(params, rows)
+        render = partial(_render_exact_table, params, rows)
     else:
         if modulus is None:
             raise ValueError("uv-mod needs --modulus or --modulus-fermat")
-        for i in indices:
-            pair = uv_mod(params, i, modulus)
-            rows.append(
-                {
-                    "i": i,
-                    "u": pair.u_bar,
-                    "u_balanced": balanced_residue(pair.u_bar, modulus),
-                    "v": pair.v_bar,
-                    "v_balanced": balanced_residue(pair.v_bar, modulus),
-                }
-            )
-        human = _render_mod_table(params, modulus, rows)
-    result = {"rows": rows}
-    return inputs, result, 0, human
+        rows = [
+            {"i": p.index, "u": p.u_bar, "u_balanced": balanced_residue(p.u_bar, modulus),
+             "v": p.v_bar, "v_balanced": balanced_residue(p.v_bar, modulus)}
+            for p in (uv_mod(params, i, modulus) for i in indices)
+        ]
+        render = partial(_render_mod_table, params, modulus, rows)
+    return inputs, {"rows": rows}, 0, render
 
 
 def _render_exact_table(params: LucasParams, rows: list[dict]) -> list[str]:
@@ -153,9 +147,7 @@ def _render_exact_table(params: LucasParams, rows: list[dict]) -> list[str]:
         u = str(row["u"]) + (tag if row["u_radical"] else "")
         v = str(row["v"]) + (tag if row["v_radical"] else "")
         cells.append((str(row["i"]), u, v))
-    wi = max((len(c[0]) for c in cells), default=1)
-    wu = max((len(c[1]) for c in cells), default=1)
-    wv = max((len(c[2]) for c in cells), default=1)
+    wi, wu, wv = (max((len(c[j]) for c in cells), default=1) for j in range(3))
     lines = [f"{'i':>{wi}} | {'U_i':>{wu}} | {'V_i':>{wv}}"]
     lines += [f"{i:>{wi}} | {u:>{wu}} | {v:>{wv}}" for i, u, v in cells]
     return lines
@@ -172,9 +164,7 @@ def _render_mod_table(params: LucasParams, modulus: int, rows: list[dict]) -> li
         (str(r["i"]), _fmt_residue(r["u"], r["u_balanced"]), _fmt_residue(r["v"], r["v_balanced"]))
         for r in rows
     ]
-    wi = max((len(c[0]) for c in cells), default=1)
-    wu = max((len(c[1]) for c in cells), default=1)
-    wv = max((len(c[2]) for c in cells), default=1)
+    wi, wu, wv = (max((len(c[j]) for c in cells), default=1) for j in range(3))
     head_u, head_v = f"u_bar mod {modulus}", f"v_bar mod {modulus}"
     wu, wv = max(wu, len(head_u)), max(wv, len(head_v))
     lines = [f"{'i':>{wi}} | {head_u:>{wu}} | {head_v:>{wv}}"]
@@ -202,7 +192,12 @@ def _check_record(check: verify.Check) -> dict:
     return entry
 
 
-def _cmd_verify(args) -> tuple[dict, dict, int, list[str]]:
+def _check_line(check: verify.Check) -> str:
+    detail = f"  ({check.detail})" if check.detail is not None else ""
+    return f"{'ok  ' if check.passed else 'FAIL'} {check.name}{detail}"
+
+
+def _cmd_verify(args) -> tuple[dict, dict, int, Renderer]:
     checks = _SUITES[args.suite](args)
     if not checks:
         raise ValueError(f"suite {args.suite!r} ran zero checks with these bounds")
@@ -211,26 +206,21 @@ def _cmd_verify(args) -> tuple[dict, dict, int, list[str]]:
     keys = ("m_max", "n_max", "p_max", "n", "sweep_max", "cap", "max_n")
     inputs = {"suite": args.suite, **{key: getattr(args, key) for key in keys}}
     result = {"checks": [_check_record(c) for c in checks], "passed": passed, "failed": failed}
-    human = []
-    for c in checks:
-        mark = "ok  " if c.passed else "FAIL"
-        detail = f"  ({c.detail})" if c.detail is not None else ""
-        human.append(f"{mark} {c.name}{detail}")
-    human.append(f"{passed} passed, {failed} failed")
-    return inputs, result, (0 if failed == 0 else 1), human
+    summary = f"{passed} passed, {failed} failed"
+    return inputs, result, (0 if failed == 0 else 1), lambda: [*map(_check_line, checks), summary]
 
 
 # ---------------------------------------------------------------------------
 # rank
 
 
-def _cmd_rank(args) -> tuple[dict, dict, int, list[str]]:
+def _cmd_rank(args) -> tuple[dict, dict, int, Renderer]:
     res = rank_of_apparition(STANDARD_PARAMS, args.m, cap=args.cap)
     inputs = {"m": args.m, "cap": args.cap}
     result = {"omega": res.omega, "cap": res.cap}
     if res.omega is None:
-        return inputs, result, 1, [f"no rank found below cap {res.cap}"]
-    return inputs, result, 0, [f"omega({args.m}) = {res.omega}"]
+        return inputs, result, 1, lambda: [f"no rank found below cap {res.cap}"]
+    return inputs, result, 0, lambda: [f"omega({args.m}) = {res.omega}"]
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +278,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     t0 = time.perf_counter()
     try:
-        inputs, result, code, human = args.func(args)
+        inputs, result, code, render = args.func(args)
     except (ValueError, InconclusiveError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -296,7 +286,7 @@ def main(argv: list[str] | None = None) -> int:
         print("error: out of memory", file=sys.stderr)
         return 2
     if args.human:
-        print("\n".join(human))
+        print("\n".join(render()))
     else:
         record = {
             "command": args.command,

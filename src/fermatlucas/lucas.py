@@ -33,7 +33,6 @@ from .quadratic import (
     is_perfect_square,
     qadd,
     qmul,
-    qpow,
     qscale,
     qsub,
 )
@@ -125,15 +124,12 @@ def iter_pairs(params: LucasParams, modulus: int | None = None) -> Iterator[Lehm
     multiplications per step.
     """
     R, Q = params.R, params.Q
-    if modulus is not None:
-        if modulus < 2:
-            raise ValueError(f"modulus must be >= 2, got {modulus}")
-        R %= modulus
-        Q %= modulus
     up, vp = 0, 2  # index 0
     u, v = 1, 1    # index 1
     if modulus is not None:
-        up, vp, u, v = up % modulus, vp % modulus, u % modulus, v % modulus
+        if modulus < 2:
+            raise ValueError(f"modulus must be >= 2, got {modulus}")
+        R, Q, vp = R % modulus, Q % modulus, vp % modulus  # 0 and 1 are already reduced
     yield LehmerPair(0, up, vp)
     k = 1
     while True:
@@ -214,13 +210,17 @@ def sum_identity_holds(
     exact table checks every (m, n) without re-stepping the recurrence.
     """
     R = params.R
+    u_pows, v_pows = [ONE], [ONE]  # U_n^k and V_n^k for k = 0..m
+    for _ in range(m):
+        u_pows.append(qmul(R, u_pows[-1], Un))
+        v_pows.append(qmul(R, v_pows[-1], Vn))
     total = ZERO
     for i in range(m // 2 + 1):
         k = 2 * i + 1 if odd_side else 2 * i
         c = math.comb(m, k)
         if c == 0:
             continue  # C(m, m+1) term: present in the formal sum, zero here
-        term = qmul(R, qpow(R, Un, k), qpow(R, Vn, m - k))
+        term = qmul(R, u_pows[k], v_pows[m - k])
         total = qadd(total, qscale(c * params.D**i, term))
     return qscale(1 << (m - 1), Xmn) == total
 

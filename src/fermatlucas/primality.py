@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .lucas import LucasParams, uv_mod
 from .native import GMP_MAX_BITS, GMP_MIN_BITS, native_kernel  # noqa: F401 (the bounds are re-exported)
@@ -84,8 +85,9 @@ class Verdict:
         return self.classification == "prime"
 
 
-@dataclass(frozen=True)
-class ResidueCheck:
+class ResidueCheck(NamedTuple):
+    """One residue compared with its expected value; a tuple, cheap to build."""
+
     name: str
     index: int
     expected: int
@@ -229,13 +231,69 @@ def is_prime(n: int) -> bool:
     return trial_division(n) is None
 
 
+# Miller-Rabin on the first 13 prime bases is exact below MR_EXACT_BOUND
+# (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases",
+# Math. Comp. 86, 2017).
+MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_EXACT_BOUND = 3317044064679887385961981
+
+
+def _factor_is_prime(q: int) -> bool:
+    """Exact primality of a certificate factor without long trial division.
+
+    Trial division below 2^32; deterministic Miller-Rabin on MR_BASES up to
+    MR_EXACT_BOUND; a ValueError above, where no test here is proven exact.
+    """
+    if q < 1 << 32:
+        return is_prime(q)
+    if q >= MR_EXACT_BOUND:
+        raise ValueError(f"factor {q} is not below {MR_EXACT_BOUND}; its primality cannot be proven here")
+    s = ((q - 1) & (1 - q)).bit_length() - 1  # q - 1 = d * 2^s, d odd
+    d = (q - 1) >> s
+    for a in MR_BASES:
+        x = pow(a, d, q)
+        if x == 1 or x == q - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % q
+            if x == q - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _u_zeros(params: LucasParams, m: int, limit: int, first: bool = False) -> list[int]:
+    """Indices 1 <= k <= limit with m | u_bar(k), stepping u_bar alone mod m.
+
+    Two indices a turn (odd k, then k + 1) put R on the even-to-odd step with
+    no parity branch: the zero test is the only one.  `first` stops at a zero.
+    """
+    R, Q = params.R % m, params.Q % m
+    zeros = []
+    u_prev, u = 0, 1  # u_bar(0), u_bar(1)
+    for k in range(1, limit + 1, 2):
+        if u == 0:
+            zeros.append(k)
+            if first:
+                break
+        u_prev, u = u, (u - Q * u_prev) % m
+        if u == 0:
+            zeros.append(k + 1)
+            if first:
+                break
+        u_prev, u = u, (R * u - Q * u_prev) % m
+    return zeros[:-1] if zeros and zeros[-1] > limit else zeros  # k + 1 overshot an odd limit
+
+
 def rank_of_apparition(params: LucasParams, m: int, cap: int = RANK_SEARCH_CAP) -> RankResult:
     """Least k >= 1 with m | u_bar(k), searched index by index up to cap.
 
     Requires gcd(m, Q) = 1, which guarantees the rank exists (the cap is a
     resource bound, not a theory bound).  Stepping needs every index, so a
-    first-order recurrence beats fast doubling here; it steps u_bar alone,
-    which runs about 6x faster than taking whole pairs from `iter_pairs`.
+    first-order recurrence beats fast doubling here.  This and the
+    `verify rank` divisibility sweep share one u-only loop, `_u_zeros`, which
+    runs about 6x faster than taking whole pairs from `iter_pairs`.
     """
     if m < 2:
         raise ValueError(f"m must be >= 2, got {m}")
@@ -243,16 +301,8 @@ def rank_of_apparition(params: LucasParams, m: int, cap: int = RANK_SEARCH_CAP) 
         raise ValueError(f"m = {m} shares a factor with Q = {params.Q}")
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
-    R, Q = params.R % m, params.Q % m
-    u_prev, u = 0, 1 % m
-    for k in range(1, cap + 1):
-        if u == 0:
-            return RankResult(m, k, cap)
-        if k % 2 == 0:
-            u_prev, u = u, (R * u - Q * u_prev) % m
-        else:
-            u_prev, u = u, (u - Q * u_prev) % m
-    return RankResult(m, None, cap)
+    zeros = _u_zeros(params, m, cap, first=True)
+    return RankResult(m, zeros[0] if zeros else None, cap)
 
 
 def certify_via_rank(
@@ -262,9 +312,10 @@ def certify_via_rank(
 
     N is prime if u_bar(N-1) == 0 and u_bar((N-1)/q) != 0 mod N for every
     distinct prime q | N - 1: the rank is then exactly N - 1, which forces
-    primality.  `factors` lists those primes, each checked by `is_prime`;
-    omitted, it is inferred only when N - 1 is a power of two (the Fermat
-    case).
+    primality.  `factors` lists those primes, each checked by trial division
+    below 2^32 and by deterministic Miller-Rabin up to MR_EXACT_BOUND (a
+    ValueError above); omitted, it is inferred only when N - 1 is a power of
+    two (the Fermat case).
 
     A nonzero u_bar(N-1) refutes primality only when sigma*epsilon = +1
     (otherwise a prime N need not have rank dividing N - 1); failing that,
@@ -283,7 +334,7 @@ def certify_via_rank(
     for q in set(factors):
         if q < 2 or (N - 1) % q != 0:
             raise ValueError(f"{q} is not a divisor of N - 1")
-        if not is_prime(q):
+        if not _factor_is_prime(q):
             raise ValueError(f"{q} is not prime; the certificate needs the prime factors of N - 1")
         while remaining % q == 0:
             remaining //= q
@@ -316,42 +367,41 @@ def lehmer_congruence_checks(params: LucasParams, p: int) -> CongruenceReport:
       3. u_bar(p-se) == 0     (mod p)
       4. v_bar(p-se) == 2*s*Q^((1-se)/2)  (mod p)   (the index p-se is even)
       5. p divides v_bar((p-se)/2) when s = -t, u_bar((p-se)/2) when s = t
+
+    One `uv_mod` walk to h = (p-se)/2 serves all three indices.  From the pair
+    (u, v) at h, a doubling step gives u' = u*v and v' = c*v^2 - 2*Q^h at the
+    even index 2h = p-se, with c = R for odd h and 1 for even h.  One more step
+    gives p: for se = +1 it is `uv_mod`'s +1 step, ((R*u' + v')/2,
+    (D*u' + v')/2); for se = -1, 2Q*U_{k-1} = P*U_k - V_k and
+    2Q*V_{k-1} = P*V_k - D*U_k give ((R*u' - v')/(2Q), (v' - D*u')/(2Q)).
+    2Q is a unit mod p, as p is odd and does not divide Q.
     """
     if p < 3 or p % 2 == 0 or not is_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
-    if (params.Q * params.R * params.D) % p == 0:
+    R, Q, D = params.R, params.Q, params.D
+    if (Q * R * D) % p == 0:
         raise ValueError(f"p = {p} divides QRD")
-    eps = jacobi(params.D, p)
-    sig = jacobi(params.R, p)
-    tau = jacobi(params.Q, p)
+    eps, sig, tau = jacobi(D, p), jacobi(R, p), jacobi(Q, p)
     se = sig * eps
-
-    at_p = uv_mod(params, p, p)
-    idx = p - se
-    at_idx = uv_mod(params, idx, p)
-    at_half = uv_mod(params, idx // 2, p)
-    v_expected = 2 * sig * params.Q ** ((1 - se) // 2)
+    idx, half = p - se, (p - se) // 2
+    _, u, v = uv_mod(params, half, p)
+    u_idx = u * v % p
+    v_idx = ((R if half % 2 else 1) * v * v - 2 * pow(Q, half, p)) % p
+    if se == 1:
+        u_p, v_p, inv = R * u_idx + v_idx, D * u_idx + v_idx, (p + 1) // 2
+    else:
+        u_p, v_p, inv = R * u_idx - v_idx, v_idx - D * u_idx, pow(2 * Q, -1, p)
+    u_p, v_p = u_p * inv % p, v_p * inv % p
+    v_expected = 2 * sig * Q ** ((1 - se) // 2)
 
     checks = [
-        ResidueCheck("u_at_p", p, eps % p, at_p.u_bar, (at_p.u_bar - eps) % p == 0),
-        ResidueCheck("v_at_p", p, sig % p, at_p.v_bar, (at_p.v_bar - sig) % p == 0),
-        ResidueCheck("u_vanishes", idx, 0, at_idx.u_bar, at_idx.u_bar == 0),
-        ResidueCheck(
-            "v_at_even_index",
-            idx,
-            v_expected % p,
-            at_idx.v_bar,
-            (at_idx.v_bar - v_expected) % p == 0,
-        ),
+        ResidueCheck("u_at_p", p, eps % p, u_p, (u_p - eps) % p == 0),
+        ResidueCheck("v_at_p", p, sig % p, v_p, (v_p - sig) % p == 0),
+        ResidueCheck("u_vanishes", idx, 0, u_idx, u_idx == 0),
+        ResidueCheck("v_at_even_index", idx, v_expected % p, v_idx, (v_idx - v_expected) % p == 0),
     ]
-    if sig == -tau:
-        checks.append(
-            ResidueCheck("v_vanishes_at_half", idx // 2, 0, at_half.v_bar, at_half.v_bar == 0)
-        )
-    else:
-        checks.append(
-            ResidueCheck("u_vanishes_at_half", idx // 2, 0, at_half.u_bar, at_half.u_bar == 0)
-        )
+    name, x = ("v_vanishes_at_half", v) if sig == -tau else ("u_vanishes_at_half", u)
+    checks.append(ResidueCheck(name, half, 0, x, x == 0))
     return CongruenceReport(p, params, eps, sig, tau, tuple(checks))
 
 

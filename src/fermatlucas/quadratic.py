@@ -1,9 +1,9 @@
 """Exact arithmetic on elements a + b*sqrt(R) of Z[sqrt(R)], and fast reductions.
 
 Representing sqrt(R) as the pair (0, 1) keeps every computation in integer
-arithmetic; no irrational numbers ever appear.  Only `qmul` and `qpow` need
-R, so only they take it.  Modular work runs on the integer Lehmer pair
-instead (see `lucas.uv_mod`).
+arithmetic; no irrational numbers ever appear.  Only `qmul` needs R, so only
+it takes it.  Modular work runs on the integer Lehmer pair instead (see
+`lucas.uv_mod`).
 
 Reduction modulo numbers of the form 2^m + 1 (and 2^q - 1) has a dedicated
 shift-and-fold path, cross-checked against plain division in the test suite.
@@ -96,15 +96,3 @@ def qmul(R: int, x: QuadInt, y: QuadInt) -> QuadInt:
 
 def qscale(k: int, x: QuadInt) -> QuadInt:
     return QuadInt(k * x.a, k * x.b)
-
-
-def qpow(R: int, x: QuadInt, e: int) -> QuadInt:
-    if e < 0:
-        raise ValueError("negative exponents are not supported")
-    result = ONE
-    while e:
-        if e & 1:
-            result = qmul(R, result, x)
-        x = qmul(R, x, x)
-        e >>= 1
-    return result

@@ -7,13 +7,12 @@ records; the CLI's `verify` command only renders them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .lucas import (
     ALTERNATE_PARAMS,
     STANDARD_PARAMS,
     alternate_params_pair,
-    iter_pairs,
     iter_uv_exact,
     lehmer_pairs_exact,
     s_from_v,
@@ -22,17 +21,16 @@ from .lucas import (
 )
 from .primality import (
     FermatNumber,
+    _u_zeros,
     appendix_residues,
     certify_via_rank,
-    is_prime,
     lehmer_congruence_checks,
     rank_of_apparition,
     s_sequence,
 )
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     """One named check; `detail` says what went wrong and is None on a pass."""
 
     name: str
@@ -68,15 +66,10 @@ def identities(m_max: int, n_max: int) -> list[Check]:
                 bad.append(i)
         checks.append(_check(f"parity_structure_{label}", not bad, f"indices {bad[:5]}"))
 
-        q_pow = 1
-        bad_u, bad_v = [], []
-        for n in range(0, 101):
-            c = params.R if n % 2 else 1
-            if pairs[2 * n].u_bar != pairs[n].u_bar * pairs[n].v_bar:
-                bad_u.append(n)
-            if pairs[2 * n].v_bar != c * pairs[n].v_bar ** 2 - 2 * q_pow:
-                bad_v.append(n)
-            q_pow *= params.Q
+        # u_bar(2n) = u_bar(n)*v_bar(n), v_bar(2n) = c*v_bar(n)^2 - 2Q^n, c = R for odd n
+        bad_u = [n for n in range(101) if pairs[2 * n].u_bar != pairs[n].u_bar * pairs[n].v_bar]
+        bad_v = [n for n in range(101) if pairs[2 * n].v_bar
+                 != (params.R if n % 2 else 1) * pairs[n].v_bar ** 2 - 2 * params.Q**n]
         checks.append(_check(f"doubling_u_{label}", not bad_u, f"n {bad_u[:5]}"))
         checks.append(_check(f"doubling_v_{label}", not bad_v, f"n {bad_v[:5]}"))
 
@@ -107,14 +100,26 @@ def identities(m_max: int, n_max: int) -> list[Check]:
     return checks
 
 
+def _odd_primes_below(n: int) -> list[int]:
+    """The odd primes 3 <= p < n, from one bytearray sieve of Eratosthenes."""
+    if n <= 3:
+        return []
+    sieve = bytearray([1]) * n
+    for i in range(3, math.isqrt(n - 1) + 1, 2):
+        if sieve[i]:
+            sieve[i * i::2 * i] = bytes(len(range(i * i, n, 2 * i)))
+    return [p for p in range(3, n, 2) if sieve[p]]
+
+
 def congruences(p_max: int) -> list[Check]:
     """The five classical congruences at every odd prime below p_max not dividing QRD."""
+    primes = _odd_primes_below(p_max)
     checks = []
     for params in (STANDARD_PARAMS, ALTERNATE_PARAMS):
         label = f"R{params.R}_Q{params.Q}"
         qrd = params.Q * params.R * params.D
-        for p in range(3, p_max, 2):
-            if not is_prime(p) or qrd % p == 0:
+        for p in primes:
+            if qrd % p == 0:
                 continue
             report = lehmer_congruence_checks(params, p)
             failed = [c.name for c in report.checks if not c.passed]
@@ -150,12 +155,9 @@ def rank(sweep_max: int, cap: int) -> list[Check]:
         if omega is None:
             bad.append((m, "no omega"))
             continue
-        for pair in iter_pairs(STANDARD_PARAMS, modulus=m):
-            if pair.index > 2000:
-                break
-            if pair.index >= 1 and (pair.u_bar == 0) != (pair.index % omega == 0):
-                bad.append((m, pair.index))
-                break
+        zeros, multiples = _u_zeros(STANDARD_PARAMS, m, 2000), range(omega, 2001, omega)
+        if zeros != list(multiples):
+            bad.append((m, min(set(zeros).symmetric_difference(multiples))))
     checks.append(_check("divisibility_iff_rank_divides", not bad, f"first {bad[:3]}"))
 
     pairs = lehmer_pairs_exact(STANDARD_PARAMS, 60)

@@ -276,6 +276,28 @@ def test_memory_error_exits_2(monkeypatch, capsys):
     assert captured.err == "error: out of memory\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["test", "fermat", "5"],
+    ["table", "uv-exact", "--max", "5"],
+    ["table", "uv-mod", "--modulus-fermat", "3", "--max", "5"],
+    ["verify", "appendix", "--n", "2"],
+    ["rank", "17"],
+])
+def test_human_lines_are_built_only_under_human(argv, monkeypatch, capsys):
+    from fermatlucas import cli
+
+    calls = []
+    for name in ("_cmd_test", "_cmd_table", "_cmd_verify", "_cmd_rank"):
+        def counted(args, cmd=getattr(cli, name)):
+            inputs, result, code, render = cmd(args)  # render builds the --human lines
+            return inputs, result, code, lambda: calls.append(argv) or render()
+        monkeypatch.setattr(cli, name, counted)
+    cli.main(argv)
+    assert calls == [] and capsys.readouterr().out.startswith('{"command"')
+    cli.main(["--human", *argv])
+    assert calls == [argv] and not capsys.readouterr().out.startswith("{")
+
+
 def test_closed_stdout_exits_2_quietly():
     # A reader that stops early (`| head -c 10`) must not read as "composite".
     proc = subprocess.Popen(

@@ -1,6 +1,10 @@
 import math
+import time
+from itertools import islice
 
 import pytest
+
+from fermatlucas import primality
 
 from fermatlucas.lucas import (
     ALTERNATE_PARAMS,
@@ -10,9 +14,12 @@ from fermatlucas.lucas import (
     uv_mod,
 )
 from fermatlucas.primality import (
+    MR_BASES,
+    MR_EXACT_BOUND,
     FermatNumber,
     InconclusiveError,
     MAX_FERMAT_INDEX,
+    ResidueCheck,
     TRACE_INDEX_LIMIT,
     appendix_residues,
     certify_via_rank,
@@ -24,7 +31,10 @@ from fermatlucas.primality import (
     rank_of_apparition,
     s_sequence,
     trial_division,
+    _factor_is_prime,
+    _u_zeros,
 )
+from fermatlucas.symbols import jacobi
 
 from golden_data import TRACES
 
@@ -211,6 +221,27 @@ def test_rank_divisibility():
                 assert (pair.u_bar == 0) == (pair.index % omega == 0)
 
 
+def test_u_only_loop_matches_iter_pairs():
+    # The rank search and the `verify rank` sweep step u_bar alone; here it is
+    # held against the whole-pair stepper, which the suite no longer runs.
+    cases = [(P7, m) for m in range(3, 201, 2)]
+    cases += [(params, m) for params in (ALTERNATE_PARAMS, LucasParams(5, 2)) for m in range(2, 60)
+              if math.gcd(m, params.Q) == 1]
+    for params, m in cases:
+        zeros = [p.index for p in islice(iter_pairs(params, modulus=m), 2001) if p.index and p.u_bar == 0]
+        assert _u_zeros(params, m, 2000) == zeros, (params, m)
+        assert _u_zeros(params, m, 1999) == [k for k in zeros if k <= 1999], (params, m)
+        assert _u_zeros(params, m, 2000, first=True) == zeros[:1], (params, m)
+        assert rank_of_apparition(params, m, cap=2000).omega == (zeros[0] if zeros else None)
+
+
+def test_rank_of_apparition_at_an_odd_cap():
+    # omega(5) = 4: the loop's second index of a turn lands on the cap or past it.
+    assert rank_of_apparition(P7, 5, cap=4).omega == 4
+    assert rank_of_apparition(P7, 5, cap=3).omega is None
+    assert rank_of_apparition(P7, 17, cap=15).omega is None
+
+
 def test_certify_via_rank_primes():
     for N in (17, 257, 65537):
         verdict = certify_via_rank(P7, N)
@@ -243,6 +274,44 @@ def test_certify_via_rank_rejects_composite_factor(N):
     assert not is_prime(N) and uv_mod(P7, N - 1, N).u_bar == 0
     with pytest.raises(ValueError, match="not prime"):
         certify_via_rank(P7, N, factors=(N - 1,))
+
+
+def test_certify_via_rank_with_a_20_digit_factor_is_fast():
+    # Trial division of this factor would take about 10^10 divisions.
+    q = 10000000000000000097
+    N = 8 * q + 1
+    t0 = time.perf_counter()
+    verdict = certify_via_rank(P7, N, factors=(2, q))
+    assert time.perf_counter() - t0 < 1.0
+    assert verdict.classification == "prime"
+
+
+def test_certify_via_rank_rejects_a_strong_pseudoprime_factor(monkeypatch):
+    # 3825123056546413051 = 149491 * 747451 * 34233211 passes Miller-Rabin on
+    # every prime base up to 23 (and 29, 31); only the bases 37 and 41 expose it.
+    q = 3825123056546413051
+    assert q > 1 << 32 and trial_division(q) == 149491
+    with pytest.raises(ValueError, match="not prime"):
+        certify_via_rank(P7, 4 * q + 1, factors=(2, q))
+    monkeypatch.setattr(primality, "MR_BASES", MR_BASES[:9])  # bases 2..23 only
+    assert _factor_is_prime(q)
+
+
+def test_certify_via_rank_refuses_factors_above_the_exact_bound(monkeypatch):
+    q = 3317044064679887385962123  # the least prime above MR_EXACT_BOUND
+    with pytest.raises(ValueError, match="cannot be proven"):
+        certify_via_rank(P7, 2 * q + 1, factors=(2, q))
+    # The bound itself is a strong pseudoprime to all 13 bases, so it must be
+    # refused, not tested: with a larger bound, Miller-Rabin calls it prime.
+    with pytest.raises(ValueError, match="cannot be proven"):
+        _factor_is_prime(MR_EXACT_BOUND)
+    monkeypatch.setattr(primality, "MR_EXACT_BOUND", MR_EXACT_BOUND + 1)
+    assert _factor_is_prime(MR_EXACT_BOUND)
+
+
+def test_factor_check_at_the_trial_division_edge():
+    for q in range((1 << 32) - 200, (1 << 32) + 200):
+        assert _factor_is_prime(q) == is_prime(q), q
 
 
 def test_certify_via_rank_errors():
@@ -288,6 +357,40 @@ def test_congruence_sweep_small(params):
             continue
         report = lehmer_congruence_checks(params, p)
         assert report.ok, (p, [c for c in report.checks if not c.passed])
+
+
+def three_walk_report(params, p):
+    """The congruence report from three `uv_mod` walks, at p, p - se and (p - se)/2."""
+    eps, sig, tau = jacobi(params.D, p), jacobi(params.R, p), jacobi(params.Q, p)
+    se = sig * eps
+    idx = p - se
+    at_p, at_idx, at_half = (uv_mod(params, i, p) for i in (p, idx, idx // 2))
+    v_expected = 2 * sig * params.Q ** ((1 - se) // 2)
+    checks = (
+        ResidueCheck("u_at_p", p, eps % p, at_p.u_bar, (at_p.u_bar - eps) % p == 0),
+        ResidueCheck("v_at_p", p, sig % p, at_p.v_bar, (at_p.v_bar - sig) % p == 0),
+        ResidueCheck("u_vanishes", idx, 0, at_idx.u_bar, at_idx.u_bar == 0),
+        ResidueCheck("v_at_even_index", idx, v_expected % p, at_idx.v_bar,
+                     (at_idx.v_bar - v_expected) % p == 0),
+        ResidueCheck("v_vanishes_at_half", idx // 2, 0, at_half.v_bar, at_half.v_bar == 0)
+        if sig == -tau else
+        ResidueCheck("u_vanishes_at_half", idx // 2, 0, at_half.u_bar, at_half.u_bar == 0),
+    )
+    return p, params, eps, sig, tau, checks
+
+
+@pytest.mark.parametrize("R, Q", [(7, 1), (3, -1), (7, 3), (5, 2), (11, -3)])
+def test_one_walk_congruence_report_matches_three_walks(R, Q):
+    params = LucasParams(R, Q)
+    signs = set()
+    for p in range(3, 3000, 2):
+        if not is_prime(p) or (params.Q * params.R * params.D) % p == 0:
+            continue
+        r = lehmer_congruence_checks(params, p)
+        assert (r.p, r.params, r.epsilon, r.sigma, r.tau, r.checks) == three_walk_report(params, p)
+        assert all(type(c) is ResidueCheck for c in r.checks)
+        signs.add(r.sigma * r.epsilon)
+    assert signs == {1, -1}
 
 
 def test_appendix_residues():

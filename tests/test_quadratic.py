@@ -1,7 +1,5 @@
 import random
 
-import pytest
-
 from fermatlucas.quadratic import (
     QuadInt,
     balanced_residue,
@@ -11,7 +9,6 @@ from fermatlucas.quadratic import (
     mersenne_mod,
     qadd,
     qmul,
-    qpow,
     qscale,
     qsub,
 )
@@ -52,16 +49,6 @@ def test_reduction_is_a_homomorphism():
         x = QuadInt(rng.randrange(1 << 64), rng.randrange(1 << 64))
         y = QuadInt(rng.randrange(1 << 64), rng.randrange(1 << 64))
         assert red(qmul(7, x, y)) == red(qmul(7, red(x), red(y)))
-
-
-def test_qpow_matches_repeated_mul():
-    x = QuadInt(3, 2)
-    acc = QuadInt(1, 0)
-    for e in range(8):
-        assert qpow(7, x, e) == acc
-        acc = qmul(7, acc, x)
-    with pytest.raises(ValueError):
-        qpow(7, x, -1)
 
 
 def test_qsub_qscale():

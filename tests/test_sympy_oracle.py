@@ -1,4 +1,5 @@
-"""Third-party oracle: trial division and the Jacobi symbol against sympy.
+"""Third-party oracle: trial division, the factor check of `certify_via_rank`
+and the Jacobi symbol against sympy.
 
 Skipped when sympy is not installed.
 """
@@ -9,7 +10,7 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from fermatlucas.primality import is_prime
+from fermatlucas.primality import _factor_is_prime, is_prime
 from fermatlucas.symbols import jacobi
 
 
@@ -24,6 +25,15 @@ def test_is_prime_random_40_bit():
     draws[::2] = [sympy.nextprime(n) for n in draws[::2]]
     for n in draws:
         assert is_prime(n) == sympy.isprime(n), n
+
+
+def test_factor_check_random_80_bit():
+    # Miller-Rabin territory: trial division cannot run at 80 bits.
+    rng = random.Random(80)
+    draws = [rng.randrange(1 << 79, 1 << 80) for _ in range(40)]
+    draws[::2] = [sympy.nextprime(n) for n in draws[::2]]
+    for n in draws:
+        assert _factor_is_prime(n) == sympy.isprime(n), n
 
 
 def test_jacobi_random_odd_moduli():

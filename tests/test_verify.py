@@ -1,6 +1,9 @@
+import dataclasses
+
 from fermatlucas import verify
 from fermatlucas.lucas import STANDARD_PARAMS as P7
 from fermatlucas.lucas import LehmerPair, iter_uv_exact, sum_identity_holds
+from fermatlucas.primality import is_prime, rank_of_apparition
 from fermatlucas.quadratic import QuadInt
 
 
@@ -56,3 +59,37 @@ def test_perturbed_pair_fails_parity_structure(monkeypatch):
         assert not check.passed and check.detail == "indices [151]"
     assert [name for name, c in checks.items() if not c.passed] == [
         "parity_structure_R7_Q1", "parity_structure_R3_Q-1"]
+
+
+def test_perturbed_omega_fails_the_divisibility_sweep(monkeypatch):
+    omega_45 = rank_of_apparition(P7, 45).omega
+
+    def perturbed(params, m, cap=10**6):
+        result = rank_of_apparition(params, m, cap=cap)
+        return dataclasses.replace(result, omega=result.omega + 1) if m == 45 else result
+
+    monkeypatch.setattr(verify, "rank_of_apparition", perturbed)
+    checks = {c.name: c for c in verify.rank(20, 10**4)}
+    # omega_45 divides u_bar's first zero index but omega_45 + 1 does not.
+    check = checks["divisibility_iff_rank_divides"]
+    assert not check.passed and check.detail == f"first [(45, {omega_45})]"
+    assert [name for name, c in checks.items() if not c.passed] == ["divisibility_iff_rank_divides"]
+
+
+def test_missing_late_zero_fails_the_divisibility_sweep(monkeypatch):
+    u_zeros = verify._u_zeros
+
+    def perturbed(params, m, limit, first=False):
+        zeros = u_zeros(params, m, limit, first)
+        return zeros[:-1] if m == 45 and not first else zeros
+
+    monkeypatch.setattr(verify, "_u_zeros", perturbed)
+    check = next(c for c in verify.rank(20, 10**4) if c.name == "divisibility_iff_rank_divides")
+    last = u_zeros(P7, 45, 2000)[-1]
+    assert not check.passed and check.detail == f"first [(45, {last})]"
+
+
+def test_prime_sieve_matches_trial_division():
+    # 0..6 and 20000 as the suite uses it; up to 50 reaches n - 1 = 9, 25 and 49.
+    for p_max in [*range(51), 20000]:
+        assert verify._odd_primes_below(p_max) == [p for p in range(3, p_max, 2) if is_prime(p)]
