@@ -13,7 +13,7 @@ import json
 import os
 import sys
 import time
-from functools import partial
+from functools import cache, partial
 from typing import Callable
 
 from . import verify
@@ -66,12 +66,7 @@ def _cmd_test(args) -> tuple[dict, dict, int, Renderer]:
     if args.kind == "fermat":
         inputs["seed"] = seed
         inputs["experimental"] = args.experimental
-    result = {
-        "classification": verdict.classification,
-        "method": verdict.method,
-        "witness": verdict.witness,
-        "proven": verdict.proven,
-    }
+    result = verdict._asdict()
 
     def render() -> list[str]:
         number = f"{'M' if args.kind == 'mersenne' else 'F'}_{args.index}"
@@ -227,6 +222,7 @@ def _cmd_rank(args) -> tuple[dict, dict, int, Renderer]:
 # wiring
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fermatlucas",
@@ -240,7 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("index", type=int, help="Fermat index n or Mersenne exponent q")
     t.add_argument("--seed", type=int, default=None, help="chain seed (default 5; others need --experimental)")
     t.add_argument("--experimental", action="store_true")
-    t.set_defaults(func=_cmd_test)
 
     tb = sub.add_parser("table", help="print u_bar/v_bar rows, exact or modular")
     tb.add_argument("which", choices=["uv-exact", "uv-mod"])
@@ -249,7 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
     tb.add_argument("--modulus-fermat", type=int, default=None, metavar="n")
     tb.add_argument("--max", type=int, default=None, help="rows 0..max")
     tb.add_argument("--indices", type=_indices_arg, default=None, metavar="i,j,...")
-    tb.set_defaults(func=_cmd_table)
 
     v = sub.add_parser("verify", help="run a verification suite")
     v.add_argument("suite", choices=sorted(_SUITES))
@@ -260,12 +254,10 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--sweep-max", type=int, default=500, dest="sweep_max")
     v.add_argument("--cap", type=int, default=10**6)
     v.add_argument("--max-n", type=int, default=8, dest="max_n")
-    v.set_defaults(func=_cmd_verify)
 
     r = sub.add_parser("rank", help="rank of apparition of m for the (7, 1) parameters")
     r.add_argument("m", type=int)
     r.add_argument("--cap", type=int, default=10**6)
-    r.set_defaults(func=_cmd_rank)
     return parser
 
 
@@ -274,11 +266,12 @@ def main(argv: list[str] | None = None) -> int:
     # witness residue for F_14); lift the int-to-str conversion guard.
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # The parser is built once per process; the handler is looked up per call.
+    args = build_parser().parse_args(argv)
+    handler = {"test": _cmd_test, "table": _cmd_table, "verify": _cmd_verify, "rank": _cmd_rank}[args.command]
     t0 = time.perf_counter()
     try:
-        inputs, result, code, render = args.func(args)
+        inputs, result, code, render = handler(args)
     except (ValueError, InconclusiveError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

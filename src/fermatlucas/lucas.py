@@ -17,7 +17,6 @@ Fast doubling (`uv_mod`) handles indices like 2^16384 mod N.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
 from itertools import islice
 from typing import Iterator, NamedTuple, Sequence
@@ -42,26 +41,37 @@ from .quadratic import (
 EXACT_INDEX_CAP = 10_000
 
 
-@dataclass(frozen=True)
-class LucasParams:
-    """The pair (R, Q) defining a sequence; the discriminant is D = R - 4Q."""
-
+class _Params(NamedTuple):
     R: int
     Q: int
-
-    def __post_init__(self):
-        if self.R <= 0 or is_perfect_square(self.R):
-            raise ValueError(f"R must be a positive non-square, got {self.R}")
-        if self.Q == 0:
-            raise ValueError("Q must be nonzero")
-        if math.gcd(self.R, self.Q) != 1:
-            raise ValueError(f"R and Q must be coprime, got ({self.R}, {self.Q})")
-        if self.R - 4 * self.Q == 0:
-            raise ValueError("discriminant R - 4Q must be nonzero")
 
     @property
     def D(self) -> int:
         return self.R - 4 * self.Q
+
+
+class LucasParams(_Params):
+    """The pair (R, Q) defining a sequence; the discriminant is D = R - 4Q.
+
+    `_make`, and through it `_replace`, validates like the constructor.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, R: int, Q: int):
+        if R <= 0 or is_perfect_square(R):
+            raise ValueError(f"R must be a positive non-square, got {R}")
+        if Q == 0:
+            raise ValueError("Q must be nonzero")
+        if math.gcd(R, Q) != 1:
+            raise ValueError(f"R and Q must be coprime, got ({R}, {Q})")
+        if R - 4 * Q == 0:
+            raise ValueError("discriminant R - 4Q must be nonzero")
+        return super().__new__(cls, R, Q)
+
+    @classmethod
+    def _make(cls, iterable) -> LucasParams:
+        return cls(*iterable)
 
 
 #: Parameters whose V-sequence at indices 2^(k+1) is the seed-5 squaring chain.

@@ -11,7 +11,6 @@ classical Mersenne squaring chain).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .lucas import LucasParams, uv_mod
@@ -54,8 +53,7 @@ class FermatNumber:
         return f"FermatNumber(n={self.n})"
 
 
-@dataclass(frozen=True)
-class SSequenceTrace:
+class SSequenceTrace(NamedTuple):
     """Squaring-chain residues mod F_n; `residues` is kept only when traced."""
 
     n: int
@@ -64,8 +62,7 @@ class SSequenceTrace:
     residues: tuple[int, ...] | None = None
 
 
-@dataclass(frozen=True)
-class RankResult:
+class RankResult(NamedTuple):
     """omega = least k >= 1 with m | u_bar(k), or None if not found below cap."""
 
     m: int
@@ -73,8 +70,7 @@ class RankResult:
     cap: int
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     classification: str  # "prime" | "composite"
     method: str          # "llt-fermat" | "pepin" | "llt-mersenne" | "rank-certificate" | "trial-division"
     witness: int | None = None
@@ -95,8 +91,7 @@ class ResidueCheck(NamedTuple):
     passed: bool
 
 
-@dataclass(frozen=True)
-class CongruenceReport:
+class CongruenceReport(NamedTuple):
     p: int
     params: LucasParams
     epsilon: int

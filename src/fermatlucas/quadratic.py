@@ -12,7 +12,7 @@ shift-and-fold path, cross-checked against plain division in the test suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 def is_perfect_square(n: int) -> bool:
@@ -22,12 +22,14 @@ def is_perfect_square(n: int) -> bool:
     return r * r == n
 
 
-@dataclass(frozen=True)
-class QuadInt:
+class QuadInt(NamedTuple):
     """The element a + b*sqrt(R); R is passed to the products, not stored."""
 
     a: int
     b: int
+
+    # On a tuple these would concatenate or repeat; ring ops are qadd / qmul.
+    __add__ = __radd__ = __mul__ = __rmul__ = None
 
 
 ZERO = QuadInt(0, 0)

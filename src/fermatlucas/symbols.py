@@ -7,15 +7,13 @@ candidate moduli may well be composite, and the two coincide on primes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
     from .lucas import LucasParams
 
 
-@dataclass(frozen=True)
-class SymbolTriple:
+class SymbolTriple(NamedTuple):
     epsilon: int  # (D/n)
     sigma: int    # (R/n)
     tau: int      # (Q/n)

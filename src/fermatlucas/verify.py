@@ -138,6 +138,8 @@ def appendix(n: int | None) -> list[Check]:
 
 def rank(sweep_max: int, cap: int) -> list[Check]:
     """Rank examples, existence up to sweep_max, divisibility, and certificates."""
+    if sweep_max < 2:  # the existence sweep would test no modulus
+        raise ValueError(f"sweep_max must be >= 2, got {sweep_max}")
     checks = []
     for m, expected in ((5, 4), (17, 16), (257, 256)):
         got = rank_of_apparition(STANDARD_PARAMS, m).omega

@@ -203,6 +203,17 @@ def test_verify_empty_suite_exits_2(p_max):
     assert "zero checks" in proc.stderr
 
 
+@pytest.mark.parametrize("sweep_max", ["1", "-1"])
+def test_verify_rank_empty_sweep_exits_2(sweep_max, capsys):
+    # Below 2 the existence sweep tests no modulus, so it must not read as passed.
+    from fermatlucas import cli
+
+    assert cli.main(["verify", "rank", "--sweep-max", sweep_max]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: sweep_max must be >= 2, got {sweep_max}\n"
+
+
 def test_verify_identities_flags():
     rec = record_of(run_cli("verify", "identities", "--m-max", "4", "--n-max", "4"))
     names = {c["name"] for c in rec["result"]["checks"]}
@@ -311,3 +322,48 @@ def test_closed_stdout_exits_2_quietly():
     stderr = proc.stderr.read()
     assert proc.wait(timeout=60) == 2
     assert b"Traceback" not in stderr
+
+
+def test_one_parser_serves_every_call(capsys):
+    from fermatlucas import cli
+
+    cli.build_parser.cache_clear()
+    for argv in (["test", "fermat", "3"], ["rank", "5"], ["table", "uv-exact", "--max", "2"],
+                 ["verify", "appendix", "--n", "2"], ["--human", "test", "pepin", "2"]):
+        cli.main(argv)
+    assert cli.build_parser.cache_info().misses == 1
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_no_state_leaks_between_calls(capsys):
+    from fermatlucas import cli
+
+    def record(argv):
+        assert cli.main(argv) == 0
+        rec = json.loads(capsys.readouterr().out)
+        del rec["timing_ms"]
+        return rec
+
+    argv = ["table", "uv-mod", "--modulus", "7", "--max", "2"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["table", "uv-mod", "--bogus"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    alternate = record([*argv, "--params", "3,-1"])
+    reused = record(argv)
+    cli.build_parser.cache_clear()
+    fresh = record(argv)
+    assert reused == fresh
+    assert fresh["inputs"]["params"] == {"R": 7, "Q": 1} and alternate != fresh
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    # Measured against the fresh interpreter's own start-up set, so modules
+    # that `site` or a .pth file preloads do not count.
+    code = ("import sys; before = set(sys.modules); import fermatlucas.cli; "
+            "print(*sorted(set(sys.modules) - before))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=cli_env())
+    assert proc.returncode == 0, proc.stderr
+    added = set(proc.stdout.split())
+    assert "fermatlucas.cli" in added
+    assert not added & {"dataclasses", "inspect"}, sorted(added)

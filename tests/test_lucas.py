@@ -39,6 +39,21 @@ def test_params_validation():
     assert P3.D == 7
 
 
+@pytest.mark.parametrize("R, Q", [(9, 1), (-7, 1), (7, 0), (6, 4)])
+def test_params_validation_through_make_and_replace(R, Q):
+    # A tuple's own _make and _replace bypass __new__; LucasParams routes both through it.
+    with pytest.raises(ValueError):
+        LucasParams._make((R, Q))
+    with pytest.raises(ValueError):
+        P7._replace(R=R, Q=Q)
+
+
+def test_params_are_a_plain_pair():
+    assert P7 == (7, 1) and tuple(P3) == (3, -1)
+    assert P7._replace(Q=-1) == LucasParams(7, -1) and type(P7._make((3, -1))) is LucasParams
+    assert repr(P7) == "LucasParams(R=7, Q=1)"
+
+
 def test_uv_exact_first_values():
     ring = list(iter_uv_exact(P7, 3))
     assert ring[0] == (0, QuadInt(0, 0), QuadInt(2, 0))

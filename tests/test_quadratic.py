@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from fermatlucas.quadratic import (
     QuadInt,
     balanced_residue,
@@ -17,6 +19,18 @@ from fermatlucas.quadratic import (
 def test_qadd_examples():
     assert qadd(QuadInt(1, 2), QuadInt(3, 4)) == QuadInt(4, 6)
     assert qadd(QuadInt(0, 0), QuadInt(9, -3)) == QuadInt(9, -3)
+
+
+@pytest.mark.parametrize("op", [
+    lambda: QuadInt(1, 2) + QuadInt(3, 4),
+    lambda: QuadInt(1, 2) * 2,
+    lambda: 2 * QuadInt(1, 2),
+    lambda: (0,) + QuadInt(1, 2),
+], ids=["add", "mul", "rmul", "radd"])
+def test_quadint_refuses_tuple_arithmetic(op):
+    # On a tuple these would concatenate or repeat a ring element.
+    with pytest.raises(TypeError):
+        op()
 
 
 def test_qmul_examples():

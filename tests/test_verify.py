@@ -1,5 +1,3 @@
-import dataclasses
-
 from fermatlucas import verify
 from fermatlucas.lucas import STANDARD_PARAMS as P7
 from fermatlucas.lucas import LehmerPair, iter_uv_exact, sum_identity_holds
@@ -66,7 +64,7 @@ def test_perturbed_omega_fails_the_divisibility_sweep(monkeypatch):
 
     def perturbed(params, m, cap=10**6):
         result = rank_of_apparition(params, m, cap=cap)
-        return dataclasses.replace(result, omega=result.omega + 1) if m == 45 else result
+        return result._replace(omega=result.omega + 1) if m == 45 else result
 
     monkeypatch.setattr(verify, "rank_of_apparition", perturbed)
     checks = {c.name: c for c in verify.rank(20, 10**4)}
