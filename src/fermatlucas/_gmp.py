@@ -1,9 +1,14 @@
 """Squaring chains and Lucas fast doubling mod 2^m +- 1 on the system's libgmp, via ctypes.
 
 GMP multiplies residues of a few thousand bits or more several times faster
-than CPython's Karatsuba.  The reduction is the same shift-and-fold as
-`quadratic.fermat_mod` and `quadratic.mersenne_mod`, done in place on mpz
-buffers, so no step divides, and the results are the same canonical residues.
+than CPython's Karatsuba.  The kernel runs on GMP's documented low-level
+`mpn` functions over arrays of 64-bit limbs, least significant first.  A
+chain step is one `mpn_sqr` and one fold: an `mpn_sub_n` (2^m + 1) or
+`mpn_add_n` (2^m - 1), after an `mpn_rshift` when 64 does not divide m.
+The fold is the shift-and-fold of `quadratic.fermat_mod` and
+`quadratic.mersenne_mod`, so no step divides, and the results are the same
+canonical residues.  Carries and borrows that stop in the low limb are
+settled in Python.
 
 Importing this module loads nothing: ctypes and libgmp are loaded by the
 first call to `load()`, and `native.native_kernel` calls it only for moduli
@@ -12,15 +17,18 @@ large enough to gain.
 
 from __future__ import annotations
 
-import contextlib
 import functools
+
+LIMB_BITS = 64
+MAX_LIMB = (1 << LIMB_BITS) - 1
 
 
 @functools.cache
 def load() -> GmpKernel | None:
     """The libgmp chain kernel, or None if no usable libgmp loads.
 
-    The outcome is cached for the life of the process.
+    A libgmp whose limbs are not 64 bits wide is not usable.  The outcome is
+    cached for the life of the process.
     """
     import ctypes
 
@@ -38,117 +46,39 @@ def load() -> GmpKernel | None:
         except OSError:
             return None
     try:
-        return GmpKernel(ctypes, lib)
-    except AttributeError:  # a library without the mpz entry points
+        limb_bits = ctypes.cast(lib["__gmp_bits_per_limb"], ctypes.POINTER(ctypes.c_int))[0]
+        return GmpKernel(ctypes, lib) if limb_bits == LIMB_BITS else None
+    except AttributeError:  # a library without the symbols used here
         return None
 
 
 class GmpKernel:
-    """Squaring chains and the Lucas doubling ladder on the mpz functions of one libgmp.
+    """Squaring chains and the Lucas doubling ladder on the mpn functions of one libgmp.
 
-    Both run on one core: `_registers` creates and clears the mpz registers
-    of a computation, and `_folder` reduces a register mod 2^m + sign.
+    Both run on one core.  A `_Ring` per computation holds its limb arrays
+    and builds its folds.
     """
 
     def __init__(self, ctypes, lib):
-        # Every mpz argument is passed as a plain address (c_void_p): a
-        # ctypes call with int arguments costs about 0.35 us against 0.9 us
-        # with typed pointers, and a chain step makes five calls.
-        ptr, size, bits = ctypes.c_void_p, ctypes.c_size_t, ctypes.c_ulong
+        # Typed argtypes, and every argument a ctypes instance built once per
+        # computation: a call then costs about 0.42 us, against 0.54 us with
+        # int arguments (2-vCPU VM, Python 3.11).  mp_size_t is a C long.
+        ptr, size, limb = ctypes.c_void_p, ctypes.c_long, ctypes.c_uint64
 
         def bind(name, restype, *argtypes):
-            fn = lib["__gmpz_" + name]
+            fn = lib["__gmpn_" + name]
             fn.restype = restype
             fn.argtypes = argtypes
             return fn
 
-        class Mpz(ctypes.Structure):
-            # GMP's __mpz_struct; the sign of `size` is the sign of the value.
-            _fields_ = [("alloc", ctypes.c_int), ("size", ctypes.c_int), ("d", ptr)]
-
         self._ctypes = ctypes
-        self._mpz = Mpz
-        self._init = bind("init", None, ptr)
-        self._clear = bind("clear", None, ptr)
-        self._import = bind("import", None, ptr, size, ctypes.c_int, size, ctypes.c_int,
-                            size, ptr)
-        self._export = bind("export", ptr, ptr, ctypes.POINTER(size), ctypes.c_int, size,
-                            ctypes.c_int, size, ptr)
-        self._mul = bind("mul", None, ptr, ptr, ptr)
-        self._add = bind("add", None, ptr, ptr, ptr)
-        self._sub = bind("sub", None, ptr, ptr, ptr)
-        self._cmp = bind("cmp", ctypes.c_int, ptr, ptr)
-        self._high = bind("tdiv_q_2exp", None, ptr, ptr, bits)
-        self._low = bind("tdiv_r_2exp", None, ptr, ptr, bits)
-        self._tstbit = bind("tstbit", ctypes.c_int, ptr, bits)
-
-    def _set(self, z: int, value: int) -> None:
-        """Store a non-negative `value` in the mpz at address z."""
-        data = value.to_bytes((value.bit_length() + 7) // 8, "little")
-        self._import(z, len(data), -1, 1, 0, 0, data)
-
-    def _get(self, z) -> int:
-        """The value of the non-negative mpz `z`."""
-        ctypes = self._ctypes
-        # A limb has at most 8 bytes, so the buffer holds every limb of z.
-        buf = ctypes.create_string_buffer(8 * abs(z.size) + 1)
-        count = ctypes.c_size_t()
-        self._export(buf, ctypes.byref(count), -1, 1, 0, 0, ctypes.addressof(z))
-        return int.from_bytes(buf.raw[:count.value], "little")
-
-    @contextlib.contextmanager
-    def _registers(self, *values: int):
-        """One fresh mpz register per non-negative value, set to it; cleared on exit.
-
-        Yields a (struct, address) pair per register: libgmp takes the
-        address, and the struct's `size` gives the sign without a call.
-        """
-        addressof = self._ctypes.addressof
-        structs = [self._mpz() for _ in values]
-        addresses = [addressof(z) for z in structs]
-        for z in addresses:
-            self._init(z)
-        try:
-            for z, value in zip(addresses, values):
-                self._set(z, value)
-            yield list(zip(structs, addresses))
-        finally:
-            for z in addresses:
-                self._clear(z)
-
-    def _folder(self, m: int, sign: int, scratch: int, pn: int):
-        """fold(z, pz): reduce the register z (at pz) to its residue mod N = 2^m + sign.
-
-        `scratch` is a register address the fold may overwrite, and pn holds
-        N.  The input must lie in (-N, 2^m * N]; the result is canonical, in
-        0..N-1 (0..2^m for sign = +1, as `fermat_mod` returns).
-
-        Why one correction is enough: truncating shifts split z = hi*2^m + lo
-        with hi and lo of z's sign and |lo| < 2^m, and 2^m == -sign (mod N),
-        so z == lo - sign*hi.
-          - z >= 0: hi <= N, and hi = N only with lo = 0.  So for sign = +1
-            lo - hi lies in [-N, 2^m), and for sign = -1 lo + hi lies in
-            [0, 2N - 1].
-          - z < 0: |z| < N < 2^(m+1) gives hi = 0 or (sign = +1 only)
-            z = -2^m with lo = 0; so lo - sign*hi is z itself or 1.
-        Adding N to a negative result, or (sign = -1) subtracting it from one
-        >= N, lands in 0..N-1.  The bound is the one to keep: an unreduced
-        operand (say R = 7 at m = 2) can leave lo - hi < -N, which this one
-        correction would not repair.
-        """
-        high, low, add, sub, cmp = self._high, self._low, self._add, self._sub, self._cmp
-        fold_high = sub if sign > 0 else add
-
-        def fold(z, pz):
-            high(scratch, pz, m)
-            low(pz, pz, m)
-            fold_high(pz, pz, scratch)
-            if z.size < 0:
-                add(pz, pz, pn)
-            elif sign < 0 and cmp(pz, pn) >= 0:
-                sub(pz, pz, pn)
-
-        return fold
+        self._sqr = bind("sqr", None, ptr, ptr, size)
+        self._mul_n = bind("mul_n", None, ptr, ptr, ptr, size)
+        self._mul = bind("mul", limb, ptr, ptr, size, ptr, size)
+        self._add = bind("add", limb, ptr, ptr, size, ptr, size)
+        self._add_n = bind("add_n", limb, ptr, ptr, ptr, size)
+        self._sub_n = bind("sub_n", limb, ptr, ptr, ptr, size)
+        self._rshift = bind("rshift", limb, ptr, ptr, size, ctypes.c_uint)
 
     def square_chain(self, x: int, steps: int, c: int, m: int, sign: int) -> int:
         """x after `steps` rounds of x <- x^2 - c mod N = 2^m + sign, sign = +-1.
@@ -161,17 +91,14 @@ class GmpKernel:
             raise ValueError(f"need m >= 1 and sign +-1, got m = {m}, sign = {sign}")
         if steps <= 0:
             return x
-        N = (1 << m) + sign
-        with self._registers(x % N, N, c % N, 0) as ((v, pv), (_, pn), (_, pc), (_, phi)):
-            fold = self._folder(m, sign, phi, pn)
-            mul, sub = self._mul, self._sub
-            # 0 <= x, c < N gives x <= 2^m, so x^2 - c is inside the fold's bound.
-            for _ in range(steps):
-                mul(pv, pv, pv)
-                if c:
-                    sub(pv, pv, pc)
-                fold(v, pv)
-            return self._get(v)
+        ring = _Ring(self, m, sign)
+        N = ring.N
+        c %= N
+        if c > N >> 1:  # the fold takes c off the low limb, so keep it small either way
+            c -= N
+        x = ring.array(ring.pl, x % N)
+        ring.folder(x, ring.array(2 * ring.ml), c, square=True)(steps)
+        return ring.get(x)
 
     def uv_ladder(self, R: int, Q: int, n: int, m: int) -> tuple[int, int]:
         """(u_bar(n), v_bar(n)) mod N = 2^m + 1 for the parameters (R, Q), Q = +-1.
@@ -180,43 +107,240 @@ class GmpKernel:
         product: from index k, u <- u*v and v <- c*v^2 - 2*Q^k with c = R
         for odd k, 1 for even k; a 1 bit then halves (R*u + v, D*u + v),
         D = R - 4Q, by a shift.  R and D are held reduced mod N, so every
-        operand of a product is at most 2^m and every sum stays inside the
-        fold's bound.  Returns canonical residues; the caller keeps m within
-        what libgmp can allocate.
+        product and sum stays inside the fold's bound, and one `mpn_mul`
+        multiplies by either whatever its size.  Returns canonical residues;
+        the caller keeps m within what libgmp can allocate.
         """
         if m < 1 or Q not in (1, -1) or n < 0:
             raise ValueError(f"need m >= 1, Q = +-1 and n >= 0, got m = {m}, Q = {Q}, n = {n}")
         if n == 0:
             return 0, 2  # N >= 3
-        N = (1 << m) + 1
-        registers = self._registers(1, 1, 0, N, R % N, (R - 4 * Q) % N, 2, 2 * Q % N, 0)
-        with registers as ((u, pu), (v, pv), (t, pt), (_, pn), (_, pr), (_, pd), (_, p2),
-                           (_, p2q), (_, phi)):
-            fold = self._folder(m, 1, phi, pn)
-            mul, add, sub, tstbit, shift = self._mul, self._add, self._sub, self._tstbit, self._high
-            k_odd = True
-            for bit in bin(n)[3:]:
-                mul(pu, pu, pv)
-                fold(u, pu)
-                mul(pv, pv, pv)
+        ring = _Ring(self, m, 1)
+        N, ml, pl, top = ring.N, ring.ml, ring.pl, ring.top
+        R, D = R % N, (R - 4 * Q) % N
+        u, v, n_limbs = (ring.array(pl, value) for value in (1, 1, N))
+        r, d = ring.constant(R), ring.constant(D)
+        # Products of two residues go to z; R*v and R*u + v to w, D*u + v to
+        # y, whose limbs above what their products write stay zero.
+        z = ring.array(2 * ml)
+        w = ring.array(max(2 * ml, pl + len(r)))
+        y = ring.array(max(2 * ml, pl + len(d)))
+        pu, pv, pr, pd, pn, pz, pw, py = map(ring.ptr, (u, v, r, d, n_limbs, z, w, y))
+        npl, nml, nrl, ndl, nwl, nyl = map(
+            ring.size, (pl, ml, len(r), len(d), pl + len(r), pl + len(d)))
+        one = self._ctypes.c_uint(1)
+        fold_uv = ring.folder(u, z)
+        square_v, square_v2 = ring.folder(v, z, square=True), ring.folder(v, z, 2, square=True)
+        fold_rv, fold_ru, fold_du = ring.folder(v, w, 2 * Q), ring.folder(u, w), ring.folder(v, y)
+        mul_n, mul, add = self._mul_n, self._mul, self._add
+        add_n, rshift = self._add_n, self._rshift
+        high = pl - 1
+        k_odd = True
+        for bit in bin(n)[3:]:
+            if top is not None and (u[top] or v[top]):  # 2^m = -1 is outside the limbs multiplied
+                a, b = ring.get(u), ring.get(v)
+                ring.put(u, a * b % N)
+                ring.put(v, ((R * b * b - 2 * Q) if k_odd else (b * b - 2)) % N)
+            else:
+                mul_n(pz, pu, pv, nml)
+                fold_uv()
                 if k_odd:  # Q^k = Q; R*v^2 needs the square folded first
-                    fold(v, pv)
-                    mul(pv, pv, pr)
-                    sub(pv, pv, p2q)
+                    square_v()
+                    mul(pw, pv, npl, pr, nrl)
+                    fold_rv()
                 else:
-                    sub(pv, pv, p2)
-                fold(v, pv)
-                k_odd = bit == "1"
-                if k_odd:
-                    mul(pt, pr, pu)
-                    add(pt, pt, pv)
-                    fold(t, pt)
-                    mul(pu, pd, pu)
-                    add(pu, pu, pv)
-                    fold(u, pu)
-                    for z in (pt, pu):  # x/2 mod N: x >> 1, or (x + N) >> 1 for odd x
-                        if tstbit(z, 0):
-                            add(z, z, pn)
-                        shift(z, z, 1)
-                    (u, pu), (v, pv), (t, pt) = (t, pt), (u, pu), (v, pv)
-            return self._get(u), self._get(v)
+                    square_v2()
+            k_odd = bit == "1"
+            if k_odd:  # (R*u + v, D*u + v) / 2; both sums are taken before either fold
+                mul(pw, pu, npl, pr, nrl)
+                add(pw, pw, nwl, pv, npl)
+                mul(py, pu, npl, pd, ndl)
+                add(py, py, nyl, pv, npl)
+                fold_ru()
+                fold_du()
+                for x, px in ((u, pu), (v, pv)):  # x/2 mod N: x >> 1, or (x + N) >> 1 for odd x
+                    carry = add_n(px, px, pn, npl) if x[0] & 1 else 0
+                    rshift(px, px, npl, one)
+                    if carry:  # x + N = 2^(64*pl), when m = 63 mod 64
+                        x[high] |= 1 << (LIMB_BITS - 1)
+        return ring.get(u), ring.get(v)
+
+
+class _Ring:
+    """Residues mod N = 2^m + sign (sign = +-1) in arrays of 64-bit limbs.
+
+    A residue array has `pl` limbs, and the operands of a product are its
+    low ml = ceil(m / 64) limbs.  Only 2^m + 1 with 64 | m has a residue
+    that does not fit in ml limbs, 2^m (-1): it is stored as one more limb,
+    index `top`, set to 1 and the rest 0, and the callers square or
+    multiply it on Python ints.  `top` is None for the other moduli.
+
+    `folder(dst, src, c)` builds a fold: dst <- (z - c) mod N for the value
+    z of the whole array src (at least 2*ml limbs), which it overwrites; in
+    a chain z is dst^2, squared into src first.  The fold needs z in
+    [0, 2^m * N] for 2^m + 1, or in [0, 2^(2m)) for 2^m - 1.
+    Why one correction is enough: split z = hi*2^m + lo, 0 <= lo < 2^m;
+    then z == lo - sign*hi, as 2^m == -sign.
+      - 2^m + 1: hi <= N, and hi = N only with lo = 0, so lo - hi lies in
+        [-N, 2^m), and adding N to a negative difference lands in [0, 2^m].
+        `mpn_sub_n` over ml limbs leaves W = lo - hi + 2^(64*ml) on a
+        borrow.  With 64 | m, hi >= 2^m sets limb 2m/64, which only the
+        top of the bound reaches; that rare z is folded on Python ints.
+        Below it hi < 2^m, so W = lo - hi + 2^m lies in [1, 2^m), and W + 1
+        is the residue.  Otherwise bits m and up of W are all ones, unless
+        hi = N (lo - hi = -N, residue 0), where bit m is clear: clearing
+        them leaves lo - hi + 2^m, and 1 more is again the residue.
+      - 2^m - 1: hi, lo < 2^m, so lo + hi <= 2^(m+1) - 2.  A carry into
+        bit m (out of the limbs when 64 | m) is 2^m == 1: take it off and
+        add 1.  That leaves at most 2^m - 1 = N, whose residue is 0.
+    The +1 and the -c go to the low limb together, which keeps the result
+    canonical unless that limb carries or borrows (or, as the only limb,
+    passes N - 1).  Then the fold finishes on Python ints: for |c| >= 2^64,
+    for a low limb below c (as 0 and 1 give with c = 2), and otherwise
+    about once in 2^64 folds.
+    """
+
+    def __init__(self, kernel: GmpKernel, m: int, sign: int):
+        self.kernel, self.sign = kernel, sign
+        self.N = (1 << m) + sign
+        self.q, self.s = divmod(m, LIMB_BITS)
+        self.ml = -(-m // LIMB_BITS)
+        self.pl = self.q + 1 if sign > 0 else self.ml
+        self.top = self.q if sign > 0 and not self.s else None
+        ctypes = kernel._ctypes
+        self.size, self.limb = ctypes.c_long, ctypes.c_uint64
+        self._void_p, self._uint = ctypes.c_void_p, ctypes.c_uint
+        self._memmove, self._addressof = ctypes.memmove, ctypes.addressof
+        self._arrays = []
+
+    def ptr(self, a, offset: int = 0):
+        """The address of limb `offset` of the array a, as a c_void_p argument."""
+        return self._void_p(self._addressof(a) + 8 * offset)
+
+    def array(self, limbs: int, value: int = 0):
+        """A fresh array of `limbs` limbs holding 0 <= value < 2^(64 * limbs).
+
+        The ring keeps every array it makes, so the addresses its folds
+        hold stay valid while any fold or the ring is alive.
+        """
+        a = (self.limb * limbs)()
+        self._arrays.append(a)
+        if value:
+            self.put(a, value)
+        return a
+
+    def constant(self, value: int):
+        """A fresh array of as few limbs as hold value >= 0, and at least one."""
+        return self.array(max(1, -(-value.bit_length() // LIMB_BITS)), value)
+
+    def get(self, a, limbs: int | None = None) -> int:
+        """The value of the first `limbs` limbs of a (all of them by default)."""
+        data = bytes(a)
+        return int.from_bytes(data if limbs is None else data[:8 * limbs], "little")
+
+    def put(self, a, value: int) -> None:
+        """Store 0 <= value < 2^(64 * len(a)) in a."""
+        data = value.to_bytes(8 * len(a), "little")
+        self._memmove(a, data, len(data))
+
+    def folder(self, dst, src, c: int = 0, square: bool = False):
+        """fold(steps=1): `steps` times, dst <- (z - c) mod N for the z in src.
+
+        With `square`, each time first squares dst into src, so fold(k) is k
+        steps of a chain; for 2^m + 1 with 64 | m it then steps 2^m (-1) to
+        1 - c itself.  See the class docstring for the rest.
+        """
+        kernel, q, s, ml, N, top = self.kernel, self.q, self.s, self.ml, self.N, self.top
+        ptr, get, put = self.ptr, self.get, self.put
+        pd, pz, nml, mask = ptr(dst), ptr(src), self.size(ml), (1 << s) - 1
+        sqr = kernel._sqr
+        # The largest low limb a residue can have with its other limbs as they are.
+        low_max = MAX_LIMB if ml > 1 else min(N - 1, MAX_LIMB)
+        if s:  # hi = src >> m, in the low ml limbs of its own array
+            rshift, shift, hi_limbs = kernel._rshift, self._uint(s), len(src) - q
+            ph, pzq, nzq = ptr(self.array(hi_limbs)), ptr(src, q), self.size(hi_limbs)
+        else:  # hi is the limbs of src from q up
+            ph = ptr(src, q)
+
+        def slow(delta):  # the residue is dst's ml limbs + delta, up to a multiple of N
+            put(dst, (get(dst, ml) + delta) % N)
+
+        if self.sign < 0:
+            add_n, n_low = kernel._add_n, N & MAX_LIMB
+
+            def fold(steps=1):
+                while steps:  # cheaper than range() for the ladder's single folds
+                    steps -= 1
+                    if square:
+                        sqr(pz, pd, nml)
+                    if s:
+                        rshift(ph, pzq, nzq, shift)
+                        src[q] &= mask
+                    carry = add_n(pd, pz, ph, nml)
+                    if s:  # the carry is bit m
+                        t = dst[q]
+                        carry = t >> s
+                        if carry:
+                            dst[q] = t & mask
+                    delta = carry - c
+                    if delta:
+                        low = dst[0] + delta
+                        if 0 <= low <= low_max:
+                            dst[0] = low
+                        else:
+                            slow(delta)
+                            continue
+                    if dst[0] == n_low and get(dst) == N:
+                        put(dst, 0)
+
+        elif s:
+            sub_n, wrap = kernel._sub_n, 1 << (LIMB_BITS * ml)
+
+            def fold(steps=1):
+                while steps:
+                    steps -= 1
+                    if square:
+                        sqr(pz, pd, nml)
+                    rshift(ph, pzq, nzq, shift)
+                    src[q] &= mask
+                    delta = -c
+                    if sub_n(pd, pz, ph, nml):
+                        t = dst[q]
+                        if not t >> s & 1:  # lo - hi = -N
+                            slow(-wrap - c)
+                            continue
+                        dst[q] = t & mask
+                        delta += 1
+                    if delta:
+                        low = dst[0] + delta
+                        if 0 <= low <= low_max:
+                            dst[0] = low
+                        else:
+                            slow(delta)
+
+        else:
+            sub_n = kernel._sub_n
+            hi_top = 2 * q if len(src) > 2 * q else 0  # set only when hi >= 2^m
+
+            def fold(steps=1):
+                while steps:
+                    steps -= 1
+                    if square:
+                        if dst[top]:  # 2^m = -1 is outside the limbs squared; its square is 1
+                            put(dst, (1 - c) % N)
+                            continue
+                        sqr(pz, pd, nml)
+                    elif hi_top and src[hi_top]:
+                        put(dst, (get(src) - c) % N)
+                        continue
+                    else:
+                        dst[top] = 0
+                    delta = sub_n(pd, pz, ph, nml) - c
+                    if delta:
+                        low = dst[0] + delta
+                        if 0 <= low <= low_max:
+                            dst[0] = low
+                        else:
+                            slow(delta)
+
+        return fold

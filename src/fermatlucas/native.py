@@ -9,12 +9,13 @@ ctypes) is imported only when a modulus inside the bounds first asks.
 from __future__ import annotations
 
 # Moduli 2^m +- 1 with GMP_MIN_BITS <= m <= GMP_MAX_BITS run on libgmp when
-# it loads.  The ctypes calls of a chain step cost about as much as GMP saves
-# near m = 2^11; at 2^12 libgmp is about 3x faster, more above, and smaller
-# moduli (the CLI's warm-up among them) never load it.  Above the upper
-# bound a failed allocation inside libgmp would abort() the process instead
-# of raising MemoryError.
-GMP_MIN_BITS = 1 << 12
+# it loads.  A chain step there is two or three ctypes calls: at m = 2^10
+# the int loop is still as fast or faster, at 2^11 libgmp wins by 1.3-2.1x
+# (the Mersenne chain least, for its extra shift), at 2^12 by 3-4.5x.
+# Smaller moduli (the CLI's warm-up among them) never load it.  Above the
+# upper bound a failed allocation inside libgmp would abort() the process
+# instead of raising MemoryError.
+GMP_MIN_BITS = 1 << 11
 GMP_MAX_BITS = 1 << 24
 
 

@@ -44,9 +44,14 @@ def _check(name: str, ok: bool, detail: str | None = None) -> Check:
 
 def identities(m_max: int, n_max: int) -> list[Check]:
     """Parity structure, doubling, gcd, sum identities and the parity swap."""
+    # Below these bounds no sum identity would be checked.
+    if m_max < 2:
+        raise ValueError(f"m_max must be >= 2, got {m_max}")
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
     # One exact table serves every sum identity; building it first checks
     # m_max*n_max against the exact-index cap before any other work.
-    ring = list(iter_uv_exact(STANDARD_PARAMS, m_max * n_max)) if m_max >= 2 and n_max >= 1 else []
+    ring = list(iter_uv_exact(STANDARD_PARAMS, m_max * n_max))
     checks = []
     tables = {}
     for params in (STANDARD_PARAMS, ALTERNATE_PARAMS):
@@ -176,8 +181,9 @@ def rank(sweep_max: int, cap: int) -> list[Check]:
 
 def traces(max_n: int) -> list[Check]:
     """Chain traces against plain `%` and the v-side bridge; final residues to max_n."""
-    if max_n >= 1:
-        FermatNumber(max_n)  # refuse an index out of range before any chain runs
+    if max_n < 1:  # no final residue would be checked
+        raise ValueError(f"max_n must be >= 1, got {max_n}")
+    FermatNumber(max_n)  # refuse an index out of range before any chain runs
     checks = []
     for n in (1, 2, 3, 4):
         F = FermatNumber(n).value

@@ -214,6 +214,24 @@ def test_verify_rank_empty_sweep_exits_2(sweep_max, capsys):
     assert captured.err == f"error: sweep_max must be >= 2, got {sweep_max}\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("identities", "--m-max", "1"), "m_max must be >= 2, got 1"),
+    (("identities", "--m-max", "0", "--n-max", "0"), "m_max must be >= 2, got 0"),
+    (("identities", "--n-max", "0"), "n_max must be >= 1, got 0"),
+    (("traces", "--max-n", "0"), "max_n must be >= 1, got 0"),
+    (("traces", "--max-n", "-3"), "max_n must be >= 1, got -3"),
+])
+def test_verify_bounds_that_check_nothing_exit_2(argv, message, capsys):
+    # These bounds select no sum identity or no final residue; the suite
+    # must not read as passed over a range it never checked.
+    from fermatlucas import cli
+
+    assert cli.main(["verify", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_verify_identities_flags():
     rec = record_of(run_cli("verify", "identities", "--m-max", "4", "--n-max", "4"))
     names = {c["name"] for c in rec["result"]["checks"]}

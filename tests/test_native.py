@@ -6,10 +6,13 @@ doubling ladder.  Tests that call libgmp are skipped when it does not load;
 the dispatch tests use a stand-in kernel and run everywhere.
 """
 
+import collections
+import copy
 import itertools
 import random
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -33,7 +36,7 @@ from fermatlucas.primality import (
     pepin,
     square_chain,
 )
-from fermatlucas.quadratic import fermat_mod, mersenne_mod
+from fermatlucas.quadratic import fermat_mod, is_perfect_square, mersenne_mod
 
 needs_gmp = pytest.mark.skipif(_gmp.load() is None, reason="libgmp did not load")
 
@@ -114,30 +117,150 @@ def test_property_random_x_and_m():
     check()
 
 
-def folded(native, m, sign, a, b, c):
-    """a*b + c mod 2^m + sign through the kernel's registers and its one fold."""
-    N = (1 << m) + sign
-    with native._registers(a, b, abs(c), N, 0) as ((z, pz), (_, pb), (_, pc), (_, pn), (_, phi)):
-        native._mul(pz, pz, pb)
-        (native._add if c >= 0 else native._sub)(pz, pz, pc)
-        native._folder(m, sign, phi, pn)(z, pz)
-        return native._get(z)
+def folded(native, m, sign, z, c=0):
+    """(z - c) mod 2^m + sign through one fold of the kernel, as a chain or the ladder makes it."""
+    ring = _gmp._Ring(native, m, sign)
+    src = ring.array(max(2 * ring.ml, -(-z.bit_length() // 64)), z)
+    dst = ring.array(ring.pl, ring.N - 1)  # a stale residue, 2^m (its own top limb) for 2^m + 1
+    ring.folder(dst, src, c)()
+    return ring.get(dst)
+
+
+EDGE_M = (1, 2, 3, 5, 63, 64, 65, 127, 128, 4096, 4097)
 
 
 @needs_gmp
 @pytest.mark.parametrize("sign", (1, -1))
 def test_fold_on_edge_operands(sign):
     native = _gmp.load()
-    for m in (2, 3, 5, 64, 65, 4096):
+    for m in EDGE_M:
         N = (1 << m) + sign
         # Products and R*u + v sums of 0, 1 and N - 1 (2^m = -1 for 2^m + 1);
         # for 2^m + 1, (N - 1)*(N - 1) + (N - 1) = 2^m * N tops the fold's bound.
+        # Each sum is folded whole, as the ladder folds R*u + v, and as the
+        # product with -c taken off by the fold, as a chain's c and the
+        # ladder's 2Q are.
         for a, b, c in itertools.product((0, 1, N - 1), (0, 1, N - 1), (0, 1, N - 1, -1, 1 - N)):
-            assert folded(native, m, sign, a, b, c) == (a * b + c) % N, (m, a, b, c)
-        # Both ends of the bound (-N, 2^m * N] and the values around 2^m.
-        for z in (1 - N, -1, N, (1 << m) - 1, 1 << m, (1 << m) + 1, (N << m) - 1, N << m):
-            a, c = (z, 0) if z >= 0 else (0, z)
-            assert folded(native, m, sign, a, 1, c) == z % N, (m, z)
+            if a * b + c >= 0:
+                assert folded(native, m, sign, a * b + c) == (a * b + c) % N, (m, a, b, c)
+            assert folded(native, m, sign, a * b, -c) == (a * b + c) % N, (m, a, b, c)
+        # Both ends of the bound, [0, 2^m * N] for 2^m + 1 and [0, 2^(2m)) for
+        # 2^m - 1, the values around 2^m, and (-N, 0) reached through c.
+        top = N << m if sign > 0 else (1 << 2 * m) - 1
+        for z in (0, 1, N, (1 << m) - 1, 1 << m, (1 << m) + 1, (N << m) - 1, N << m, top):
+            if z <= top:
+                assert folded(native, m, sign, z) == z % N, (m, z)
+        for c in (1, N - 1, 1 << 64, (1 << 64) - 1, -(1 << 64)):
+            assert folded(native, m, sign, 0, c) == -c % N, (m, c)
+
+
+@needs_gmp
+@pytest.mark.parametrize("m", EDGE_M)
+def test_chain_on_limb_edges(m):
+    # 64 | m squares ml = m/64 limbs and keeps 2^m (-1 mod 2^m + 1) in a
+    # limb of its own; the other m shift hi out of a partial top limb.
+    native = _gmp.load()
+    rng = random.Random(m)
+    for sign in (1, -1):
+        N = (1 << m) + sign
+        for x in edge_starts(m, sign, rng):
+            for c in (0, 2, 3, -1, (1 << 64) + 5, N - 2):
+                assert native.square_chain(x, 6, c, m, sign) == int_chain(x, 6, c, m, sign), (x, c)
+
+
+@needs_gmp
+@pytest.mark.parametrize("m", (64, 128, 4096, 65, 4097))
+def test_fermat_chain_enters_and_leaves_minus_one(m):
+    native = _gmp.load()
+    N = (1 << m) + 1
+    # 3 with c = 10 steps to 2^m = -1 and on to -9.  For even m, 2^(m/2)
+    # squares to -1, which squares to 1; for 4 | m, the square root of 2
+    # (2^(3m/4) - 2^(m/4)) steps to -1 with c = 3, and on to -2.  1 with
+    # c = 2 stays at -1 (1 - 2 = -1 = (-1)^2 - 2), and 0 steps to -2, 2, 2.
+    starts = [(3, 10), (1, 2), (0, 2)]
+    if m % 2 == 0:
+        starts.append((1 << (m // 2), 0))
+    if m % 4 == 0:
+        starts.append(((1 << (3 * m // 4)) - (1 << (m // 4)), 3))
+    for x, c in starts:
+        chain = [x]
+        for steps in range(1, 5):
+            chain.append(native.square_chain(x, steps, c, m, 1))
+            assert chain[-1] == int_chain(x, steps, c, m, 1), (x, c, steps)
+        if c != 2 and x:
+            assert (N - 1) in chain[1:-1] and chain[-1] != N - 1
+    # Pepin on the primes F_1..F_4 ends exactly at 2^m.
+    for n in (1, 2, 3, 4):
+        assert native.square_chain(3, (1 << n) - 1, 0, 1 << n, 1) == 1 << (1 << n)
+
+
+@needs_gmp
+@pytest.mark.parametrize("m", EDGE_M)
+def test_ladder_on_limb_edges(m, monkeypatch):
+    native = _gmp.load()
+    monkeypatch.setattr(_gmp, "load", lambda: None)
+    N = (1 << m) + 1
+    rng = random.Random(m)
+    # R = -1 mod N (with u = v = -1 the sum R*u + v tops the fold's bound).
+    minus_one = next(LucasParams(k * N - 1, q) for k in itertools.count(1) for q in (1, -1)
+                     if not is_perfect_square(k * N - 1) and k * N - 1 != 4 * q)
+    for params in (STANDARD_PARAMS, ALTERNATE_PARAMS, minus_one, LucasParams((1 << 64) + 13, -1)):
+        for n in ladder_indices(m, rng)[:7] + [(1 << 70) - 1, N - 2]:
+            pair = uv_mod(params, n, N)
+            assert native.uv_ladder(params.R, params.Q, n, m) == (pair.u_bar, pair.v_bar), n
+
+
+def counting(native):
+    """A copy of the kernel whose libgmp calls are counted, by function name."""
+    counts = collections.Counter()
+    counted = copy.copy(native)
+    for name, fn in vars(native).items():
+        if callable(fn) and hasattr(fn, "argtypes"):
+            def call(*args, fn=fn, name=name):
+                counts[name.lstrip("_")] += 1
+                return fn(*args)
+            setattr(counted, name, call)
+    return counted, counts
+
+
+@needs_gmp
+def test_foreign_calls_per_step():
+    native, counts = counting(_gmp.load())
+    # A step mod 2^m + 1, 64 | m: one square and one fold.  Carries and
+    # borrows are settled in Python, so no step makes a third call.
+    for c in (0, 2):
+        counts.clear()
+        assert native.square_chain(5, 1000, c, 4096, 1) == int_chain(5, 1000, c, 4096, 1)
+        assert counts == {"sqr": 1000, "sub_n": 1000}
+    # 2^q - 1 with 64 not dividing q shifts hi out first.
+    counts.clear()
+    assert native.square_chain(4, 1000, 2, 4423, -1) == int_chain(4, 1000, 2, 4423, -1)
+    assert counts == {"sqr": 1000, "rshift": 1000, "add_n": 1000}
+    # A ladder doubling: u*v and v^2 - 2, each folded.  The first, from the
+    # odd index 1, also multiplies v^2 by R and folds that: one mul, one sub_n.
+    counts.clear()
+    native.uv_ladder(5, 1, 1 << 1000, 4096)
+    assert counts == {"mul_n": 1000, "sqr": 1000, "sub_n": 2 * 1000 + 1, "mul": 1}
+
+
+def test_loader_refuses_32_bit_limbs(monkeypatch):
+    import ctypes
+
+    bits = ctypes.c_int(32)
+
+    class StandInGmp:
+        """A libgmp as the loader sees it, with `bits`-bit limbs and no code behind its functions."""
+
+        def __init__(self, name, *args, **kwargs):
+            pass
+
+        def __getitem__(self, name):
+            return ctypes.pointer(bits) if name == "__gmp_bits_per_limb" else types.SimpleNamespace()
+
+    monkeypatch.setattr(ctypes, "CDLL", StandInGmp)
+    assert _gmp.load.__wrapped__() is None
+    bits.value = 64
+    assert isinstance(_gmp.load.__wrapped__(), _gmp.GmpKernel)
 
 
 def ladder_indices(m, rng):
@@ -286,15 +409,17 @@ def test_uv_mod_dispatch_by_modulus_form_size_and_q(monkeypatch):
 
 
 def test_short_chains_never_import_the_native_module():
-    # The CLI's import, its short chains and its uv-mod tables below 2^12
-    # bits do not even import the module that loads ctypes and libgmp.
+    # The CLI's import, its short chains and its uv-mod tables below the
+    # lower bound do not even import the module that loads ctypes and libgmp.
+    n = GMP_MIN_BITS.bit_length() - 2  # the largest Fermat index with 2^n < GMP_MIN_BITS
+    q = max(q for q in range(3, GMP_MIN_BITS) if is_prime(q))
     code = (
         "import contextlib, io, sys\n"
         "from fermatlucas import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    cli.main(['test', 'fermat', '11'])\n"
-        "    cli.main(['test', 'mersenne', '4093'])\n"
-        "    cli.main(['table', 'uv-mod', '--modulus-fermat', '11', '--max', '16'])\n"
+        f"    cli.main(['test', 'fermat', '{n}'])\n"
+        f"    cli.main(['test', 'mersenne', '{q}'])\n"
+        f"    cli.main(['table', 'uv-mod', '--modulus-fermat', '{n}', '--max', '16'])\n"
         "print('fermatlucas._gmp' in sys.modules)\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
