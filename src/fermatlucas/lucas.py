@@ -17,8 +17,8 @@ Fast doubling (`uv_mod`) handles indices like 2^16384 mod N.
 from __future__ import annotations
 
 import math
-from functools import partial
-from itertools import islice
+from functools import reduce
+from itertools import accumulate, islice, repeat
 from typing import Iterator, NamedTuple, Sequence
 
 from .native import native_kernel
@@ -155,6 +155,15 @@ def iter_pairs(params: LucasParams, modulus: int | None = None) -> Iterator[Lehm
         k += 1
 
 
+class _FermatFold(NamedTuple):
+    """2^m + 1 on the right of `%`: `x % _FermatFold(m)` folds instead of dividing."""
+
+    m: int
+
+    def __rmod__(self, x: int) -> int:
+        return fermat_mod(x, self.m)
+
+
 def uv_mod(params: LucasParams, n: int, N: int) -> LehmerPair:
     """(u_bar(n), v_bar(n)) mod N by binary fast doubling.
 
@@ -175,27 +184,22 @@ def uv_mod(params: LucasParams, n: int, N: int) -> LehmerPair:
     if n < 0:
         raise ValueError(f"index must be >= 0, got {n}")
     R, Q, D = params.R, params.Q, params.D
-    unit_q = abs(Q) == 1  # Q^k is just a sign; skip the modular bookkeeping
     m = fermat_form_exponent(N)
-    native = native_kernel(m) if m is not None and unit_q else None
+    native = native_kernel(m) if m is not None and abs(Q) == 1 else None
     if native is not None:
         return LehmerPair(n, *native.uv_ladder(R, Q, n, m))
-    red = N.__rmod__ if m is None else partial(fermat_mod, m=m)
     if n == 0:
-        return LehmerPair(0, 0, red(2))
-    u, v = red(1), red(1)
-    k_odd = True
-    qk = Q if unit_q else red(Q)
+        return LehmerPair(0, 0, 2)
+    M = N if m is None else _FermatFold(m)  # `x % M`: one C-level `%`, or the fold
+    u, v, qk, k_odd = 1, 1, Q, True  # the pair, Q^k and k's parity at k = 1
     for bit in bin(n)[3:]:
-        u, v = red(u * v), red((R * v * v if k_odd else v * v) - 2 * qk)
-        qk = 1 if unit_q else red(qk * qk)
-        k_odd = False
+        u, v = u * v % M, ((R * v * v if k_odd else v * v) - 2 * qk) % M
+        qk, k_odd = qk * qk % M, False
         if bit == "1":
-            u, v = red(R * u + v), red(D * u + v)
+            u, v = (R * u + v) % M, (D * u + v) % M
             u = (u + N if u & 1 else u) >> 1
             v = (v + N if v & 1 else v) >> 1
-            qk = qk * Q if unit_q else red(qk * Q)
-            k_odd = True
+            qk, k_odd = qk * Q, True  # reduced with the next square; +-1 stays +-1
     return LehmerPair(n, u, v)
 
 
@@ -211,6 +215,24 @@ def s_from_v(params: LucasParams, k: int, N: int) -> int:
     return uv_mod(params, 1 << (k + 1), N).v_bar
 
 
+def _ring_powers(params: LucasParams, x: QuadInt, k_max: int) -> list[QuadInt]:
+    """[x^0, x^1, ..., x^k_max] in Z[sqrt(R)]."""
+    return list(accumulate(repeat(x, k_max), lambda p, y: qmul(params.R, p, y), initial=ONE))
+
+
+def _sum_identity_sides(
+    params: LucasParams, m: int, u_pows: Sequence[QuadInt], v_pows: Sequence[QuadInt]
+) -> tuple[QuadInt, QuadInt]:
+    """The binomial sums equal to 2^(m-1) U_{mn} (odd k) and 2^(m-1) V_{mn} (even k).
+
+    Term k is C(m, k) D^(k//2) U_n^k V_n^(m-k); u_pows and v_pows are
+    `_ring_powers` of U_n and V_n to m or further, so one pair serves every m.
+    """
+    R, D = params.R, params.D
+    terms = [qscale(math.comb(m, k) * D ** (k // 2), qmul(R, u_pows[k], v_pows[m - k])) for k in range(m + 1)]
+    return reduce(qadd, terms[1::2]), reduce(qadd, terms[::2])
+
+
 def sum_identity_holds(
     params: LucasParams, m: int, Un: QuadInt, Vn: QuadInt, Xmn: QuadInt, odd_side: bool
 ) -> bool:
@@ -219,20 +241,8 @@ def sum_identity_holds(
     Un, Vn are U_n, V_n and Xmn is U_{mn} or V_{mn}; a caller holding one
     exact table checks every (m, n) without re-stepping the recurrence.
     """
-    R = params.R
-    u_pows, v_pows = [ONE], [ONE]  # U_n^k and V_n^k for k = 0..m
-    for _ in range(m):
-        u_pows.append(qmul(R, u_pows[-1], Un))
-        v_pows.append(qmul(R, v_pows[-1], Vn))
-    total = ZERO
-    for i in range(m // 2 + 1):
-        k = 2 * i + 1 if odd_side else 2 * i
-        c = math.comb(m, k)
-        if c == 0:
-            continue  # C(m, m+1) term: present in the formal sum, zero here
-        term = qmul(R, u_pows[k], v_pows[m - k])
-        total = qadd(total, qscale(c * params.D**i, term))
-    return qscale(1 << (m - 1), Xmn) == total
+    u_side, v_side = _sum_identity_sides(params, m, _ring_powers(params, Un, m), _ring_powers(params, Vn, m))
+    return qscale(1 << (m - 1), Xmn) == (u_side if odd_side else v_side)
 
 
 def alternate_params_pair(n: int, pairs: Sequence[LehmerPair]) -> LehmerPair:

@@ -72,7 +72,7 @@ class RankResult(NamedTuple):
 
 class Verdict(NamedTuple):
     classification: str  # "prime" | "composite"
-    method: str          # "llt-fermat" | "pepin" | "llt-mersenne" | "rank-certificate" | "trial-division"
+    method: str          # "llt-fermat" | "pepin" | "llt-mersenne" | "rank-certificate"
     witness: int | None = None
     proven: bool = True
 
@@ -192,30 +192,22 @@ def mersenne_llt(q: int) -> Verdict:
     return Verdict("composite", "llt-mersenne", witness=s)
 
 
-def trial_division(N: int, bound: int | None = None) -> int | None:
-    """Smallest prime factor of N that is <= bound, or None.
-
-    The default bound is isqrt(N), which decides primality.  None only means
-    no factor up to the bound; it is not a primality claim for other bounds.
-    """
+def trial_division(N: int) -> int | None:
+    """Smallest prime factor of a composite N, or None when N is prime."""
     if N < 2:
         raise ValueError(f"N must be >= 2, got {N}")
-    if bound is None:
-        bound = math.isqrt(N)
     for d in (2, 3):
-        if d > bound:
+        if d * d > N:
             return None
         if N % d == 0:
             return d
     d = 5
-    while d <= bound and d * d <= N:
+    while d * d <= N:
         if N % d == 0:
             return d
-        if N % (d + 2) == 0 and d + 2 <= bound:
+        if N % (d + 2) == 0:
             return d + 2
         d += 6
-    if d * d > N and N <= bound:
-        return N  # N itself is prime and within the bound
     return None
 
 
@@ -373,9 +365,14 @@ def lehmer_congruence_checks(params: LucasParams, p: int) -> CongruenceReport:
     """
     if p < 3 or p % 2 == 0 or not is_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
-    R, Q, D = params.R, params.Q, params.D
-    if (Q * R * D) % p == 0:
+    if (params.Q * params.R * params.D) % p == 0:
         raise ValueError(f"p = {p} divides QRD")
+    return _congruence_report(params, p)
+
+
+def _congruence_report(params: LucasParams, p: int) -> CongruenceReport:
+    """`lehmer_congruence_checks` for an odd prime p not dividing QRD, unchecked."""
+    R, Q, D = params.R, params.Q, params.D
     eps, sig, tau = jacobi(D, p), jacobi(R, p), jacobi(Q, p)
     se = sig * eps
     idx, half = p - se, (p - se) // 2

@@ -39,10 +39,9 @@ SQRT = QuadInt(0, 1)
 
 def fermat_form_exponent(n: int) -> int | None:
     """Return m if n == 2^m + 1 with m >= 1, else None."""
-    if n < 3:
+    if n < 3 or (n - 1) & (n - 2):  # n - 1 is not a power of two
         return None
-    m = (n - 1).bit_length() - 1
-    return m if (1 << m) + 1 == n else None
+    return (n - 1).bit_length() - 1
 
 
 def fermat_mod(x: int, m: int) -> int:

@@ -12,22 +12,24 @@ from typing import NamedTuple
 from .lucas import (
     ALTERNATE_PARAMS,
     STANDARD_PARAMS,
+    _ring_powers,
+    _sum_identity_sides,
     alternate_params_pair,
     iter_uv_exact,
     lehmer_pairs_exact,
     s_from_v,
-    sum_identity_holds,
     uv_mod,
 )
 from .primality import (
     FermatNumber,
+    _congruence_report,
     _u_zeros,
     appendix_residues,
     certify_via_rank,
-    lehmer_congruence_checks,
     rank_of_apparition,
     s_sequence,
 )
+from .quadratic import qscale
 
 
 class Check(NamedTuple):
@@ -81,13 +83,13 @@ def identities(m_max: int, n_max: int) -> list[Check]:
         bad = [n for n in range(201) if (2 * abs(params.Q) ** n) % math.gcd(pairs[n].u_bar, pairs[n].v_bar) != 0]
         checks.append(_check(f"gcd_divides_2Qn_{label}", not bad, f"n {bad[:5]}"))
 
+    powers = {n: [_ring_powers(STANDARD_PARAMS, x, m_max) for x in ring[n][1:]] for n in range(1, n_max + 1)}
     for m in range(2, m_max + 1):
         for n in range(1, n_max + 1):
-            _, Un, Vn = ring[n]
+            u_side, v_side = _sum_identity_sides(STANDARD_PARAMS, m, *powers[n])
             _, Umn, Vmn = ring[m * n]
-            for side, Xmn in (("u", Umn), ("v", Vmn)):
-                holds = sum_identity_holds(STANDARD_PARAMS, m, Un, Vn, Xmn, odd_side=side == "u")
-                checks.append(_check(f"sum_identity_{side}_m{m}_n{n}", holds))
+            checks.append(_check(f"sum_identity_u_m{m}_n{n}", qscale(1 << (m - 1), Umn) == u_side))
+            checks.append(_check(f"sum_identity_v_m{m}_n{n}", qscale(1 << (m - 1), Vmn) == v_side))
 
     # Odd-index subsequence of u_bar for (7, 1) obeys x_{j+1} = 5 x_j - x_{j-1}
     # (the step-two recurrence, since v_bar(2) = 5 and Q^2 = 1).
@@ -126,7 +128,7 @@ def congruences(p_max: int) -> list[Check]:
         for p in primes:
             if qrd % p == 0:
                 continue
-            report = lehmer_congruence_checks(params, p)
+            report = _congruence_report(params, p)  # sieved, so prime by construction
             failed = [c.name for c in report.checks if not c.passed]
             checks.append(_check(f"congruences_{label}_p{p}", not failed, ", ".join(failed)))
     return checks

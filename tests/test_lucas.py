@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -300,3 +301,17 @@ def test_uv_mod_agrees_with_stepping_small_moduli(N):
     for _ in range(64):
         pair = next(it)
         assert uv_mod(P7, pair.index, N) == pair
+
+
+# 2^m + 1 moduli (Fermat numbers, 2^10 + 1 = 5^2 * 41 and F_7) take the fold,
+# the rest plain `%`; all are coprime to the Q values below.
+NON_UNIT_Q_MODULI = [5, 17, 257, 65537, 1025, (1 << 128) + 1, 7, 31, 1001, 10**9 + 7, (1 << 61) - 1]
+
+
+@pytest.mark.parametrize("params", [LucasParams(7, 3), LucasParams(5, 2), LucasParams(11, -3)],
+                         ids=["R7_Q3", "R5_Q2", "R11_Q-3"])
+def test_uv_mod_agrees_with_stepping_for_non_unit_q(params):
+    # Q^k is a tracked residue here, not a sign; stepping never forms it.
+    for N in NON_UNIT_Q_MODULI:
+        for pair in itertools.islice(iter_pairs(params, N), 301):
+            assert uv_mod(params, pair.index, N) == pair, (N, pair.index)

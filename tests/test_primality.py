@@ -172,10 +172,10 @@ def test_mersenne_llt():
 def test_trial_division():
     assert trial_division(527) == 17
     assert trial_division(2047) == 23
-    assert trial_division(65537, bound=10**4) is None
+    assert trial_division(65537) is None
     assert trial_division(2) is None
     assert trial_division(91) == 7
-    assert trial_division(17, bound=100) == 17  # its own smallest prime factor
+    assert trial_division(289) == 17  # the square of a prime: d * d == N
     with pytest.raises(ValueError):
         trial_division(1)
 

@@ -26,18 +26,21 @@ def test_identity_table_matches_per_pair_checks():
 
 def test_corrupted_table_entry_fails_sum_identities(monkeypatch):
     exact = verify.iter_uv_exact
+    j = 6  # U_j or V_j of the 8 x 8 sum-identity table gets one more sqrt(R)
+    for side in "uv":
+        def corrupted(params, max_index, side=side):
+            for n, U, V in exact(params, max_index):
+                if max_index == 64 and n == j:
+                    U, V = (QuadInt(U.a, U.b + 1), V) if side == "u" else (U, QuadInt(V.a, V.b + 1))
+                yield n, U, V
 
-    def corrupted(params, max_index):
-        for n, U, V in exact(params, max_index):
-            if max_index == 64 and n == 6:  # the 8 x 8 sum-identity table
-                U = QuadInt(U.a, U.b + 1)
-            yield n, U, V
-
-    monkeypatch.setattr(verify, "iter_uv_exact", corrupted)
-    failed = {c.name for c in verify.identities(8, 8) if not c.passed}
-    # U_6 enters as U_{mn} at (2, 3) and as U_n at (2, 6); no other suite part reads it.
-    assert {"sum_identity_u_m2_n3", "sum_identity_u_m2_n6"} <= failed
-    assert all(name.startswith("sum_identity_") for name in failed)
+        monkeypatch.setattr(verify, "iter_uv_exact", corrupted)
+        failed = {c.name for c in verify.identities(8, 8) if not c.passed}
+        # It enters both sides as X_n at n = j, and its own side as X_{mn} at
+        # m*n = j; no other suite part reads it.
+        expected = {f"sum_identity_{s}_m{m}_n{j}" for m in range(2, 9) for s in "uv"}
+        expected |= {f"sum_identity_{side}_m{m}_n{j // m}" for m in range(2, 9) if j % m == 0}
+        assert failed == expected, side
 
 
 def test_perturbed_pair_fails_parity_structure(monkeypatch):
