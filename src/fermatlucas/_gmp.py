@@ -2,13 +2,14 @@
 
 GMP multiplies residues of a few thousand bits or more several times faster
 than CPython's Karatsuba.  The kernel runs on GMP's documented low-level
-`mpn` functions over arrays of 64-bit limbs, least significant first.  A
-chain step is one `mpn_sqr` and one fold: an `mpn_sub_n` (2^m + 1) or
-`mpn_add_n` (2^m - 1), after an `mpn_rshift` when 64 does not divide m.
-The fold is the shift-and-fold of `quadratic.fermat_mod` and
-`quadratic.mersenne_mod`, so no step divides, and the results are the same
-canonical residues.  Carries and borrows that stop in the low limb are
-settled in Python.
+`mpn` functions over arrays of 64-bit limbs, least significant first, for
+the two moduli the paper uses (`takes`).  A chain step is one `mpn_sqr`
+and one fold: an `mpn_sub_n` mod 2^m + 1 with 64 | m (every F_n it tests),
+or an `mpn_rshift` and an `mpn_add_n` mod 2^m - 1 with 64 not dividing m
+(the Mersenne oracle, m prime).  The fold is the shift-and-fold of
+`quadratic.fermat_mod` and `quadratic.mersenne_mod`, so no step divides,
+and the results are the same canonical residues.  Carries and borrows
+that stop in the low limb are settled in Python.
 
 Importing this module loads nothing: ctypes and libgmp are loaded by the
 first call to `load()`, and `native.native_kernel` calls it only for moduli
@@ -21,6 +22,11 @@ import functools
 
 LIMB_BITS = 64
 MAX_LIMB = (1 << LIMB_BITS) - 1
+
+
+def takes(m: int, sign: int) -> bool:
+    """Whether the kernel takes 2^m + sign: 2^m + 1 with 64 | m, or 2^m - 1 with 64 not dividing m."""
+    return m >= 1 and sign == (1 if m % LIMB_BITS == 0 else -1)
 
 
 @functools.cache
@@ -85,13 +91,12 @@ class GmpKernel:
 
         Returns the canonical residue `fermat_mod` (0..2^m) or `mersenne_mod`
         (0..N-1) returns; with steps <= 0, x itself, as the int loop does.
-        The caller keeps m within what libgmp can allocate.
+        ValueError unless `takes(m, sign)`; the caller keeps m within what
+        libgmp can allocate.
         """
-        if m < 1 or sign not in (1, -1):
-            raise ValueError(f"need m >= 1 and sign +-1, got m = {m}, sign = {sign}")
+        ring = _Ring(self, m, sign)
         if steps <= 0:
             return x
-        ring = _Ring(self, m, sign)
         N = ring.N
         c %= N
         if c > N >> 1:  # the fold takes c off the low limb, so keep it small either way
@@ -108,14 +113,15 @@ class GmpKernel:
         for odd k, 1 for even k; a 1 bit then halves (R*u + v, D*u + v),
         D = R - 4Q, by a shift.  R and D are held reduced mod N, so every
         product and sum stays inside the fold's bound, and one `mpn_mul`
-        multiplies by either whatever its size.  Returns canonical residues;
-        the caller keeps m within what libgmp can allocate.
+        multiplies by either whatever its size.  Returns canonical residues,
+        or ValueError unless `takes(m, 1)`; the caller keeps m within what
+        libgmp can allocate.
         """
-        if m < 1 or Q not in (1, -1) or n < 0:
-            raise ValueError(f"need m >= 1, Q = +-1 and n >= 0, got m = {m}, Q = {Q}, n = {n}")
+        ring = _Ring(self, m, 1)
+        if Q not in (1, -1) or n < 0:
+            raise ValueError(f"need Q = +-1 and n >= 0, got Q = {Q}, n = {n}")
         if n == 0:
             return 0, 2  # N >= 3
-        ring = _Ring(self, m, 1)
         N, ml, pl, top = ring.N, ring.ml, ring.pl, ring.top
         R, D = R % N, (R - 4 * Q) % N
         u, v, n_limbs = (ring.array(pl, value) for value in (1, 1, N))
@@ -134,10 +140,9 @@ class GmpKernel:
         fold_rv, fold_ru, fold_du = ring.folder(v, w, 2 * Q), ring.folder(u, w), ring.folder(v, y)
         mul_n, mul, add = self._mul_n, self._mul, self._add
         add_n, rshift = self._add_n, self._rshift
-        high = pl - 1
         k_odd = True
         for bit in bin(n)[3:]:
-            if top is not None and (u[top] or v[top]):  # 2^m = -1 is outside the limbs multiplied
+            if u[top] or v[top]:  # 2^m = -1 is outside the limbs multiplied
                 a, b = ring.get(u), ring.get(v)
                 ring.put(u, a * b % N)
                 ring.put(v, ((R * b * b - 2 * Q) if k_odd else (b * b - 2)) % N)
@@ -159,21 +164,20 @@ class GmpKernel:
                 fold_ru()
                 fold_du()
                 for x, px in ((u, pu), (v, pv)):  # x/2 mod N: x >> 1, or (x + N) >> 1 for odd x
-                    carry = add_n(px, px, pn, npl) if x[0] & 1 else 0
+                    if x[0] & 1:  # x + N <= 2^(m+1) + 1 fits in the pl = m/64 + 1 limbs
+                        add_n(px, px, pn, npl)
                     rshift(px, px, npl, one)
-                    if carry:  # x + N = 2^(64*pl), when m = 63 mod 64
-                        x[high] |= 1 << (LIMB_BITS - 1)
         return ring.get(u), ring.get(v)
 
 
 class _Ring:
-    """Residues mod N = 2^m + sign (sign = +-1) in arrays of 64-bit limbs.
+    """Residues mod N = 2^m + sign in arrays of 64-bit limbs, for the moduli `takes` names.
 
-    A residue array has `pl` limbs, and the operands of a product are its
-    low ml = ceil(m / 64) limbs.  Only 2^m + 1 with 64 | m has a residue
-    that does not fit in ml limbs, 2^m (-1): it is stored as one more limb,
-    index `top`, set to 1 and the rest 0, and the callers square or
-    multiply it on Python ints.  `top` is None for the other moduli.
+    A residue array has pl = m // 64 + 1 limbs, and the operands of a
+    product are its low ml = ceil(m / 64) limbs.  For 2^m + 1 that leaves
+    out one residue, 2^m (-1): it is stored in limb `top` = m/64, set to 1
+    and the rest 0, and the callers square or multiply it on Python ints.
+    `top` is None for 2^m - 1.
 
     `folder(dst, src, c)` builds a fold: dst <- (z - c) mod N for the value
     z of the whole array src (at least 2*ml limbs), which it overwrites; in
@@ -183,16 +187,13 @@ class _Ring:
     then z == lo - sign*hi, as 2^m == -sign.
       - 2^m + 1: hi <= N, and hi = N only with lo = 0, so lo - hi lies in
         [-N, 2^m), and adding N to a negative difference lands in [0, 2^m].
-        `mpn_sub_n` over ml limbs leaves W = lo - hi + 2^(64*ml) on a
-        borrow.  With 64 | m, hi >= 2^m sets limb 2m/64, which only the
-        top of the bound reaches; that rare z is folded on Python ints.
-        Below it hi < 2^m, so W = lo - hi + 2^m lies in [1, 2^m), and W + 1
-        is the residue.  Otherwise bits m and up of W are all ones, unless
-        hi = N (lo - hi = -N, residue 0), where bit m is clear: clearing
-        them leaves lo - hi + 2^m, and 1 more is again the residue.
+        hi >= 2^m sets limb 2m/64, which only the top of the bound
+        reaches; that rare z is folded on Python ints.  Below it hi < 2^m,
+        so on a borrow `mpn_sub_n` over the ml limbs leaves
+        W = lo - hi + 2^m in [1, 2^m), and W + 1 is the residue.
       - 2^m - 1: hi, lo < 2^m, so lo + hi <= 2^(m+1) - 2.  A carry into
-        bit m (out of the limbs when 64 | m) is 2^m == 1: take it off and
-        add 1.  That leaves at most 2^m - 1 = N, whose residue is 0.
+        bit m is 2^m == 1: take it off and add 1.  That leaves at most
+        2^m - 1 = N, whose residue is 0.
     The +1 and the -c go to the low limb together, which keeps the result
     canonical unless that limb carries or borrows (or, as the only limb,
     passes N - 1).  Then the fold finishes on Python ints: for |c| >= 2^64,
@@ -201,12 +202,14 @@ class _Ring:
     """
 
     def __init__(self, kernel: GmpKernel, m: int, sign: int):
+        if not takes(m, sign):
+            raise ValueError(f"libgmp does not take 2^m + sign for m = {m}, sign = {sign}")
         self.kernel, self.sign = kernel, sign
         self.N = (1 << m) + sign
         self.q, self.s = divmod(m, LIMB_BITS)
         self.ml = -(-m // LIMB_BITS)
-        self.pl = self.q + 1 if sign > 0 else self.ml
-        self.top = self.q if sign > 0 and not self.s else None
+        self.pl = self.q + 1
+        self.top = self.q if sign > 0 else None
         ctypes = kernel._ctypes
         self.size, self.limb = ctypes.c_long, ctypes.c_uint64
         self._void_p, self._uint = ctypes.c_void_p, ctypes.c_uint
@@ -247,41 +250,36 @@ class _Ring:
         """fold(steps=1): `steps` times, dst <- (z - c) mod N for the z in src.
 
         With `square`, each time first squares dst into src, so fold(k) is k
-        steps of a chain; for 2^m + 1 with 64 | m it then steps 2^m (-1) to
-        1 - c itself.  See the class docstring for the rest.
+        steps of a chain; for 2^m + 1 it then steps 2^m (-1) to 1 - c
+        itself.  See the class docstring for the rest.
         """
         kernel, q, s, ml, N, top = self.kernel, self.q, self.s, self.ml, self.N, self.top
         ptr, get, put = self.ptr, self.get, self.put
-        pd, pz, nml, mask = ptr(dst), ptr(src), self.size(ml), (1 << s) - 1
+        pd, pz, nml = ptr(dst), ptr(src), self.size(ml)
         sqr = kernel._sqr
         # The largest low limb a residue can have with its other limbs as they are.
         low_max = MAX_LIMB if ml > 1 else min(N - 1, MAX_LIMB)
-        if s:  # hi = src >> m, in the low ml limbs of its own array
-            rshift, shift, hi_limbs = kernel._rshift, self._uint(s), len(src) - q
-            ph, pzq, nzq = ptr(self.array(hi_limbs)), ptr(src, q), self.size(hi_limbs)
-        else:  # hi is the limbs of src from q up
-            ph = ptr(src, q)
 
         def slow(delta):  # the residue is dst's ml limbs + delta, up to a multiple of N
             put(dst, (get(dst, ml) + delta) % N)
 
-        if self.sign < 0:
-            add_n, n_low = kernel._add_n, N & MAX_LIMB
+        if self.sign < 0:  # hi = src >> m, in the low ml limbs of its own array
+            add_n, rshift, n_low = kernel._add_n, kernel._rshift, N & MAX_LIMB
+            shift, mask, hi_limbs = self._uint(s), (1 << s) - 1, len(src) - q
+            ph, pzq, nzq = ptr(self.array(hi_limbs)), ptr(src, q), self.size(hi_limbs)
 
             def fold(steps=1):
                 while steps:  # cheaper than range() for the ladder's single folds
                     steps -= 1
                     if square:
                         sqr(pz, pd, nml)
-                    if s:
-                        rshift(ph, pzq, nzq, shift)
-                        src[q] &= mask
-                    carry = add_n(pd, pz, ph, nml)
-                    if s:  # the carry is bit m
-                        t = dst[q]
-                        carry = t >> s
-                        if carry:
-                            dst[q] = t & mask
+                    rshift(ph, pzq, nzq, shift)
+                    src[q] &= mask
+                    add_n(pd, pz, ph, nml)  # lo + hi < 2^(m+1) carries out of no limb
+                    t = dst[q]
+                    carry = t >> s  # bit m
+                    if carry:
+                        dst[q] = t & mask
                     delta = carry - c
                     if delta:
                         low = dst[0] + delta
@@ -293,33 +291,8 @@ class _Ring:
                     if dst[0] == n_low and get(dst) == N:
                         put(dst, 0)
 
-        elif s:
-            sub_n, wrap = kernel._sub_n, 1 << (LIMB_BITS * ml)
-
-            def fold(steps=1):
-                while steps:
-                    steps -= 1
-                    if square:
-                        sqr(pz, pd, nml)
-                    rshift(ph, pzq, nzq, shift)
-                    src[q] &= mask
-                    delta = -c
-                    if sub_n(pd, pz, ph, nml):
-                        t = dst[q]
-                        if not t >> s & 1:  # lo - hi = -N
-                            slow(-wrap - c)
-                            continue
-                        dst[q] = t & mask
-                        delta += 1
-                    if delta:
-                        low = dst[0] + delta
-                        if 0 <= low <= low_max:
-                            dst[0] = low
-                        else:
-                            slow(delta)
-
-        else:
-            sub_n = kernel._sub_n
+        else:  # hi is the limbs of src from q up
+            sub_n, ph = kernel._sub_n, ptr(src, q)
             hi_top = 2 * q if len(src) > 2 * q else 0  # set only when hi >= 2^m
 
             def fold(steps=1):

@@ -171,8 +171,8 @@ def uv_mod(params: LucasParams, n: int, N: int) -> LehmerPair:
     doubling step is u(2k) = u(k)*v(k) and v(2k) = c*v(k)^2 - 2*Q^k with
     c = R for odd k, 1 for even k; the +1 step halves (R*u + v, D*u + v).
 
-    For N = 2^m + 1 and Q = +-1 the ladder runs on libgmp under the size rule
-    `square_chain` uses (`native.native_kernel(m)`, reported by
+    For N = 2^m + 1 and Q = +-1 the ladder runs on libgmp under the rule
+    `square_chain` uses (`native.native_kernel(m, 1)`, reported by
     `primality.chain_kernel`); every other modulus and Q, and every modulus
     when libgmp does not load, takes the int loop here, which is also the
     tests' oracle for the ladder.  Both return the same canonical residues.
@@ -185,7 +185,7 @@ def uv_mod(params: LucasParams, n: int, N: int) -> LehmerPair:
         raise ValueError(f"index must be >= 0, got {n}")
     R, Q, D = params.R, params.Q, params.D
     m = fermat_form_exponent(N)
-    native = native_kernel(m) if m is not None and abs(Q) == 1 else None
+    native = native_kernel(m, 1) if m is not None and abs(Q) == 1 else None
     if native is not None:
         return LehmerPair(n, *native.uv_ladder(R, Q, n, m))
     if n == 0:

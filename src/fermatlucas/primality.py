@@ -104,13 +104,13 @@ class CongruenceReport(NamedTuple):
         return all(c.passed for c in self.checks)
 
 
-def chain_kernel(bits: int) -> str:
-    """The kernel `square_chain` uses mod 2^bits +- 1: "gmp" (libgmp) or "int".
+def chain_kernel(bits: int, sign: int) -> str:
+    """The kernel `square_chain` uses mod 2^bits + sign: "gmp" (libgmp) or "int".
 
-    One size rule (`native.native_kernel`) serves the chains and `uv_mod`'s
-    fast doubling mod 2^bits + 1, so this names the kernel of both.
+    One rule (`native.native_kernel`) serves the chains and `uv_mod`'s fast
+    doubling mod 2^bits + 1, so this names the kernel of both.
     """
-    return "int" if native_kernel(bits) is None else "gmp"
+    return "int" if native_kernel(bits, sign) is None else "gmp"
 
 
 def square_chain(x: int, steps: int, c: int, m: int, sign: int) -> int:
@@ -118,12 +118,12 @@ def square_chain(x: int, steps: int, c: int, m: int, sign: int) -> int:
 
     The one loop behind every squaring-chain test here: the reduction is
     `fermat_mod` for sign = +1 and `mersenne_mod` for sign = -1, so no step
-    divides.  `chain_kernel(m)` picks libgmp or this module's int loop; both
-    return the same canonical residue.
+    divides.  `chain_kernel(m, sign)` picks libgmp or this module's int loop;
+    both return the same canonical residue.
     """
     if sign not in (1, -1):
         raise ValueError(f"sign must be +-1, got {sign}")
-    native = native_kernel(m)
+    native = native_kernel(m, sign)
     if native is not None:
         return native.square_chain(x, steps, c, m, sign)
     reduce = fermat_mod if sign > 0 else mersenne_mod

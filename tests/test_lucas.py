@@ -303,6 +303,17 @@ def test_uv_mod_agrees_with_stepping_small_moduli(N):
         assert uv_mod(P7, pair.index, N) == pair
 
 
+def test_uv_mod_fold_route_off_limb_boundaries():
+    # 2^4097 + 1 is of Fermat form but not limb-aligned, so libgmp leaves it
+    # to the int loop's fold; 3N is not of Fermat form and reduces by `%`.
+    N = (1 << 4097) + 1
+    rng = random.Random(4097)
+    for params in (P7, P3):
+        for n in [rng.getrandbits(256) | 1 | 1 << 255 for _ in range(3)] + [(1 << 256) - 1]:
+            pair, wide = uv_mod(params, n, N), uv_mod(params, n, 3 * N)
+            assert pair == (n, wide.u_bar % N, wide.v_bar % N), n
+
+
 # 2^m + 1 moduli (Fermat numbers, 2^10 + 1 = 5^2 * 41 and F_7) take the fold,
 # the rest plain `%`; all are coprime to the Q values below.
 NON_UNIT_Q_MODULI = [5, 17, 257, 65537, 1025, (1 << 128) + 1, 7, 31, 1001, 10**9 + 7, (1 << 61) - 1]

@@ -45,11 +45,38 @@ MERSENNE_PRIME_EXPONENTS = (3, 5, 7, 13, 17, 19, 31, 61, 89, 107, 127, 521, 607,
                             2203, 2281, 3217, 4253, 4423)
 
 
+def takes(m, sign):
+    """Whether libgmp takes 2^m + sign: 2^m + 1 with 64 | m, or 2^m - 1 with 64 not dividing m."""
+    return sign == (1 if m % 64 == 0 else -1)
+
+
 def int_chain(x, steps, c, m, sign):
     reduce = fermat_mod if sign > 0 else mersenne_mod
     for _ in range(steps):
         x = reduce(x * x - c, m)
     return x
+
+
+def pct_chain(x, steps, c, m, sign):
+    """The chain on plain `%`: the oracle for the moduli libgmp refuses."""
+    N = (1 << m) + sign
+    for _ in range(steps):
+        x = (x * x - c) % N
+    return x
+
+
+def chain_route(native, m, sign):
+    """(chain, oracle) mod 2^m + sign, both called as square_chain is.
+
+    Where libgmp takes the modulus, its chain against the int loop.  Where it
+    does not, the kernel must raise ValueError, and `square_chain`, which then
+    runs the int loop, is checked against plain `%`.
+    """
+    if takes(m, sign):
+        return native.square_chain, int_chain
+    with pytest.raises(ValueError):
+        native.square_chain(5, 1, 2, m, sign)
+    return square_chain, pct_chain
 
 
 def edge_starts(m, sign, rng):
@@ -61,14 +88,14 @@ def edge_starts(m, sign, rng):
 @needs_gmp
 @pytest.mark.parametrize("k", range(1, 14))
 def test_fermat_form_matches_int_kernel(k):
-    m = 1 << k
-    native = _gmp.load()
+    m = 1 << k  # libgmp takes it from k = 6 on, where 64 | m
+    chain, oracle = chain_route(_gmp.load(), m, 1)
     rng = random.Random(k)
     for c in (0, 2):
         for x in edge_starts(m, 1, rng):
-            assert native.square_chain(x, 12, c, m, 1) == int_chain(x, 12, c, m, 1)
+            assert chain(x, 12, c, m, 1) == oracle(x, 12, c, m, 1)
     # The whole seed-5 chain, whose final residue decides F_k.
-    assert native.square_chain(5, m - 2, 2, m, 1) == int_chain(5, m - 2, 2, m, 1)
+    assert chain(5, m - 2, 2, m, 1) == oracle(5, m - 2, 2, m, 1)
 
 
 @needs_gmp
@@ -91,9 +118,10 @@ def test_no_steps_returns_the_start_unreduced():
     for x in (-7, 0, (1 << 64) + 5):
         for steps in (0, -1):
             assert native.square_chain(x, steps, 2, 64, 1) == x == int_chain(x, steps, 2, 64, 1)
-    for m, sign in ((0, 1), (64, 0), (64, 2)):
-        with pytest.raises(ValueError):
-            native.square_chain(5, 1, 2, m, sign)
+    for m, sign in ((0, 1), (64, 0), (64, 2), (65, 1), (64, -1)):
+        for steps in (1, 0):
+            with pytest.raises(ValueError):
+                native.square_chain(5, steps, 2, m, sign)
 
 
 @needs_gmp
@@ -105,14 +133,19 @@ def test_property_random_x_and_m():
 
     @settings(deadline=None, max_examples=200)
     @given(
-        m=st.integers(1, 5000),
+        # Aligned m as often as any other, so both signs meet both shapes.
+        m=st.integers(1, 5000) | st.integers(1, 78).map(lambda k: 64 * k),
         sign=st.sampled_from((1, -1)),
         x=st.integers(-300, 300) | st.integers(-(1 << 10000), 1 << 10000),
         c=st.sampled_from((0, 2)) | st.integers(-(1 << 5100), 1 << 5100),
         steps=st.integers(0, 4),
     )
     def check(m, sign, x, c, steps):
-        assert native.square_chain(x, steps, c, m, sign) == int_chain(x, steps, c, m, sign)
+        if takes(m, sign):
+            assert native.square_chain(x, steps, c, m, sign) == int_chain(x, steps, c, m, sign)
+        else:
+            with pytest.raises(ValueError):
+                native.square_chain(x, steps, c, m, sign)
 
     check()
 
@@ -126,7 +159,9 @@ def folded(native, m, sign, z, c=0):
     return ring.get(dst)
 
 
-EDGE_M = (1, 2, 3, 5, 63, 64, 65, 127, 128, 4096, 4097)
+# libgmp takes 2^m + 1 at m = 64, 128, 192 and 4096 (one, two, three and 64
+# limbs), and 2^m - 1 at the others: in one limb and across a partial top limb.
+EDGE_M = (1, 2, 3, 5, 63, 64, 65, 127, 128, 192, 4096, 4097)
 
 
 @needs_gmp
@@ -134,6 +169,10 @@ EDGE_M = (1, 2, 3, 5, 63, 64, 65, 127, 128, 4096, 4097)
 def test_fold_on_edge_operands(sign):
     native = _gmp.load()
     for m in EDGE_M:
+        if not takes(m, sign):  # `test_quadratic` checks the int folds on these
+            with pytest.raises(ValueError):
+                _gmp._Ring(native, m, sign)
+            continue
         N = (1 << m) + sign
         # Products and R*u + v sums of 0, 1 and N - 1 (2^m = -1 for 2^m + 1);
         # for 2^m + 1, (N - 1)*(N - 1) + (N - 1) = 2^m * N tops the fold's bound.
@@ -157,21 +196,22 @@ def test_fold_on_edge_operands(sign):
 @needs_gmp
 @pytest.mark.parametrize("m", EDGE_M)
 def test_chain_on_limb_edges(m):
-    # 64 | m squares ml = m/64 limbs and keeps 2^m (-1 mod 2^m + 1) in a
-    # limb of its own; the other m shift hi out of a partial top limb.
+    # 2^m + 1 squares ml = m/64 limbs and keeps 2^m (-1) in a limb of its
+    # own; 2^m - 1 shifts hi out of a partial top limb.
     native = _gmp.load()
     rng = random.Random(m)
     for sign in (1, -1):
+        chain, oracle = chain_route(native, m, sign)
         N = (1 << m) + sign
         for x in edge_starts(m, sign, rng):
             for c in (0, 2, 3, -1, (1 << 64) + 5, N - 2):
-                assert native.square_chain(x, 6, c, m, sign) == int_chain(x, 6, c, m, sign), (x, c)
+                assert chain(x, 6, c, m, sign) == oracle(x, 6, c, m, sign), (x, c)
 
 
 @needs_gmp
 @pytest.mark.parametrize("m", (64, 128, 4096, 65, 4097))
 def test_fermat_chain_enters_and_leaves_minus_one(m):
-    native = _gmp.load()
+    chain, oracle = chain_route(_gmp.load(), m, 1)
     N = (1 << m) + 1
     # 3 with c = 10 steps to 2^m = -1 and on to -9.  For even m, 2^(m/2)
     # squares to -1, which squares to 1; for 4 | m, the square root of 2
@@ -183,21 +223,18 @@ def test_fermat_chain_enters_and_leaves_minus_one(m):
     if m % 4 == 0:
         starts.append(((1 << (3 * m // 4)) - (1 << (m // 4)), 3))
     for x, c in starts:
-        chain = [x]
+        residues = [x]
         for steps in range(1, 5):
-            chain.append(native.square_chain(x, steps, c, m, 1))
-            assert chain[-1] == int_chain(x, steps, c, m, 1), (x, c, steps)
+            residues.append(chain(x, steps, c, m, 1))
+            assert residues[-1] == oracle(x, steps, c, m, 1), (x, c, steps)
         if c != 2 and x:
-            assert (N - 1) in chain[1:-1] and chain[-1] != N - 1
-    # Pepin on the primes F_1..F_4 ends exactly at 2^m.
-    for n in (1, 2, 3, 4):
-        assert native.square_chain(3, (1 << n) - 1, 0, 1 << n, 1) == 1 << (1 << n)
+            assert (N - 1) in residues[1:-1] and residues[-1] != N - 1
 
 
 @needs_gmp
 @pytest.mark.parametrize("m", EDGE_M)
 def test_ladder_on_limb_edges(m, monkeypatch):
-    native = _gmp.load()
+    ladder, oracle = ladder_route(_gmp.load(), m)
     monkeypatch.setattr(_gmp, "load", lambda: None)
     N = (1 << m) + 1
     rng = random.Random(m)
@@ -206,8 +243,7 @@ def test_ladder_on_limb_edges(m, monkeypatch):
                      if not is_perfect_square(k * N - 1) and k * N - 1 != 4 * q)
     for params in (STANDARD_PARAMS, ALTERNATE_PARAMS, minus_one, LucasParams((1 << 64) + 13, -1)):
         for n in ladder_indices(m, rng)[:7] + [(1 << 70) - 1, N - 2]:
-            pair = uv_mod(params, n, N)
-            assert native.uv_ladder(params.R, params.Q, n, m) == (pair.u_bar, pair.v_bar), n
+            assert ladder(params, n) == oracle(params, n), n
 
 
 def counting(native):
@@ -263,6 +299,31 @@ def test_loader_refuses_32_bit_limbs(monkeypatch):
     assert isinstance(_gmp.load.__wrapped__(), _gmp.GmpKernel)
 
 
+def ladder_route(native, m):
+    """(ladder, oracle) mod N = 2^m + 1, both called with (params, n) for (u_bar, v_bar).
+
+    As `chain_route`: where libgmp takes N, its ladder against `uv_mod`'s int
+    loop (the caller hides libgmp from `uv_mod`).  Where it does not, the
+    kernel must raise ValueError, and `uv_mod`, whose int loop folds mod N,
+    is checked against `uv_mod` mod 3N, which reduces by plain `%`.
+    """
+    N = (1 << m) + 1
+
+    def int_loop(params, n):
+        pair = uv_mod(params, n, N)
+        return pair.u_bar, pair.v_bar
+
+    def wide(params, n):
+        pair = uv_mod(params, n, 3 * N)
+        return pair.u_bar % N, pair.v_bar % N
+
+    if takes(m, 1):
+        return (lambda params, n: native.uv_ladder(params.R, params.Q, n, m)), int_loop
+    with pytest.raises(ValueError):
+        native.uv_ladder(7, 1, 5, m)
+    return int_loop, wide
+
+
 def ladder_indices(m, rng):
     """0, 1, 2, N - 1, N, N + 1, all-ones and random odd indices (halving bits).
 
@@ -280,37 +341,34 @@ def ladder_indices(m, rng):
 @needs_gmp
 @pytest.mark.parametrize("k", range(1, 14))
 def test_ladder_matches_int_uv_mod(k, monkeypatch):
-    m = 1 << k
-    N = (1 << m) + 1
-    native = _gmp.load()
+    m = 1 << k  # libgmp takes 2^m + 1 from k = 6 on, where 64 | m
+    ladder, oracle = ladder_route(_gmp.load(), m)
     monkeypatch.setattr(_gmp, "load", lambda: None)  # uv_mod below takes its int loop
     rng = random.Random(k)
     for params in (STANDARD_PARAMS, ALTERNATE_PARAMS):
         for n in ladder_indices(m, rng):
-            pair = uv_mod(params, n, N)
-            assert native.uv_ladder(params.R, params.Q, n, m) == (pair.u_bar, pair.v_bar), n
+            assert ladder(params, n) == oracle(params, n), n
 
 
 @needs_gmp
 def test_ladder_reduces_large_r_and_negative_d(monkeypatch):
-    native = _gmp.load()
+    routes = {m: ladder_route(_gmp.load(), m) for m in (1, 2, 3, 5, 64, 100, 1000, 1024)}
     monkeypatch.setattr(_gmp, "load", lambda: None)
     rng = random.Random(64)
     # R >= 2^64 would be cut to its low limb by a c_ulong argument; D = -1
     # for (3, 1).  m = 2 with unreduced R = 7 broke a one-correction fold.
     for params in (LucasParams(3, 1), LucasParams((1 << 64) + 13, 1),
                    LucasParams((1 << 64) + 13, -1), LucasParams(7, 1), LucasParams(5, -1)):
-        for m in (1, 2, 3, 5, 64, 100, 1000):
-            N = (1 << m) + 1
+        for m, (ladder, oracle) in routes.items():
             for n in ladder_indices(m, rng) + [rng.getrandbits(200) | 1]:
-                pair = uv_mod(params, n, N)
-                assert native.uv_ladder(params.R, params.Q, n, m) == (pair.u_bar, pair.v_bar)
+                assert ladder(params, n) == oracle(params, n), (m, n)
 
 
 @needs_gmp
 def test_ladder_rejects_what_it_cannot_compute():
     native = _gmp.load()
-    for R, Q, n, m in ((7, 2, 5, 64), (7, 0, 5, 64), (7, 1, -1, 64), (7, 1, 5, 0)):
+    for R, Q, n, m in ((7, 2, 5, 64), (7, 0, 5, 64), (7, 1, -1, 64), (7, 1, 5, 0), (7, 1, 5, 65),
+                       (7, 1, 0, 4097)):
         with pytest.raises(ValueError):
             native.uv_ladder(R, Q, n, m)
 
@@ -320,9 +378,9 @@ def test_failed_loader_gives_the_same_verdicts(monkeypatch):
     F12 = (1 << 4096) + 1
     with_gmp = (fermat_llt(12), pepin(12), mersenne_llt(4253),
                 uv_mod(STANDARD_PARAMS, (1 << 4095) - 1, F12))
-    assert chain_kernel(1 << 12) == "gmp"
+    assert chain_kernel(1 << 12, 1) == "gmp"
     monkeypatch.setattr(_gmp, "load", lambda: None)
-    assert chain_kernel(1 << 12) == "int"
+    assert chain_kernel(1 << 12, 1) == "int"
     assert (fermat_llt(12), pepin(12), mersenne_llt(4253),
             uv_mod(STANDARD_PARAMS, (1 << 4095) - 1, F12)) == with_gmp
     assert with_gmp[0].witness is not None and with_gmp[2].classification == "prime"
@@ -358,19 +416,27 @@ class RecordingKernel:
 def test_dispatch_by_modulus_size(monkeypatch):
     kernel = RecordingKernel()
     monkeypatch.setattr(_gmp, "load", lambda: kernel)
-    assert chain_kernel(GMP_MIN_BITS - 1) == "int"
-    assert chain_kernel(GMP_MIN_BITS) == chain_kernel(GMP_MAX_BITS) == "gmp"
-    assert chain_kernel(GMP_MAX_BITS + 1) == "int"
+    # Both bounds are multiples of 64: libgmp takes 2^m + 1 there and
+    # 2^m - 1 one bit inside them.
+    assert chain_kernel(GMP_MIN_BITS, 1) == chain_kernel(GMP_MAX_BITS, 1) == "gmp"
+    assert chain_kernel(GMP_MIN_BITS + 1, -1) == chain_kernel(GMP_MAX_BITS - 1, -1) == "gmp"
+    assert chain_kernel(GMP_MIN_BITS - 1, -1) == chain_kernel(GMP_MAX_BITS + 1, -1) == "int"
+    assert chain_kernel(GMP_MIN_BITS - 64, 1) == chain_kernel(GMP_MAX_BITS + 64, 1) == "int"
+    # The other shapes inside the bounds.
+    assert chain_kernel(GMP_MIN_BITS + 1, 1) == chain_kernel(GMP_MIN_BITS, -1) == "int"
+    assert chain_kernel(GMP_MAX_BITS - 1, 1) == chain_kernel(GMP_MAX_BITS, -1) == "int"
 
-    below = GMP_MIN_BITS - 1
+    below, unaligned = GMP_MIN_BITS - 1, GMP_MIN_BITS + 1
     assert square_chain(5, 3, 2, below, 1) == int_chain(5, 3, 2, below, 1)
     assert square_chain(4, 3, 2, below, -1) == int_chain(4, 3, 2, below, -1)
     assert square_chain(5, 1, 2, GMP_MAX_BITS + 1, 1) == 23
+    assert square_chain(5, 3, 2, unaligned, 1) == int_chain(5, 3, 2, unaligned, 1)
+    assert square_chain(4, 3, 2, GMP_MIN_BITS, -1) == int_chain(4, 3, 2, GMP_MIN_BITS, -1)
     assert kernel.calls == []
 
     assert square_chain(5, 3, 2, GMP_MIN_BITS, 1) == -1
-    assert square_chain(4, 3, 2, GMP_MAX_BITS, -1) == -1
-    assert kernel.calls == [(GMP_MIN_BITS, 1), (GMP_MAX_BITS, -1)]
+    assert square_chain(4, 3, 2, GMP_MAX_BITS - 1, -1) == -1
+    assert kernel.calls == [(GMP_MIN_BITS, 1), (GMP_MAX_BITS - 1, -1)]
 
     # Only 2^m + 1 and 2^m - 1 are chain moduli, on either kernel.
     for m in (below, GMP_MIN_BITS):
@@ -379,7 +445,7 @@ def test_dispatch_by_modulus_size(monkeypatch):
     assert len(kernel.calls) == 2
 
     monkeypatch.setattr(_gmp, "load", lambda: None)
-    assert chain_kernel(GMP_MIN_BITS) == "int"
+    assert chain_kernel(GMP_MIN_BITS, 1) == chain_kernel(GMP_MIN_BITS + 1, -1) == "int"
 
 
 def test_uv_mod_dispatch_by_modulus_form_size_and_q(monkeypatch):
@@ -396,6 +462,7 @@ def test_uv_mod_dispatch_by_modulus_form_size_and_q(monkeypatch):
     int_route = [
         (STANDARD_PARAMS, (1 << (GMP_MIN_BITS - 1)) + 1),   # below the lower bound
         (ALTERNATE_PARAMS, (1 << (GMP_MAX_BITS + 1)) + 1),  # above the upper bound
+        (STANDARD_PARAMS, (1 << (GMP_MIN_BITS + 1)) + 1),   # 2^m + 1 with 64 not dividing m
         (STANDARD_PARAMS, (1 << GMP_MIN_BITS) - 1),         # not 2^m + 1
         (STANDARD_PARAMS, fermat + 2),
         (LucasParams(7, 3), fermat),                        # |Q| != 1

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -122,6 +123,22 @@ def test_mersenne_mod_matches_division():
         for _ in range(300):
             x = rng.getrandbits(2 * q + 6)
             assert mersenne_mod(x, q) == x % M
+
+
+@pytest.mark.parametrize("m, sign", [(63, 1), (65, 1), (127, 1), (4097, 1), (64, -1), (128, -1), (4096, -1)])
+def test_folds_on_the_moduli_libgmp_leaves_to_ints(m, sign):
+    # libgmp takes only 2^m + 1 with 64 | m and 2^m - 1 with 64 not dividing
+    # m, so these moduli run on the int folds at every size.
+    reduce = fermat_mod if sign > 0 else mersenne_mod
+    N = (1 << m) + sign
+    # Products and sums of 0, 1 and N - 1, as a chain step or a doubling forms them.
+    for a, b, c in itertools.product((0, 1, N - 1), (0, 1, N - 1), (0, 1, 2, N - 1, -1, -2, 1 - N)):
+        assert reduce(a * b + c, m) == (a * b + c) % N, (a, b, c)
+    # The values around 2^m, the top of a product of residues, and below 0.
+    top = N << m if sign > 0 else (1 << 2 * m) - 1
+    for z in (N, (1 << m) - 1, 1 << m, (1 << m) + 1, (N << m) - 1, N << m, top, N * N, -1, -N,
+              -(N * N) - 3):
+        assert reduce(z, m) == z % N, z
 
 
 def test_balanced_residue():
