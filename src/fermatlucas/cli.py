@@ -89,13 +89,14 @@ def _resolve_modulus(args) -> int | None:
     return args.modulus
 
 
-def _table_indices(args) -> list[int]:
+def _table_indices(args) -> range | list[int]:
+    """The sorted, distinct row indices; --max stays a range, so nothing is built before the cap check."""
     if (args.max is None) == (args.indices is None):
         raise ValueError("give exactly one of --max / --indices")
     if args.max is not None:
         if args.max < 0:
             raise ValueError("--max must be >= 0")
-        return list(range(args.max + 1))
+        return range(args.max + 1)
     if any(i < 0 for i in args.indices):
         raise ValueError("indices must be >= 0")
     return sorted(set(args.indices))
@@ -115,12 +116,11 @@ def _cmd_table(args) -> tuple[dict, dict, int, Renderer]:
     if args.which == "uv-exact":
         if modulus is not None:
             raise ValueError("uv-exact takes no modulus")
-        wanted = set(indices)
+        pairs = lehmer_pairs_exact(params, indices[-1])  # checks the cap first
         rows = [
             {"i": p.index, "u": p.u_bar, "u_radical": p.index % 2 == 0,
              "v": p.v_bar, "v_radical": p.index % 2 == 1}
-            for p in lehmer_pairs_exact(params, indices[-1])
-            if p.index in wanted
+            for p in (pairs[i] for i in indices)
         ]
         render = partial(_render_exact_table, params, rows)
     else:
@@ -129,7 +129,8 @@ def _cmd_table(args) -> tuple[dict, dict, int, Renderer]:
         rows = [
             {"i": p.index, "u": p.u_bar, "u_balanced": balanced_residue(p.u_bar, modulus),
              "v": p.v_bar, "v_balanced": balanced_residue(p.v_bar, modulus)}
-            for p in (uv_mod(params, i, modulus) for i in indices)
+            # list(): an index count that cannot fit fails at once with MemoryError.
+            for p in (uv_mod(params, i, modulus) for i in list(indices))
         ]
         render = partial(_render_mod_table, params, modulus, rows)
     return inputs, {"rows": rows}, 0, render
@@ -180,13 +181,6 @@ _SUITES = {
 }
 
 
-def _check_record(check: verify.Check) -> dict:
-    entry = {"name": check.name, "pass": check.passed}
-    if check.detail is not None:
-        entry["detail"] = check.detail
-    return entry
-
-
 def _check_line(check: verify.Check) -> str:
     detail = f"  ({check.detail})" if check.detail is not None else ""
     return f"{'ok  ' if check.passed else 'FAIL'} {check.name}{detail}"
@@ -196,11 +190,15 @@ def _cmd_verify(args) -> tuple[dict, dict, int, Renderer]:
     checks = _SUITES[args.suite](args)
     if not checks:
         raise ValueError(f"suite {args.suite!r} ran zero checks with these bounds")
-    passed = sum(1 for c in checks if c.passed)
+    records, passed = [], 0
+    for name, ok, detail in checks:
+        record = {"name": name, "pass": ok}
+        records.append(record if detail is None else {**record, "detail": detail})
+        passed += ok
     failed = len(checks) - passed
     keys = ("m_max", "n_max", "p_max", "n", "sweep_max", "cap", "max_n")
     inputs = {"suite": args.suite, **{key: getattr(args, key) for key in keys}}
-    result = {"checks": [_check_record(c) for c in checks], "passed": passed, "failed": failed}
+    result = {"checks": records, "passed": passed, "failed": failed}
     summary = f"{passed} passed, {failed} failed"
     return inputs, result, (0 if failed == 0 else 1), lambda: [*map(_check_line, checks), summary]
 

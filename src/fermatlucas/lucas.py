@@ -183,14 +183,21 @@ def uv_mod(params: LucasParams, n: int, N: int) -> LehmerPair:
         raise ValueError(f"modulus {N} shares a factor with Q = {params.Q}")
     if n < 0:
         raise ValueError(f"index must be >= 0, got {n}")
-    R, Q, D = params.R, params.Q, params.D
     m = fermat_form_exponent(N)
-    native = native_kernel(m, 1) if m is not None and abs(Q) == 1 else None
+    native = native_kernel(m, 1) if m is not None and abs(params.Q) == 1 else None
     if native is not None:
-        return LehmerPair(n, *native.uv_ladder(R, Q, n, m))
+        return LehmerPair(n, *native.uv_ladder(params.R, params.Q, n, m))
+    return LehmerPair(n, *_uv_ladder(params, n, N, N if m is None else _FermatFold(m)))
+
+
+def _uv_ladder(params: LucasParams, n: int, N: int, M: int | _FermatFold) -> tuple[int, int]:
+    """`uv_mod`'s int loop, unchecked: (u_bar(n), v_bar(n)) mod odd N coprime to Q.
+
+    `x % M` reduces mod N: M is N (one C-level `%`) or `_FermatFold(m)` for N = 2^m + 1.
+    """
     if n == 0:
-        return LehmerPair(0, 0, 2)
-    M = N if m is None else _FermatFold(m)  # `x % M`: one C-level `%`, or the fold
+        return 0, 2
+    R, Q, D = params.R, params.Q, params.D
     u, v, qk, k_odd = 1, 1, Q, True  # the pair, Q^k and k's parity at k = 1
     for bit in bin(n)[3:]:
         u, v = u * v % M, ((R * v * v if k_odd else v * v) - 2 * qk) % M
@@ -200,7 +207,7 @@ def uv_mod(params: LucasParams, n: int, N: int) -> LehmerPair:
             u = (u + N if u & 1 else u) >> 1
             v = (v + N if v & 1 else v) >> 1
             qk, k_odd = qk * Q, True  # reduced with the next square; +-1 stays +-1
-    return LehmerPair(n, u, v)
+    return u, v
 
 
 def s_from_v(params: LucasParams, k: int, N: int) -> int:

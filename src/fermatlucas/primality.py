@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .lucas import LucasParams, uv_mod
+from .lucas import LucasParams, _uv_ladder, uv_mod
 from .native import GMP_MAX_BITS, GMP_MIN_BITS, native_kernel  # noqa: F401 (the bounds are re-exported)
 from .quadratic import fermat_mod, mersenne_mod
 from .symbols import jacobi
@@ -226,7 +226,7 @@ MR_EXACT_BOUND = 3317044064679887385961981
 
 
 def _factor_is_prime(q: int) -> bool:
-    """Exact primality of a certificate factor without long trial division.
+    """Exact primality of a certificate factor or a congruence prime, without long trial division.
 
     Trial division below 2^32; deterministic Miller-Rabin on MR_BASES up to
     MR_EXACT_BOUND; a ValueError above, where no test here is proven exact.
@@ -234,7 +234,7 @@ def _factor_is_prime(q: int) -> bool:
     if q < 1 << 32:
         return is_prime(q)
     if q >= MR_EXACT_BOUND:
-        raise ValueError(f"factor {q} is not below {MR_EXACT_BOUND}; its primality cannot be proven here")
+        raise ValueError(f"{q} is not below {MR_EXACT_BOUND}; its primality cannot be proven here")
     s = ((q - 1) & (1 - q)).bit_length() - 1  # q - 1 = d * 2^s, d odd
     d = (q - 1) >> s
     for a in MR_BASES:
@@ -355,7 +355,7 @@ def lehmer_congruence_checks(params: LucasParams, p: int) -> CongruenceReport:
       4. v_bar(p-se) == 2*s*Q^((1-se)/2)  (mod p)   (the index p-se is even)
       5. p divides v_bar((p-se)/2) when s = -t, u_bar((p-se)/2) when s = t
 
-    One `uv_mod` walk to h = (p-se)/2 serves all three indices.  From the pair
+    One ladder walk to h = (p-se)/2 serves all three indices.  From the pair
     (u, v) at h, a doubling step gives u' = u*v and v' = c*v^2 - 2*Q^h at the
     even index 2h = p-se, with c = R for odd h and 1 for even h.  One more step
     gives p: for se = +1 it is `uv_mod`'s +1 step, ((R*u' + v')/2,
@@ -363,20 +363,25 @@ def lehmer_congruence_checks(params: LucasParams, p: int) -> CongruenceReport:
     2Q*V_{k-1} = P*V_k - D*U_k give ((R*u' - v')/(2Q), (v' - D*u')/(2Q)).
     2Q is a unit mod p, as p is odd and does not divide Q.
     """
-    if p < 3 or p % 2 == 0 or not is_prime(p):
+    if p < 3 or p % 2 == 0 or not _factor_is_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
     if (params.Q * params.R * params.D) % p == 0:
         raise ValueError(f"p = {p} divides QRD")
-    return _congruence_report(params, p)
+    eps, sig, tau, rows = _congruence_rows(params, p)
+    return CongruenceReport(p, params, eps, sig, tau, tuple(map(ResidueCheck._make, rows)))
 
 
-def _congruence_report(params: LucasParams, p: int) -> CongruenceReport:
-    """`lehmer_congruence_checks` for an odd prime p not dividing QRD, unchecked."""
+def _congruence_rows(params: LucasParams, p: int) -> tuple[int, int, int, tuple[tuple, ...]]:
+    """(eps, sig, tau, rows) of `lehmer_congruence_checks` at an odd prime p not dividing QRD, unchecked.
+
+    Each row is a plain `ResidueCheck` tuple (name, index, expected % p,
+    actual, passed); this is the one place each congruence is decided.
+    """
     R, Q, D = params.R, params.Q, params.D
     eps, sig, tau = jacobi(D, p), jacobi(R, p), jacobi(Q, p)
     se = sig * eps
     idx, half = p - se, (p - se) // 2
-    _, u, v = uv_mod(params, half, p)
+    u, v = _uv_ladder(params, half, p, p)
     u_idx = u * v % p
     v_idx = ((R if half % 2 else 1) * v * v - 2 * pow(Q, half, p)) % p
     if se == 1:
@@ -385,16 +390,14 @@ def _congruence_report(params: LucasParams, p: int) -> CongruenceReport:
         u_p, v_p, inv = R * u_idx - v_idx, v_idx - D * u_idx, pow(2 * Q, -1, p)
     u_p, v_p = u_p * inv % p, v_p * inv % p
     v_expected = 2 * sig * Q ** ((1 - se) // 2)
-
-    checks = [
-        ResidueCheck("u_at_p", p, eps % p, u_p, (u_p - eps) % p == 0),
-        ResidueCheck("v_at_p", p, sig % p, v_p, (v_p - sig) % p == 0),
-        ResidueCheck("u_vanishes", idx, 0, u_idx, u_idx == 0),
-        ResidueCheck("v_at_even_index", idx, v_expected % p, v_idx, (v_idx - v_expected) % p == 0),
-    ]
     name, x = ("v_vanishes_at_half", v) if sig == -tau else ("u_vanishes_at_half", u)
-    checks.append(ResidueCheck(name, half, 0, x, x == 0))
-    return CongruenceReport(p, params, eps, sig, tau, tuple(checks))
+    return eps, sig, tau, (
+        ("u_at_p", p, eps % p, u_p, (u_p - eps) % p == 0),
+        ("v_at_p", p, sig % p, v_p, (v_p - sig) % p == 0),
+        ("u_vanishes", idx, 0, u_idx, u_idx == 0),
+        ("v_at_even_index", idx, v_expected % p, v_idx, (v_idx - v_expected) % p == 0),
+        (name, half, 0, x, x == 0),
+    )
 
 
 # Observed residue pattern at the nine indices flanking F_n (offsets -5..+3),

@@ -22,7 +22,7 @@ from .lucas import (
 )
 from .primality import (
     FermatNumber,
-    _congruence_report,
+    _congruence_rows,
     _u_zeros,
     appendix_residues,
     certify_via_rank,
@@ -128,8 +128,8 @@ def congruences(p_max: int) -> list[Check]:
         for p in primes:
             if qrd % p == 0:
                 continue
-            report = _congruence_report(params, p)  # sieved, so prime by construction
-            failed = [c.name for c in report.checks if not c.passed]
+            rows = _congruence_rows(params, p)[3]  # sieved, so prime by construction
+            failed = [name for name, _, _, _, passed in rows if not passed]
             checks.append(_check(f"congruences_{label}_p{p}", not failed, ", ".join(failed)))
     return checks
 

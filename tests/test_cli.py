@@ -291,6 +291,16 @@ def test_oversized_identity_bounds_exit_2():
     assert "capped at index 10000" in proc.stderr
 
 
+@pytest.mark.parametrize("max_index", [20000000, 10**15])
+def test_oversized_exact_table_exits_2_with_the_cap(max_index):
+    # The index range is never materialized: the cap is checked first, so
+    # neither the time nor the 2 GB limit is reached.
+    proc = run_cli_limited("table", "uv-exact", "--max", str(max_index), timeout=10)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert f"capped at index 10000, got {max_index}" in proc.stderr
+
+
 def test_memory_error_exits_2(monkeypatch, capsys):
     # Exit 1 means "composite"; running out of memory must never read as that.
     from fermatlucas import cli

@@ -359,6 +359,18 @@ def test_congruence_sweep_small(params):
         assert report.ok, (p, [c for c in report.checks if not c.passed])
 
 
+def test_congruence_checks_at_large_p():
+    # Miller-Rabin, not trial division to sqrt(p) ~ 1.5e9, decides that p is prime.
+    t0 = time.perf_counter()
+    assert lehmer_congruence_checks(P7, 2**61 - 1).ok
+    assert time.perf_counter() - t0 < 1.0
+    # 2^61 + 1 = 3 * 768614336404564651; the second is a strong pseudoprime
+    # to the bases 2..23 (see the certificate test above).
+    for p in (2**61 + 1, 3825123056546413051):
+        with pytest.raises(ValueError, match="p must be an odd prime"):
+            lehmer_congruence_checks(P7, p)
+
+
 def three_walk_report(params, p):
     """The congruence report from three `uv_mod` walks, at p, p - se and (p - se)/2."""
     eps, sig, tau = jacobi(params.D, p), jacobi(params.R, p), jacobi(params.Q, p)

@@ -1,7 +1,7 @@
-from fermatlucas import verify
+from fermatlucas import primality, verify
+from fermatlucas.lucas import ALTERNATE_PARAMS, LehmerPair, iter_uv_exact, sum_identity_holds
 from fermatlucas.lucas import STANDARD_PARAMS as P7
-from fermatlucas.lucas import LehmerPair, iter_uv_exact, sum_identity_holds
-from fermatlucas.primality import is_prime, rank_of_apparition
+from fermatlucas.primality import is_prime, lehmer_congruence_checks, rank_of_apparition
 from fermatlucas.quadratic import QuadInt
 
 
@@ -88,6 +88,36 @@ def test_missing_late_zero_fails_the_divisibility_sweep(monkeypatch):
     check = next(c for c in verify.rank(20, 10**4) if c.name == "divisibility_iff_rank_divides")
     last = u_zeros(P7, 45, 2000)[-1]
     assert not check.passed and check.detail == f"first [(45, {last})]"
+
+
+def test_congruence_suite_matches_per_prime_reports():
+    expected = []
+    for params in (P7, ALTERNATE_PARAMS):
+        qrd = params.Q * params.R * params.D
+        for p in range(3, 3000, 2):
+            if is_prime(p) and qrd % p:
+                assert lehmer_congruence_checks(params, p).ok, (params, p)
+                expected.append(verify.Check(f"congruences_R{params.R}_Q{params.Q}_p{p}", True))
+    assert verify.congruences(3000) == expected
+
+
+def test_wrong_ladder_residue_fails_exactly_that_prime(monkeypatch):
+    ladder = primality._uv_ladder
+    bad_p = 1009
+
+    def perturbed(params, n, N, M):
+        u, v = ladder(params, n, N, M)
+        return ((u + 1) % N, v) if N == bad_p else (u, v)
+
+    monkeypatch.setattr(primality, "_uv_ladder", perturbed)
+    checks = verify.congruences(3000)
+    failed = [c for c in checks if not c.passed]
+    assert [c.name for c in failed] == [f"congruences_R7_Q1_p{bad_p}", f"congruences_R3_Q-1_p{bad_p}"]
+    for check, params in zip(failed, (P7, ALTERNATE_PARAMS)):
+        report = lehmer_congruence_checks(params, bad_p)
+        assert check.detail == ", ".join(c.name for c in report.checks if not c.passed)
+        # A wrong u at (p - se)/2 reaches u_idx, u_p and v_p, never v_idx.
+        assert "u_vanishes" in check.detail and "v_at_even_index" not in check.detail
 
 
 def test_prime_sieve_matches_trial_division():
