@@ -17,7 +17,7 @@ from functools import cache, partial
 from typing import Callable
 
 from . import verify
-from .lucas import LucasParams, STANDARD_PARAMS, lehmer_pairs_exact, uv_mod
+from .lucas import EXACT_INDEX_CAP, LucasParams, STANDARD_PARAMS, lehmer_pairs_exact, uv_mod
 from .primality import (
     FermatNumber,
     InconclusiveError,
@@ -126,11 +126,14 @@ def _cmd_table(args) -> tuple[dict, dict, int, Renderer]:
     else:
         if modulus is None:
             raise ValueError("uv-mod needs --modulus or --modulus-fermat")
+        # As many rows as an exact table can print; checked before any row is computed.
+        count = len(indices) if args.max is None else args.max + 1
+        if count > EXACT_INDEX_CAP + 1:
+            raise ValueError(f"uv-mod tables are capped at {EXACT_INDEX_CAP + 1} rows, got {count}")
         rows = [
             {"i": p.index, "u": p.u_bar, "u_balanced": balanced_residue(p.u_bar, modulus),
              "v": p.v_bar, "v_balanced": balanced_residue(p.v_bar, modulus)}
-            # list(): an index count that cannot fit fails at once with MemoryError.
-            for p in (uv_mod(params, i, modulus) for i in list(indices))
+            for p in (uv_mod(params, i, modulus) for i in indices)
         ]
         render = partial(_render_mod_table, params, modulus, rows)
     return inputs, {"rows": rows}, 0, render

@@ -183,7 +183,13 @@ def pepin(n: int) -> Verdict:
 
 
 def mersenne_llt(q: int) -> Verdict:
-    """Classical squaring chain for M_q = 2^q - 1: seed 4, q - 2 steps."""
+    """Classical squaring chain for M_q = 2^q - 1: seed 4, q - 2 steps.
+
+    q is refused above 2^MAX_FERMAT_INDEX, before it is tested: M_q alone
+    would take 512 MiB there, and its q - 2 steps could not finish.
+    """
+    if q > 1 << MAX_FERMAT_INDEX:
+        raise ValueError(f"Mersenne exponent must be <= 2^{MAX_FERMAT_INDEX}, got {q}")
     if q < 3 or q % 2 == 0 or not is_prime(q):
         raise ValueError(f"exponent must be an odd prime, got {q}")
     s = square_chain(4, q - 2, 2, q, -1)
@@ -211,13 +217,6 @@ def trial_division(N: int) -> int | None:
     return None
 
 
-def is_prime(n: int) -> bool:
-    """Deterministic primality by trial division; intended for small n."""
-    if n < 2:
-        return False
-    return trial_division(n) is None
-
-
 # Miller-Rabin on the first 13 prime bases is exact below MR_EXACT_BOUND
 # (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases",
 # Math. Comp. 86, 2017).
@@ -225,25 +224,26 @@ MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 MR_EXACT_BOUND = 3317044064679887385961981
 
 
-def _factor_is_prime(q: int) -> bool:
-    """Exact primality of a certificate factor or a congruence prime, without long trial division.
+def is_prime(n: int) -> bool:
+    """Exact primality of n: the one test behind every prime check here.
 
-    Trial division below 2^32; deterministic Miller-Rabin on MR_BASES up to
-    MR_EXACT_BOUND; a ValueError above, where no test here is proven exact.
+    Trial division below 2^32, where it is the faster test; deterministic
+    Miller-Rabin on MR_BASES up to MR_EXACT_BOUND; a ValueError above, where
+    no test here is proven exact.
     """
-    if q < 1 << 32:
-        return is_prime(q)
-    if q >= MR_EXACT_BOUND:
-        raise ValueError(f"{q} is not below {MR_EXACT_BOUND}; its primality cannot be proven here")
-    s = ((q - 1) & (1 - q)).bit_length() - 1  # q - 1 = d * 2^s, d odd
-    d = (q - 1) >> s
+    if n < 1 << 32:
+        return n >= 2 and trial_division(n) is None
+    if n >= MR_EXACT_BOUND:
+        raise ValueError(f"{n} is not below {MR_EXACT_BOUND}; its primality cannot be proven here")
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s, d odd
+    d = (n - 1) >> s
     for a in MR_BASES:
-        x = pow(a, d, q)
-        if x == 1 or x == q - 1:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
             continue
         for _ in range(s - 1):
-            x = x * x % q
-            if x == q - 1:
+            x = x * x % n
+            if x == n - 1:
                 break
         else:
             return False
@@ -299,10 +299,9 @@ def certify_via_rank(
 
     N is prime if u_bar(N-1) == 0 and u_bar((N-1)/q) != 0 mod N for every
     distinct prime q | N - 1: the rank is then exactly N - 1, which forces
-    primality.  `factors` lists those primes, each checked by trial division
-    below 2^32 and by deterministic Miller-Rabin up to MR_EXACT_BOUND (a
-    ValueError above); omitted, it is inferred only when N - 1 is a power of
-    two (the Fermat case).
+    primality.  `factors` lists those primes, each checked by `is_prime` (a
+    ValueError from MR_EXACT_BOUND up); omitted, it is inferred only when
+    N - 1 is a power of two (the Fermat case).
 
     A nonzero u_bar(N-1) refutes primality only when sigma*epsilon = +1
     (otherwise a prime N need not have rank dividing N - 1); failing that,
@@ -321,7 +320,7 @@ def certify_via_rank(
     for q in set(factors):
         if q < 2 or (N - 1) % q != 0:
             raise ValueError(f"{q} is not a divisor of N - 1")
-        if not _factor_is_prime(q):
+        if not is_prime(q):
             raise ValueError(f"{q} is not prime; the certificate needs the prime factors of N - 1")
         while remaining % q == 0:
             remaining //= q
@@ -363,7 +362,7 @@ def lehmer_congruence_checks(params: LucasParams, p: int) -> CongruenceReport:
     2Q*V_{k-1} = P*V_k - D*U_k give ((R*u' - v')/(2Q), (v' - D*u')/(2Q)).
     2Q is a unit mod p, as p is odd and does not divide Q.
     """
-    if p < 3 or p % 2 == 0 or not _factor_is_prime(p):
+    if p < 3 or p % 2 == 0 or not is_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
     if (params.Q * params.R * params.D) % p == 0:
         raise ValueError(f"p = {p} divides QRD")

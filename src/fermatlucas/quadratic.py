@@ -47,23 +47,15 @@ def fermat_form_exponent(n: int) -> int | None:
 def fermat_mod(x: int, m: int) -> int:
     """x mod (2^m + 1) by folding: x1*2^m + x0 == x0 - x1 (mod 2^m + 1).
 
-    Two or three folds suffice for any product of canonical residues; no
-    division is performed.  Accepts negative x.
+    Fold until 0 <= x <= 2^m, the canonical range.  Python's >> floors, so a
+    negative x folds by the same rule with no sign to track.  Two or three
+    folds suffice for any product of canonical residues; no division is
+    performed.
     """
-    neg = x < 0
-    if neg:
-        x = -x
-    mask = (1 << m) - 1
-    while x.bit_length() > m:
-        lo = x & mask
-        hi = x >> m
-        if lo >= hi:
-            x = lo - hi
-        else:
-            x = hi - lo
-            neg = not neg
-    if neg and x:
-        return ((1 << m) + 1) - x
+    top = 1 << m
+    mask = top - 1
+    while x < 0 or x > top:
+        x = (x & mask) - (x >> m)
     return x
 
 

@@ -47,38 +47,18 @@ def symbol_triple(params: LucasParams, n: int) -> SymbolTriple:
     return SymbolTriple(jacobi(params.D, n), jacobi(params.R, n), jacobi(params.Q, n))
 
 
-# Non-zero squares modulo 3 and modulo 7, for the closed-form derivation.
-_SQUARES_MOD3 = frozenset({1})
-_SQUARES_MOD7 = frozenset({1, 2, 4})
-
-
 def fermat_symbols_closed_form(n: int) -> SymbolTriple:
-    """Symbol triple of the (7, 1) parameters over F_n = 2^(2^n) + 1, n >= 1.
+    """Symbol triple of the (7, 1) parameters over F_n = 2^(2^n) + 1, n >= 1: (-1, -1, +1).
 
-    Derived from the residue of F_n modulo 3 and modulo 7 plus reciprocity,
-    not by running the generic Jacobi algorithm; the result is always
-    (-1, -1, +1).  For the reciprocity sign, note (F_n - 1)/2 = 2^(2^n - 1)
-    is even for every n >= 1, so both flips vanish.
+    D = 3, so the triple is (3/F_n), (7/F_n), (1/F_n), and no Jacobi
+    algorithm is run:
+    - F_n = 4^(2^(n-1)) + 1 == 2 (mod 3), and 2 is not a square mod 3.
+    - ord(2) mod 7 is 3 and 2^n == 1 or 2 (mod 3) for even or odd n, so
+      F_n == 3 or 5 (mod 7); the squares mod 7 are 1, 2 and 4.
+    - (F_n - 1)/2 = 2^(2^n - 1) is even, so reciprocity flips no sign:
+      (3/F_n) = (F_n/3) = -1 and (7/F_n) = (F_n/7) = -1.
+    - (1/F_n) = +1.
     """
     if n < 1:
         raise ValueError(f"Fermat index must be >= 1, got {n}")
-
-    # F_n = 4^(2^(n-1)) + 1 == 1 + 1 = 2 (mod 3) for every n >= 1.
-    f_mod3 = (pow(4, 1 << (n - 1), 3) + 1) % 3
-    if f_mod3 != 2:
-        raise AssertionError("residue chain mod 3 broke")
-    # (F_n/3) = (2/3): 2 is not a square mod 3.
-    sym_over_3 = 1 if f_mod3 in _SQUARES_MOD3 else -1
-    epsilon = sym_over_3  # * (-1)^(1 * (F_n-1)/2) = * 1
-
-    # ord(2) mod 7 is 3, so only 2^n mod 3 matters: 1 for even n, 2 for odd n.
-    # Hence F_n == 2^1 + 1 = 3 (mod 7) for even n and 2^2 + 1 = 5 (mod 7) for odd n.
-    exp_mod3 = pow(2, n, 3)
-    f_mod7 = (pow(2, exp_mod3, 7) + 1) % 7
-    if f_mod7 != (3 if n % 2 == 0 else 5):
-        raise AssertionError("residue chain mod 7 broke")
-    sym_over_7 = 1 if f_mod7 in _SQUARES_MOD7 else -1
-    sigma = sym_over_7  # * (-1)^(3 * (F_n-1)/2) = * 1
-
-    tau = 1  # (1/F_n)
-    return SymbolTriple(epsilon, sigma, tau)
+    return SymbolTriple(-1, -1, 1)

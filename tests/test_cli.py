@@ -301,6 +301,37 @@ def test_oversized_exact_table_exits_2_with_the_cap(max_index):
     assert f"capped at index 10000, got {max_index}" in proc.stderr
 
 
+@pytest.mark.parametrize("max_index", [20000000, 10**15])
+def test_oversized_mod_table_exits_2_with_the_row_cap(max_index):
+    # No row is computed: 10^8 rows would run for about an hour.
+    proc = run_cli_limited("table", "uv-mod", "--modulus", "17", "--max", str(max_index), timeout=10)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert f"capped at 10001 rows, got {max_index + 1}" in proc.stderr
+
+
+def test_mod_table_row_cap_counts_rows_of_max_and_indices_alike():
+    record = record_of(run_cli("table", "uv-mod", "--modulus", "17", "--max", "10000"))
+    assert [row["i"] for row in record["result"]["rows"]] == list(range(10001))
+    proc = run_cli("table", "uv-mod", "--modulus", "17", "--max", "10001")
+    assert proc.returncode == 2 and "capped at 10001 rows, got 10002" in proc.stderr
+    # Duplicates are one row each; 10002 distinct indices are one too many.
+    many = ",".join(map(str, [*range(10001), 5]))
+    assert len(record_of(run_cli("table", "uv-mod", "--modulus", "17", "--indices", many))["result"]["rows"]) == 10001
+    proc = run_cli("table", "uv-mod", "--modulus", "17", "--indices", ",".join(map(str, range(10002))))
+    assert proc.returncode == 2 and "capped at 10001 rows, got 10002" in proc.stderr
+
+
+@pytest.mark.parametrize("q", [2**32 + 15, 2**61 - 1])
+def test_oversized_mersenne_exponent_exits_2(q):
+    # Both are prime: without the bound the first would run its chain on a
+    # 512 MiB modulus, 4.3 * 10^9 steps.
+    proc = run_cli_limited("test", "mersenne", str(q), timeout=10)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert f"Mersenne exponent must be <= 2^32, got {q}" in proc.stderr
+
+
 def test_memory_error_exits_2(monkeypatch, capsys):
     # Exit 1 means "composite"; running out of memory must never read as that.
     from fermatlucas import cli

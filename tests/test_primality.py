@@ -31,7 +31,6 @@ from fermatlucas.primality import (
     rank_of_apparition,
     s_sequence,
     trial_division,
-    _factor_is_prime,
     _u_zeros,
 )
 from fermatlucas.symbols import jacobi
@@ -167,6 +166,11 @@ def test_mersenne_llt():
     for bad in (2, 4, 9, 15):
         with pytest.raises(ValueError):
             mersenne_llt(bad)
+    # Refused before q is tested: 2^32 + 15 is prime, and testing 2^100 + 277,
+    # past MR_EXACT_BOUND, would raise "cannot be proven" instead.
+    for q in ((1 << MAX_FERMAT_INDEX) + 15, 2**100 + 277):
+        with pytest.raises(ValueError, match=f"Mersenne exponent must be <= 2\\^{MAX_FERMAT_INDEX}, got {q}$"):
+            mersenne_llt(q)
 
 
 def test_trial_division():
@@ -294,7 +298,7 @@ def test_certify_via_rank_rejects_a_strong_pseudoprime_factor(monkeypatch):
     with pytest.raises(ValueError, match="not prime"):
         certify_via_rank(P7, 4 * q + 1, factors=(2, q))
     monkeypatch.setattr(primality, "MR_BASES", MR_BASES[:9])  # bases 2..23 only
-    assert _factor_is_prime(q)
+    assert is_prime(q)
 
 
 def test_certify_via_rank_refuses_factors_above_the_exact_bound(monkeypatch):
@@ -304,14 +308,23 @@ def test_certify_via_rank_refuses_factors_above_the_exact_bound(monkeypatch):
     # The bound itself is a strong pseudoprime to all 13 bases, so it must be
     # refused, not tested: with a larger bound, Miller-Rabin calls it prime.
     with pytest.raises(ValueError, match="cannot be proven"):
-        _factor_is_prime(MR_EXACT_BOUND)
+        is_prime(MR_EXACT_BOUND)
     monkeypatch.setattr(primality, "MR_EXACT_BOUND", MR_EXACT_BOUND + 1)
-    assert _factor_is_prime(MR_EXACT_BOUND)
+    assert is_prime(MR_EXACT_BOUND)
 
 
 def test_factor_check_at_the_trial_division_edge():
+    # is_prime switches from trial division to Miller-Rabin at 2^32; trial
+    # division is the independent reference on both sides.
     for q in range((1 << 32) - 200, (1 << 32) + 200):
-        assert _factor_is_prime(q) == is_prime(q), q
+        assert is_prime(q) == (trial_division(q) is None), q
+
+
+def test_is_prime_of_a_61_bit_prime_is_fast():
+    # Trial division alone would take about 40 s here.
+    t0 = time.perf_counter()
+    assert is_prime(2**61 - 1)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_certify_via_rank_errors():

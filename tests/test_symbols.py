@@ -100,7 +100,7 @@ def test_closed_form_values_and_branches():
 
 
 def test_closed_form_agrees_with_jacobi():
-    for n in range(1, 11):  # F_10 has 309 digits; jacobi is fast
+    for n in range(1, 21):  # F_20 has 315653 digits; jacobi is fast
         F = FermatNumber(n).value
         assert fermat_symbols_closed_form(n) == symbol_triple(STANDARD_PARAMS, F)
 

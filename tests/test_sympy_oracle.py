@@ -1,5 +1,5 @@
-"""Third-party oracle: trial division, the factor check of `certify_via_rank`
-and the Jacobi symbol against sympy.
+"""Third-party oracle: `is_prime` (trial division and Miller-Rabin) and the
+Jacobi symbol against sympy.
 
 Skipped when sympy is not installed.
 """
@@ -10,7 +10,7 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from fermatlucas.primality import _factor_is_prime, is_prime
+from fermatlucas.primality import is_prime
 from fermatlucas.symbols import jacobi
 
 
@@ -33,7 +33,7 @@ def test_factor_check_random_80_bit():
     draws = [rng.randrange(1 << 79, 1 << 80) for _ in range(40)]
     draws[::2] = [sympy.nextprime(n) for n in draws[::2]]
     for n in draws:
-        assert _factor_is_prime(n) == sympy.isprime(n), n
+        assert is_prime(n) == sympy.isprime(n), n
 
 
 def test_jacobi_random_odd_moduli():
