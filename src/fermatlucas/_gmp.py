@@ -122,18 +122,18 @@ class GmpKernel:
             raise ValueError(f"need Q = +-1 and n >= 0, got Q = {Q}, n = {n}")
         if n == 0:
             return 0, 2  # N >= 3
-        N, ml, pl, top = ring.N, ring.ml, ring.pl, ring.top
+        N, ml, pl = ring.N, ring.ml, ring.pl
         R, D = R % N, (R - 4 * Q) % N
         u, v, n_limbs = (ring.array(pl, value) for value in (1, 1, N))
         r, d = ring.constant(R), ring.constant(D)
-        # Products of two residues go to z; R*v and R*u + v to w, D*u + v to
-        # y, whose limbs above what their products write stay zero.
-        z = ring.array(2 * ml)
+        # u*v (over all pl limbs, so 2^m = -1 needs no case of its own) and
+        # v^2 go to z; R*v and R*u + v to w, D*u + v to y, whose limbs above
+        # what their products write stay zero.
+        z = ring.array(2 * pl)
         w = ring.array(max(2 * ml, pl + len(r)))
         y = ring.array(max(2 * ml, pl + len(d)))
         pu, pv, pr, pd, pn, pz, pw, py = map(ring.ptr, (u, v, r, d, n_limbs, z, w, y))
-        npl, nml, nrl, ndl, nwl, nyl = map(
-            ring.size, (pl, ml, len(r), len(d), pl + len(r), pl + len(d)))
+        npl, nrl, ndl, nwl, nyl = map(ring.size, (pl, len(r), len(d), pl + len(r), pl + len(d)))
         one = self._ctypes.c_uint(1)
         fold_uv = ring.folder(u, z)
         square_v, square_v2 = ring.folder(v, z, square=True), ring.folder(v, z, 2, square=True)
@@ -142,19 +142,14 @@ class GmpKernel:
         add_n, rshift = self._add_n, self._rshift
         k_odd = True
         for bit in bin(n)[3:]:
-            if u[top] or v[top]:  # 2^m = -1 is outside the limbs multiplied
-                a, b = ring.get(u), ring.get(v)
-                ring.put(u, a * b % N)
-                ring.put(v, ((R * b * b - 2 * Q) if k_odd else (b * b - 2)) % N)
+            mul_n(pz, pu, pv, npl)
+            fold_uv()
+            if k_odd:  # Q^k = Q; R*v^2 needs the square folded first
+                square_v()
+                mul(pw, pv, npl, pr, nrl)
+                fold_rv()
             else:
-                mul_n(pz, pu, pv, nml)
-                fold_uv()
-                if k_odd:  # Q^k = Q; R*v^2 needs the square folded first
-                    square_v()
-                    mul(pw, pv, npl, pr, nrl)
-                    fold_rv()
-                else:
-                    square_v2()
+                square_v2()
             k_odd = bit == "1"
             if k_odd:  # (R*u + v, D*u + v) / 2; both sums are taken before either fold
                 mul(pw, pu, npl, pr, nrl)
@@ -176,8 +171,8 @@ class _Ring:
     A residue array has pl = m // 64 + 1 limbs, and the operands of a
     product are its low ml = ceil(m / 64) limbs.  For 2^m + 1 that leaves
     out one residue, 2^m (-1): it is stored in limb `top` = m/64, set to 1
-    and the rest 0, and the callers square or multiply it on Python ints.
-    `top` is None for 2^m - 1.
+    and the rest 0.  A chain's fold steps it itself, and a product that may
+    meet it multiplies all pl limbs.  `top` is None for 2^m - 1.
 
     `folder(dst, src, c)` builds a fold: dst <- (z - c) mod N for the value
     z of the whole array src (at least 2*ml limbs), which it overwrites; in

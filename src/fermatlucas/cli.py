@@ -19,6 +19,8 @@ from typing import Callable
 from . import verify
 from .lucas import EXACT_INDEX_CAP, LucasParams, STANDARD_PARAMS, lehmer_pairs_exact, uv_mod
 from .primality import (
+    PROVEN_SEED,
+    RANK_SEARCH_CAP,
     FermatNumber,
     InconclusiveError,
     fermat_llt,
@@ -55,7 +57,7 @@ def _indices_arg(text: str) -> tuple[int, ...]:
 def _cmd_test(args) -> tuple[dict, dict, int, Renderer]:
     if args.kind != "fermat" and (args.seed is not None or args.experimental):
         raise ValueError("--seed/--experimental only apply to the fermat test")
-    seed = args.seed if args.seed is not None else 5
+    seed = args.seed if args.seed is not None else PROVEN_SEED
     if args.kind == "fermat":
         verdict = fermat_llt(args.index, seed=seed, experimental=args.experimental)
     elif args.kind == "mersenne":
@@ -135,21 +137,24 @@ def _cmd_table(args) -> tuple[dict, dict, int, Renderer]:
              "v": p.v_bar, "v_balanced": balanced_residue(p.v_bar, modulus)}
             for p in (uv_mod(params, i, modulus) for i in indices)
         ]
-        render = partial(_render_mod_table, params, modulus, rows)
+        render = partial(_render_mod_table, modulus, rows)
     return inputs, {"rows": rows}, 0, render
+
+
+def _render_columns(heads: tuple[str, ...], cells: list[tuple[str, ...]]) -> list[str]:
+    """The heading line and one line per row, each column right-aligned to its widest entry."""
+    widths = [max(map(len, column)) for column in zip(heads, *cells)]
+    return [" | ".join(f"{cell:>{w}}" for cell, w in zip(row, widths)) for row in (heads, *cells)]
 
 
 def _render_exact_table(params: LucasParams, rows: list[dict]) -> list[str]:
     tag = f" ×√{params.R}"
-    cells = []
-    for row in rows:
-        u = str(row["u"]) + (tag if row["u_radical"] else "")
-        v = str(row["v"]) + (tag if row["v_radical"] else "")
-        cells.append((str(row["i"]), u, v))
-    wi, wu, wv = (max((len(c[j]) for c in cells), default=1) for j in range(3))
-    lines = [f"{'i':>{wi}} | {'U_i':>{wu}} | {'V_i':>{wv}}"]
-    lines += [f"{i:>{wi}} | {u:>{wu}} | {v:>{wv}}" for i, u, v in cells]
-    return lines
+    cells = [
+        (str(r["i"]), str(r["u"]) + (tag if r["u_radical"] else ""),
+         str(r["v"]) + (tag if r["v_radical"] else ""))
+        for r in rows
+    ]
+    return _render_columns(("i", "U_i", "V_i"), cells)
 
 
 def _fmt_residue(canonical: int, balanced: int) -> str:
@@ -158,17 +163,12 @@ def _fmt_residue(canonical: int, balanced: int) -> str:
     return str(canonical)
 
 
-def _render_mod_table(params: LucasParams, modulus: int, rows: list[dict]) -> list[str]:
+def _render_mod_table(modulus: int, rows: list[dict]) -> list[str]:
     cells = [
         (str(r["i"]), _fmt_residue(r["u"], r["u_balanced"]), _fmt_residue(r["v"], r["v_balanced"]))
         for r in rows
     ]
-    wi, wu, wv = (max((len(c[j]) for c in cells), default=1) for j in range(3))
-    head_u, head_v = f"u_bar mod {modulus}", f"v_bar mod {modulus}"
-    wu, wv = max(wu, len(head_u)), max(wv, len(head_v))
-    lines = [f"{'i':>{wi}} | {head_u:>{wu}} | {head_v:>{wv}}"]
-    lines += [f"{i:>{wi}} | {u:>{wu}} | {v:>{wv}}" for i, u, v in cells]
-    return lines
+    return _render_columns(("i", f"u_bar mod {modulus}", f"v_bar mod {modulus}"), cells)
 
 
 # ---------------------------------------------------------------------------
@@ -253,12 +253,12 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--p-max", type=int, default=2000, dest="p_max")
     v.add_argument("--n", type=int, default=None)
     v.add_argument("--sweep-max", type=int, default=500, dest="sweep_max")
-    v.add_argument("--cap", type=int, default=10**6)
+    v.add_argument("--cap", type=int, default=RANK_SEARCH_CAP)
     v.add_argument("--max-n", type=int, default=8, dest="max_n")
 
     r = sub.add_parser("rank", help="rank of apparition of m for the (7, 1) parameters")
     r.add_argument("m", type=int)
-    r.add_argument("--cap", type=int, default=10**6)
+    r.add_argument("--cap", type=int, default=RANK_SEARCH_CAP)
     return parser
 
 

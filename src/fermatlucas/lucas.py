@@ -63,10 +63,10 @@ class LucasParams(_Params):
             raise ValueError(f"R must be a positive non-square, got {R}")
         if Q == 0:
             raise ValueError("Q must be nonzero")
+        # This also keeps D = R - 4Q nonzero: R = 4Q with gcd(R, Q) = 1 forces
+        # Q = +-1, and R = 4 is a square, R = -4 not positive.
         if math.gcd(R, Q) != 1:
             raise ValueError(f"R and Q must be coprime, got ({R}, {Q})")
-        if R - 4 * Q == 0:
-            raise ValueError("discriminant R - 4Q must be nonzero")
         return super().__new__(cls, R, Q)
 
     @classmethod

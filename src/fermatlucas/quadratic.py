@@ -60,11 +60,12 @@ def fermat_mod(x: int, m: int) -> int:
 
 
 def mersenne_mod(x: int, q: int) -> int:
-    """x mod (2^q - 1) by folding: x1*2^q + x0 == x0 + x1 (mod 2^q - 1)."""
+    """x mod (2^q - 1) by folding: x1*2^q + x0 == x0 + x1 (mod 2^q - 1).
+
+    As in `fermat_mod`, Python's >> floors, so a negative x needs no division.
+    """
     M = (1 << q) - 1
-    if x < 0:
-        x %= M
-    while x.bit_length() > q:
+    while x < 0 or x > M:
         x = (x & M) + (x >> q)
     return 0 if x == M else x
 

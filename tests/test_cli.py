@@ -165,6 +165,16 @@ def test_table_human_rendering():
     )
     proc = run_cli("--human", "table", "uv-mod", "--modulus-fermat", "3", "--indices", "64")
     assert "197 = -60" in proc.stdout
+    # Cells narrower than their heading: the heading sets the column's width.
+    assert run_cli("--human", "table", "uv-exact", "--max", "0").stdout == (
+        "i |   U_i | V_i\n"
+        "0 | 0 ×√7 |   2\n"
+    )
+    assert run_cli("--human", "table", "uv-exact", "--indices", "0,2").stdout == (
+        "i |   U_i | V_i\n"
+        "0 | 0 ×√7 |   2\n"
+        "2 | 1 ×√7 |   5\n"
+    )
 
 
 def test_table_params_validation():

@@ -38,6 +38,13 @@ def test_params_validation():
         LucasParams(6, 4)  # not coprime
     assert P7.D == 3
     assert P3.D == 7
+    # No accepted pair has D = 0; the comment in LucasParams.__new__ says why.
+    for R, Q in itertools.product(range(1, 201), range(-50, 51)):
+        try:
+            params = LucasParams(R, Q)
+        except ValueError:
+            continue
+        assert params.D != 0, params
 
 
 @pytest.mark.parametrize("R, Q", [(9, 1), (-7, 1), (7, 0), (6, 4)])

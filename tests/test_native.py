@@ -277,6 +277,15 @@ def test_foreign_calls_per_step():
     counts.clear()
     native.uv_ladder(5, 1, 1 << 1000, 4096)
     assert counts == {"mul_n": 1000, "sqr": 1000, "sub_n": 2 * 1000 + 1, "mul": 1}
+    # R = 2^64 + 2 = 1 mod 2^64 + 1 takes v to 1 - 2 = -1 at index 2, where
+    # v^2 - 2 keeps it, and u to +-1: u*v multiplies 2^m (-1) on libgmp at
+    # every doubling, u = v = -1 among them.
+    counts.clear()
+    N = (1 << 64) + 1
+    with_minus_one = native.uv_ladder(N + 1, 1, 1 << 10, 64)
+    assert counts["mul_n"] == 10 and with_minus_one[1] == N - 1
+    pair = uv_mod(LucasParams(N + 1, 1), 1 << 10, N)  # below GMP_MIN_BITS: the int loop
+    assert with_minus_one == (pair.u_bar, pair.v_bar)
 
 
 def test_loader_refuses_32_bit_limbs(monkeypatch):

@@ -334,8 +334,19 @@ def test_certify_via_rank_errors():
         certify_via_rank(P7, 13)  # N-1 not a power of two, no factors given
     with pytest.raises(ValueError):
         certify_via_rank(P7, 13, factors=(2,))  # incomplete factor list
-    with pytest.raises(InconclusiveError):
-        certify_via_rank(P7, 11, factors=(2, 5))  # sigma*eps = -1: no conclusion
+    with pytest.raises(ValueError, match="N must be >= 3"):
+        certify_via_rank(P7, 2)
+    with pytest.raises(ValueError, match="5 is not a divisor"):
+        certify_via_rank(P7, 13, factors=(2, 3, 5))
+    # u_bar(N-1) != 0 with sigma*eps = -1 gives no conclusion, for the prime
+    # 11 and for 55 = 5 * 11 (u_bar(54) = 24 mod 55) alike.
+    for N, factors in ((11, (2, 5)), (55, (2, 3))):
+        with pytest.raises(InconclusiveError, match="sigma\\*epsilon"):
+            certify_via_rank(P7, N, factors=factors)
+    # For the prime 37, u_bar(36/2) = 0: the rank is a proper divisor of N - 1.
+    assert uv_mod(P7, 18, 37).u_bar == 0
+    with pytest.raises(InconclusiveError, match="proper divisor"):
+        certify_via_rank(P7, 37, factors=(2, 3))
 
 
 def test_congruence_checks_examples():

@@ -118,7 +118,8 @@ def test_mersenne_mod_matches_division():
             assert mersenne_mod(x, q) == x % M
     for q in (13, 61):
         M = (1 << q) - 1
-        for edge in (0, 1, M - 1, M, M + 1, 2 * M, M * M, -1, -M):
+        for edge in (0, 1, M - 1, M, M + 1, 2 * M, M * M, -1, -M, -(M * M), -(1 << 2 * q),
+                     -(1 << q)):
             assert mersenne_mod(edge, q) == edge % M
         for _ in range(300):
             x = rng.getrandbits(2 * q + 6)
