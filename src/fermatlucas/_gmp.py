@@ -1,15 +1,18 @@
 """Squaring chains and Lucas fast doubling mod 2^m +- 1 on the system's libgmp, via ctypes.
 
-GMP multiplies residues of a few thousand bits or more several times faster
-than CPython's Karatsuba.  The kernel runs on GMP's documented low-level
-`mpn` functions over arrays of 64-bit limbs, least significant first, for
-the two moduli the paper uses (`takes`).  A chain step is one `mpn_sqr`
-and one fold: an `mpn_sub_n` mod 2^m + 1 with 64 | m (every F_n it tests),
-or an `mpn_rshift` and an `mpn_add_n` mod 2^m - 1 with 64 not dividing m
-(the Mersenne oracle, m prime).  The fold is the shift-and-fold of
+GMP multiplies residues of a thousand bits or more faster than CPython's
+Karatsuba.  The kernel runs on GMP's documented low-level `mpn` functions
+over arrays of 64-bit limbs, least significant first, for the two moduli
+the paper uses (`takes`).  A chain step is two foreign calls, one
+`mpn_sqr` and one fold: an `mpn_sub_n` mod 2^m + 1 with 64 | m (every F_n
+it tests), or an `mpn_addmul_1` mod 2^m - 1 with 64 not dividing m (the
+Mersenne oracle, m prime).  Both folds are shift-and-folds, as in
 `quadratic.fermat_mod` and `quadratic.mersenne_mod`, so no step divides,
 and the results are the same canonical residues.  Carries and borrows
-that stop in the low limb are settled in Python.
+that stop in the low limbs are settled in Python.
+
+libgmp is loaded with `ctypes.PyDLL`, so its calls keep the GIL: each
+takes microseconds, and the program runs one thread.
 
 Importing this module loads nothing: ctypes and libgmp are loaded by the
 first call to `load()`, and `native.native_kernel` calls it only for moduli
@@ -40,7 +43,7 @@ def load() -> GmpKernel | None:
 
     try:
         # The ELF soname; Debian and Ubuntu install it with coreutils.
-        lib = ctypes.CDLL("libgmp.so.10")
+        lib = ctypes.PyDLL("libgmp.so.10")
     except OSError:
         import ctypes.util  # find_library may start subprocesses
 
@@ -48,7 +51,7 @@ def load() -> GmpKernel | None:
         if name is None:
             return None
         try:
-            lib = ctypes.CDLL(name)
+            lib = ctypes.PyDLL(name)
         except OSError:
             return None
     try:
@@ -66,25 +69,26 @@ class GmpKernel:
     """
 
     def __init__(self, ctypes, lib):
-        # Typed argtypes, and every argument a ctypes instance built once per
-        # computation: a call then costs about 0.42 us, against 0.54 us with
-        # int arguments (2-vCPU VM, Python 3.11).  mp_size_t is a C long.
-        ptr, size, limb = ctypes.c_void_p, ctypes.c_long, ctypes.c_uint64
-
-        def bind(name, restype, *argtypes):
+        # Every argument is a ctypes instance built once per computation
+        # (pointers c_void_p, sizes c_long as mp_size_t, limbs c_uint64), so
+        # the functions have a restype and no argtypes: ctypes passes each
+        # argument as it is, with no conversion.  With the GIL kept too, a
+        # call costs about 0.37 us against 0.47 us with argtypes on CDLL
+        # (timeit on a one-limb mpn_add_n, 2-vCPU VM, Python 3.11).
+        def bind(name, restype=ctypes.c_uint64):
             fn = lib["__gmpn_" + name]
             fn.restype = restype
-            fn.argtypes = argtypes
             return fn
 
         self._ctypes = ctypes
-        self._sqr = bind("sqr", None, ptr, ptr, size)
-        self._mul_n = bind("mul_n", None, ptr, ptr, ptr, size)
-        self._mul = bind("mul", limb, ptr, ptr, size, ptr, size)
-        self._add = bind("add", limb, ptr, ptr, size, ptr, size)
-        self._add_n = bind("add_n", limb, ptr, ptr, ptr, size)
-        self._sub_n = bind("sub_n", limb, ptr, ptr, ptr, size)
-        self._rshift = bind("rshift", limb, ptr, ptr, size, ctypes.c_uint)
+        self._sqr = bind("sqr", None)
+        self._mul_n = bind("mul_n", None)
+        self._mul = bind("mul")
+        self._add = bind("add")
+        self._add_n = bind("add_n")
+        self._sub_n = bind("sub_n")
+        self._rshift = bind("rshift")
+        self._addmul_1 = bind("addmul_1")
 
     def square_chain(self, x: int, steps: int, c: int, m: int, sign: int) -> int:
         """x after `steps` rounds of x <- x^2 - c mod N = 2^m + sign, sign = +-1.
@@ -99,8 +103,23 @@ class GmpKernel:
             return x
         N = ring.N
         c %= N
-        if c > N >> 1:  # the fold takes c off the low limb, so keep it small either way
+        if c > N >> 1:  # the fold takes c off the low limbs, so keep it small either way
             c -= N
+        if sign < 0:  # each step squares one array into the other and folds it there
+            sqr, nml = self._sqr, ring.size(ring.ml)
+            a, b = ring.array(2 * ring.ml, x % N), ring.array(2 * ring.ml)
+            pa, pb = ring.ptr(a), ring.ptr(b)
+            fold_a, fold_b = ring.mersenne_folder(a, c), ring.mersenne_folder(b, c)
+            for _ in range(steps >> 1):
+                sqr(pb, pa, nml)
+                fold_b()
+                sqr(pa, pb, nml)
+                fold_a()
+            if steps & 1:
+                sqr(pb, pa, nml)
+                fold_b()
+                a = b
+            return ring.get(a, ring.ml) % N
         x = ring.array(ring.pl, x % N)
         ring.folder(x, ring.array(2 * ring.ml), c, square=True)(steps)
         return ring.get(x)
@@ -168,46 +187,38 @@ class GmpKernel:
 class _Ring:
     """Residues mod N = 2^m + sign in arrays of 64-bit limbs, for the moduli `takes` names.
 
-    A residue array has pl = m // 64 + 1 limbs, and the operands of a
-    product are its low ml = ceil(m / 64) limbs.  For 2^m + 1 that leaves
-    out one residue, 2^m (-1): it is stored in limb `top` = m/64, set to 1
-    and the rest 0.  A chain's fold steps it itself, and a product that may
-    meet it multiplies all pl limbs.  `top` is None for 2^m - 1.
+    Mod 2^m + 1, a residue array has pl = m // 64 + 1 limbs, and the
+    operands of a product are its low ml = m/64 limbs.  That leaves out one
+    residue, 2^m (-1): it is stored in limb q = m/64, set to 1 and the rest
+    0.  A chain's fold steps it itself, and a product that may meet it
+    multiplies all pl limbs.  `folder` builds the fold.
 
-    `folder(dst, src, c)` builds a fold: dst <- (z - c) mod N for the value
-    z of the whole array src (at least 2*ml limbs), which it overwrites; in
-    a chain z is dst^2, squared into src first.  The fold needs z in
-    [0, 2^m * N] for 2^m + 1, or in [0, 2^(2m)) for 2^m - 1.
-    Why one correction is enough: split z = hi*2^m + lo, 0 <= lo < 2^m;
-    then z == lo - sign*hi, as 2^m == -sign.
-      - 2^m + 1: hi <= N, and hi = N only with lo = 0, so lo - hi lies in
-        [-N, 2^m), and adding N to a negative difference lands in [0, 2^m].
-        hi >= 2^m sets limb 2m/64, which only the top of the bound
-        reaches; that rare z is folded on Python ints.  Below it hi < 2^m,
-        so on a borrow `mpn_sub_n` over the ml limbs leaves
-        W = lo - hi + 2^m in [1, 2^m), and W + 1 is the residue.
-      - 2^m - 1: hi, lo < 2^m, so lo + hi <= 2^(m+1) - 2.  A carry into
-        bit m is 2^m == 1: take it off and add 1.  That leaves at most
-        2^m - 1 = N, whose residue is 0.
-    The +1 and the -c go to the low limb together, which keeps the result
-    canonical unless that limb carries or borrows (or, as the only limb,
-    passes N - 1).  Then the fold finishes on Python ints: for |c| >= 2^64,
-    for a low limb below c (as 0 and 1 give with c = 2), and otherwise
-    about once in 2^64 folds.
+    Mod 2^m - 1, a chain keeps a redundant residue: any value below 2^(64L)
+    in the L = ml = ceil(m / 64) low limbs of a 2L-limb array, made
+    canonical once, at the end.  `mersenne_folder` builds the fold.
+
+    Both folds split z = hi*2^k + lo, 0 <= lo < 2^k, and take z == lo -
+    sign*hi*2^(k-m), as 2^m == -sign; k is m for 2^m + 1, and 64L for
+    2^m - 1.  What the fold adds or takes off the low limbs (a carry or
+    borrow it returns, and -c) is settled in Python while it stays inside
+    them; otherwise the fold finishes on Python ints: for |c| >= 2^64, for
+    low limbs below c (as 0 and 1 give with c = 2), with a single limb, and
+    otherwise rarely (about once in 2^64 folds mod 2^m + 1; see
+    `mersenne_folder` for 2^m - 1).
     """
 
     def __init__(self, kernel: GmpKernel, m: int, sign: int):
         if not takes(m, sign):
             raise ValueError(f"libgmp does not take 2^m + sign for m = {m}, sign = {sign}")
-        self.kernel, self.sign = kernel, sign
+        self.kernel = kernel
         self.N = (1 << m) + sign
-        self.q, self.s = divmod(m, LIMB_BITS)
+        self.q = m // LIMB_BITS
         self.ml = -(-m // LIMB_BITS)
+        self.t = LIMB_BITS * self.ml - m  # the bits above 2^m in the top limb, 0 for 2^m + 1
         self.pl = self.q + 1
-        self.top = self.q if sign > 0 else None
         ctypes = kernel._ctypes
         self.size, self.limb = ctypes.c_long, ctypes.c_uint64
-        self._void_p, self._uint = ctypes.c_void_p, ctypes.c_uint
+        self._void_p = ctypes.c_void_p
         self._memmove, self._addressof = ctypes.memmove, ctypes.addressof
         self._arrays = []
 
@@ -242,73 +253,75 @@ class _Ring:
         self._memmove(a, data, len(data))
 
     def folder(self, dst, src, c: int = 0, square: bool = False):
-        """fold(steps=1): `steps` times, dst <- (z - c) mod N for the z in src.
+        """fold(steps=1) mod 2^m + 1: `steps` times, dst <- (z - c) mod N for the z in src.
 
-        With `square`, each time first squares dst into src, so fold(k) is k
-        steps of a chain; for 2^m + 1 it then steps 2^m (-1) to 1 - c
-        itself.  See the class docstring for the rest.
+        src has at least 2*ml limbs, and the fold overwrites it.  With
+        `square`, each time first squares dst into src, so fold(k) is k steps
+        of a chain; it then steps 2^m (-1) to 1 - c itself.  The fold needs
+        z in [0, 2^m * N], and returns a canonical residue.
+        Why one correction is enough: hi = z >> m <= N, and hi = N only with
+        lo = 0, so lo - hi lies in [-N, 2^m), and adding N to a negative
+        difference lands in [0, 2^m].  hi >= 2^m sets limb 2m/64, which only
+        the top of the bound reaches; that rare z is folded on Python ints.
+        Below it hi < 2^m, so on a borrow `mpn_sub_n` over the ml limbs
+        leaves W = lo - hi + 2^m in [1, 2^m), and W + 1 is the residue.  The
+        +1 and the -c go to the low limb together, which keeps the result
+        canonical unless that limb carries or borrows.
         """
-        kernel, q, s, ml, N, top = self.kernel, self.q, self.s, self.ml, self.N, self.top
+        q, N, nml = self.q, self.N, self.size(self.ml)
         ptr, get, put = self.ptr, self.get, self.put
-        pd, pz, nml = ptr(dst), ptr(src), self.size(ml)
-        sqr = kernel._sqr
-        # The largest low limb a residue can have with its other limbs as they are.
-        low_max = MAX_LIMB if ml > 1 else min(N - 1, MAX_LIMB)
+        sqr, sub_n = self.kernel._sqr, self.kernel._sub_n
+        pd, pz, ph = ptr(dst), ptr(src), ptr(src, q)
+        hi_top = 2 * q if len(src) > 2 * q else 0  # set only when hi >= 2^m
 
-        def slow(delta):  # the residue is dst's ml limbs + delta, up to a multiple of N
-            put(dst, (get(dst, ml) + delta) % N)
-
-        if self.sign < 0:  # hi = src >> m, in the low ml limbs of its own array
-            add_n, rshift, n_low = kernel._add_n, kernel._rshift, N & MAX_LIMB
-            shift, mask, hi_limbs = self._uint(s), (1 << s) - 1, len(src) - q
-            ph, pzq, nzq = ptr(self.array(hi_limbs)), ptr(src, q), self.size(hi_limbs)
-
-            def fold(steps=1):
-                while steps:  # cheaper than range() for the ladder's single folds
-                    steps -= 1
-                    if square:
-                        sqr(pz, pd, nml)
-                    rshift(ph, pzq, nzq, shift)
-                    src[q] &= mask
-                    add_n(pd, pz, ph, nml)  # lo + hi < 2^(m+1) carries out of no limb
-                    t = dst[q]
-                    carry = t >> s  # bit m
-                    if carry:
-                        dst[q] = t & mask
-                    delta = carry - c
-                    if delta:
-                        low = dst[0] + delta
-                        if 0 <= low <= low_max:
-                            dst[0] = low
-                        else:
-                            slow(delta)
-                            continue
-                    if dst[0] == n_low and get(dst) == N:
-                        put(dst, 0)
-
-        else:  # hi is the limbs of src from q up
-            sub_n, ph = kernel._sub_n, ptr(src, q)
-            hi_top = 2 * q if len(src) > 2 * q else 0  # set only when hi >= 2^m
-
-            def fold(steps=1):
-                while steps:
-                    steps -= 1
-                    if square:
-                        if dst[top]:  # 2^m = -1 is outside the limbs squared; its square is 1
-                            put(dst, (1 - c) % N)
-                            continue
-                        sqr(pz, pd, nml)
-                    elif hi_top and src[hi_top]:
-                        put(dst, (get(src) - c) % N)
+        def fold(steps=1):
+            while steps:  # cheaper than range() for the ladder's single folds
+                steps -= 1
+                if square:
+                    if dst[q]:  # 2^m = -1 is outside the limbs squared; its square is 1
+                        put(dst, (1 - c) % N)
                         continue
-                    else:
-                        dst[top] = 0
-                    delta = sub_n(pd, pz, ph, nml) - c
-                    if delta:
-                        low = dst[0] + delta
-                        if 0 <= low <= low_max:
-                            dst[0] = low
-                        else:
-                            slow(delta)
+                    sqr(pz, pd, nml)
+                elif hi_top and src[hi_top]:
+                    put(dst, (get(src) - c) % N)
+                    continue
+                else:
+                    dst[q] = 0
+                delta = sub_n(pd, pz, ph, nml) - c
+                if delta:
+                    low = dst[0] + delta
+                    if 0 <= low <= MAX_LIMB:
+                        dst[0] = low
+                    else:  # the residue is dst's ml limbs + delta, up to a multiple of N
+                        put(dst, (get(dst, q) + delta) % N)
+
+        return fold
+
+    def mersenne_folder(self, z, c: int):
+        """fold() mod 2^m - 1: the low L = ml limbs of z <- z - c mod N, not canonical.
+
+        z has 2L limbs, and its value is any z in [0, 2^(128L)); the fold
+        leaves a value in [0, 2^(64L)), and the high L limbs are scratch.
+        2^(64L) == 2^t with t = 64L - m, so z == lo + hi*2^t, and one
+        `mpn_addmul_1` adds hi*2^t onto lo.  The carry cy it returns is
+        another cy*2^(64L) == cy*2^t, and cy <= 2^t, so cy*2^t - c is below
+        2^126 for |c| < 2^64, and is settled on the two low limbs.  In a
+        chain they carry out about once in 3*2^(128 - 2t) folds, as cy
+        averages 2^t/3: rare but for t = 63 and 61 (m = 1 and 3 mod 64),
+        about 1 in 12 and 1 in 190 (298 of 4000 steps for 2^2113 - 1).
+        """
+        ml, t, N = self.ml, self.t, self.N
+        addmul_1, get, put = self.kernel._addmul_1, self.get, self.put
+        pz, ph, nml, scale = self.ptr(z), self.ptr(z, ml), self.size(ml), self.limb(1 << t)
+        low_end = 1 << 2 * LIMB_BITS if ml > 1 else 0  # one limb: every delta goes to Python ints
+
+        def fold():
+            delta = (addmul_1(pz, ph, nml, scale) << t) - c
+            low = z[0] + (z[1] << LIMB_BITS) + delta
+            if 0 <= low < low_end:
+                z[0] = low & MAX_LIMB
+                z[1] = low >> LIMB_BITS
+            else:
+                put(z, (get(z, ml) + delta) % N)
 
         return fold

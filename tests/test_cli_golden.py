@@ -25,7 +25,7 @@ README_PATH = HERE.parent / "README.md"
 INLINE_LIMIT = 4096
 
 # Every command in README's CLI block, the two heavy jobs of the benchmark,
-# uv-mod rows on F_12, the smallest modulus whose fast doubling runs on libgmp,
+# uv-mod rows on F_12, whose fast doubling runs on libgmp (as from F_11 on),
 # and the congruence, rank and identity suites at scale, in human form and with
 # zero checks.
 COMMANDS = (

@@ -151,10 +151,17 @@ def test_property_random_x_and_m():
 
 
 def folded(native, m, sign, z, c=0):
-    """(z - c) mod 2^m + sign through one fold of the kernel, as a chain or the ladder makes it."""
+    """(z - c) mod 2^m + sign through one fold of the kernel, as a chain or the ladder makes it.
+
+    The fold mod 2^m - 1 leaves a redundant residue, which a chain makes
+    canonical with one `%` at its end; so does this.
+    """
     ring = _gmp._Ring(native, m, sign)
     src = ring.array(max(2 * ring.ml, -(-z.bit_length() // 64)), z)
-    dst = ring.array(ring.pl, ring.N - 1)  # a stale residue, 2^m (its own top limb) for 2^m + 1
+    if sign < 0:
+        ring.mersenne_folder(src, c)()
+        return ring.get(src, ring.ml) % ring.N
+    dst = ring.array(ring.pl, ring.N - 1)  # a stale residue, 2^m (its own top limb)
     ring.folder(dst, src, c)()
     return ring.get(dst)
 
@@ -197,7 +204,7 @@ def test_fold_on_edge_operands(sign):
 @pytest.mark.parametrize("m", EDGE_M)
 def test_chain_on_limb_edges(m):
     # 2^m + 1 squares ml = m/64 limbs and keeps 2^m (-1) in a limb of its
-    # own; 2^m - 1 shifts hi out of a partial top limb.
+    # own; 2^m - 1 folds hi onto lo times 2^t, t = 64*ml - m from 1 to 63.
     native = _gmp.load()
     rng = random.Random(m)
     for sign in (1, -1):
@@ -247,13 +254,23 @@ def test_ladder_on_limb_edges(m, monkeypatch):
 
 
 def counting(native):
-    """A copy of the kernel whose libgmp calls are counted, by function name."""
+    """A copy of the kernel whose libgmp calls are counted, by function name.
+
+    It also checks that every argument is a ctypes pointer, size, limb or
+    shift count.  The functions have no argtypes, so a Python int would be
+    passed as a C int, silently cut to 32 bits.
+    """
+    import ctypes
+
     counts = collections.Counter()
     counted = copy.copy(native)
     for name, fn in vars(native).items():
         if callable(fn) and hasattr(fn, "argtypes"):
             def call(*args, fn=fn, name=name):
                 counts[name.lstrip("_")] += 1
+                for arg in args:
+                    assert isinstance(arg, (ctypes.c_void_p, ctypes.c_long, ctypes.c_uint64,
+                                            ctypes.c_uint)), (name, arg)
                 return fn(*args)
             setattr(counted, name, call)
     return counted, counts
@@ -268,10 +285,10 @@ def test_foreign_calls_per_step():
         counts.clear()
         assert native.square_chain(5, 1000, c, 4096, 1) == int_chain(5, 1000, c, 4096, 1)
         assert counts == {"sqr": 1000, "sub_n": 1000}
-    # 2^q - 1 with 64 not dividing q shifts hi out first.
+    # 2^q - 1 with 64 not dividing q: one square and one mpn_addmul_1 fold.
     counts.clear()
     assert native.square_chain(4, 1000, 2, 4423, -1) == int_chain(4, 1000, 2, 4423, -1)
-    assert counts == {"sqr": 1000, "rshift": 1000, "add_n": 1000}
+    assert counts == {"sqr": 1000, "addmul_1": 1000}
     # A ladder doubling: u*v and v^2 - 2, each folded.  The first, from the
     # odd index 1, also multiplies v^2 by R and folds that: one mul, one sub_n.
     counts.clear()
@@ -302,7 +319,7 @@ def test_loader_refuses_32_bit_limbs(monkeypatch):
         def __getitem__(self, name):
             return ctypes.pointer(bits) if name == "__gmp_bits_per_limb" else types.SimpleNamespace()
 
-    monkeypatch.setattr(ctypes, "CDLL", StandInGmp)
+    monkeypatch.setattr(ctypes, "PyDLL", StandInGmp)
     assert _gmp.load.__wrapped__() is None
     bits.value = 64
     assert isinstance(_gmp.load.__wrapped__(), _gmp.GmpKernel)
@@ -402,7 +419,7 @@ def test_loader_returns_none_without_libgmp(monkeypatch):
     def no_library(name, *args, **kwargs):
         raise OSError(f"{name}: cannot open shared object file")
 
-    monkeypatch.setattr(ctypes, "CDLL", no_library)
+    monkeypatch.setattr(ctypes, "PyDLL", no_library)
     monkeypatch.setattr(ctypes.util, "find_library", lambda name: None)
     assert _gmp.load.__wrapped__() is None
     monkeypatch.setattr(ctypes.util, "find_library", lambda name: "libgmp.so")
@@ -487,7 +504,7 @@ def test_uv_mod_dispatch_by_modulus_form_size_and_q(monkeypatch):
 def test_short_chains_never_import_the_native_module():
     # The CLI's import, its short chains and its uv-mod tables below the
     # lower bound do not even import the module that loads ctypes and libgmp.
-    n = GMP_MIN_BITS.bit_length() - 2  # the largest Fermat index with 2^n < GMP_MIN_BITS
+    n = max(n for n in range(GMP_MIN_BITS.bit_length()) if 1 << n < GMP_MIN_BITS)
     q = max(q for q in range(3, GMP_MIN_BITS) if is_prime(q))
     code = (
         "import contextlib, io, sys\n"

@@ -262,13 +262,17 @@ def test_certify_via_rank_composite():
 
 
 def test_certify_via_rank_supplied_factors():
-    # 13 - 1 = 2^2 * 3; sigma*eps = +1 over 13? Only run to check the plumbing:
-    # u_bar(12) mod 13 vanishes iff the rank divides 12.
-    try:
-        verdict = certify_via_rank(P7, 13, factors=(2, 3))
-        assert verdict.classification in ("prime", "composite")
-    except InconclusiveError:
-        pass  # also a legal outcome for the N-1 branch
+    # Each outcome of the N - 1 branch with the factors of N - 1 supplied.
+    # The rank of 41 is 40 = 2^3 * 5 and that of 43 is 42 = 2 * 3 * 7.
+    assert certify_via_rank(P7, 41, factors=(2, 5)).classification == "prime"
+    assert certify_via_rank(P7, 43, factors=(2, 3, 7)).classification == "prime"
+    # 25 - 1 = 2^3 * 3 and sigma*eps = +1 over 25, so u_bar(24) != 0 refutes it.
+    verdict = certify_via_rank(P7, 25, factors=(2, 3))
+    assert verdict.classification == "composite" and verdict.witness
+    # u_bar(12) = 1 mod 13, but sigma*eps = -1 over 13: a prime need not
+    # have rank dividing N - 1, so nothing follows.
+    with pytest.raises(InconclusiveError):
+        certify_via_rank(P7, 13, factors=(2, 3))
 
 
 @pytest.mark.parametrize("N", [551, 1807, 2071])
