@@ -3,7 +3,7 @@
 GMP multiplies residues of a thousand bits or more faster than CPython's
 Karatsuba.  The kernel runs on GMP's documented low-level `mpn` functions
 over arrays of 64-bit limbs, least significant first, for the two moduli
-the paper uses (`takes`).  A chain step is two foreign calls, one
+the paper uses (`native.takes`).  A chain step is two foreign calls, one
 `mpn_sqr` and one fold: an `mpn_sub_n` mod 2^m + 1 with 64 | m (every F_n
 it tests), or an `mpn_addmul_1` mod 2^m - 1 with 64 not dividing m (the
 Mersenne oracle, m prime).  Both folds are shift-and-folds, as in
@@ -23,13 +23,9 @@ from __future__ import annotations
 
 import functools
 
-LIMB_BITS = 64
+from .native import LIMB_BITS, takes
+
 MAX_LIMB = (1 << LIMB_BITS) - 1
-
-
-def takes(m: int, sign: int) -> bool:
-    """Whether the kernel takes 2^m + sign: 2^m + 1 with 64 | m, or 2^m - 1 with 64 not dividing m."""
-    return m >= 1 and sign == (1 if m % LIMB_BITS == 0 else -1)
 
 
 @functools.cache

@@ -175,7 +175,7 @@ def uv_mod(params: LucasParams, n: int, N: int) -> LehmerPair:
     `square_chain` uses (`native.native_kernel(m, 1)`, reported by
     `primality.chain_kernel`); every other modulus and Q, and every modulus
     when libgmp does not load, takes the int loop here, which is also the
-    tests' oracle for the ladder.  Both return the same canonical residues.
+    ladder's oracle in the tests and `verify.traces`; both give the same canonical residues.
     """
     if N < 3 or N % 2 == 0:
         raise ValueError(f"modulus must be an odd integer >= 3, got {N}")

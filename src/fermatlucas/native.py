@@ -2,13 +2,14 @@
 
 `primality.square_chain` and `lucas.uv_mod` both ask `native_kernel(m, sign)`,
 so squaring chains and fast doubling change kernels at the same modulus size.
-This module is imported by both and imports neither; `_gmp` (and with it
-ctypes) is imported only when a modulus inside the bounds first asks.
+This module holds the whole rule, the size bounds and the shape (`takes`),
+and imports neither caller; `_gmp` (and with it ctypes) is imported only
+when a modulus the rule sends to libgmp first asks.
 """
 
 from __future__ import annotations
 
-# The two moduli the paper uses (`_gmp.takes`) with GMP_MIN_BITS <= m <=
+# The two moduli the paper uses (`takes`) with GMP_MIN_BITS <= m <=
 # GMP_MAX_BITS run on libgmp when it loads; other 2^m +- 1 run on Python
 # ints.  A chain step there is two ctypes calls, a ladder doubling four.
 # Per step or index bit, int loop / libgmp, best of 15 interleaved runs of
@@ -27,12 +28,18 @@ from __future__ import annotations
 # the process instead of raising MemoryError.
 GMP_MIN_BITS = 1536
 GMP_MAX_BITS = 1 << 24
+LIMB_BITS = 64  # the only limb width the kernel runs on
+
+
+def takes(m: int, sign: int) -> bool:
+    """Whether the kernel takes 2^m + sign: 2^m + 1 with 64 | m, or 2^m - 1 with 64 not dividing m."""
+    return m >= 1 and sign == (1 if m % LIMB_BITS == 0 else -1)
 
 
 def native_kernel(bits: int, sign: int):
     """The libgmp kernel for arithmetic mod 2^bits + sign, or None for Python ints."""
-    if not GMP_MIN_BITS <= bits <= GMP_MAX_BITS:
+    if not (GMP_MIN_BITS <= bits <= GMP_MAX_BITS and takes(bits, sign)):
         return None
-    from . import _gmp  # imported with the first large modulus, not with this module
+    from . import _gmp  # imported with the first modulus sent there, not with this module
 
-    return _gmp.load() if _gmp.takes(bits, sign) else None
+    return _gmp.load()

@@ -14,7 +14,7 @@ import math
 from typing import NamedTuple
 
 from .lucas import LucasParams, _uv_ladder, uv_mod
-from .native import GMP_MAX_BITS, GMP_MIN_BITS, native_kernel  # noqa: F401 (the bounds are re-exported)
+from .native import native_kernel
 from .quadratic import fermat_mod, mersenne_mod
 from .symbols import jacobi
 
@@ -416,12 +416,7 @@ def appendix_residues(params: LucasParams, n: int) -> tuple[ResidueCheck, ...]:
     checks = []
     for off, eu, ev in zip(FLANK_OFFSETS, FLANK_U_RESIDUES, FLANK_V_RESIDUES):
         pair = uv_mod(params, F + off, F)
-        checks.append(
-            ResidueCheck(f"u_at_F{n}{off:+d}", F + off, eu % F, pair.u_bar,
-                         (pair.u_bar - eu) % F == 0)
-        )
-        checks.append(
-            ResidueCheck(f"v_at_F{n}{off:+d}", F + off, ev % F, pair.v_bar,
-                         (pair.v_bar - ev) % F == 0)
-        )
+        for side, expected, actual in (("u", eu, pair.u_bar), ("v", ev, pair.v_bar)):
+            checks.append(ResidueCheck(f"{side}_at_F{n}{off:+d}", F + off, expected % F, actual,
+                                       (actual - expected) % F == 0))
     return tuple(checks)

@@ -12,13 +12,14 @@ from typing import NamedTuple
 from .lucas import (
     ALTERNATE_PARAMS,
     STANDARD_PARAMS,
+    _FermatFold,
     _ring_powers,
     _sum_identity_sides,
+    _uv_ladder,
     alternate_params_pair,
     iter_uv_exact,
     lehmer_pairs_exact,
     s_from_v,
-    uv_mod,
 )
 from .primality import (
     FermatNumber,
@@ -182,7 +183,7 @@ def rank(sweep_max: int, cap: int) -> list[Check]:
 
 
 def traces(max_n: int) -> list[Check]:
-    """Chain traces against plain `%` and the v-side bridge; final residues to max_n."""
+    """Chain traces against plain `%` and the v-side bridge; final residues to max_n on the int ladder."""
     if max_n < 1:  # no final residue would be checked
         raise ValueError(f"max_n must be >= 1, got {max_n}")
     FermatNumber(max_n)  # refuse an index out of range before any chain runs
@@ -200,6 +201,6 @@ def traces(max_n: int) -> list[Check]:
         checks.append(_check(f"trace_bridge_F{n}", bridge))
     for n in range(1, max_n + 1):
         F = FermatNumber(n).value
-        v_route = uv_mod(STANDARD_PARAMS, (F - 1) // 2, F).v_bar
+        v_route = _uv_ladder(STANDARD_PARAMS, (F - 1) // 2, F, _FermatFold(1 << n))[1]
         checks.append(_check(f"final_matches_v_route_F{n}", v_route == s_sequence(n).final))
     return checks

@@ -26,9 +26,8 @@ from fermatlucas.lucas import (
     iter_pairs,
     uv_mod,
 )
+from fermatlucas.native import GMP_MAX_BITS, GMP_MIN_BITS
 from fermatlucas.primality import (
-    GMP_MAX_BITS,
-    GMP_MIN_BITS,
     chain_kernel,
     fermat_llt,
     is_prime,
@@ -503,16 +502,20 @@ def test_uv_mod_dispatch_by_modulus_form_size_and_q(monkeypatch):
 
 def test_short_chains_never_import_the_native_module():
     # The CLI's import, its short chains and its uv-mod tables below the
-    # lower bound do not even import the module that loads ctypes and libgmp.
+    # lower bound, and chains on the two shapes libgmp declines inside the
+    # bounds, do not even import the module that loads ctypes and libgmp.
     n = max(n for n in range(GMP_MIN_BITS.bit_length()) if 1 << n < GMP_MIN_BITS)
     q = max(q for q in range(3, GMP_MIN_BITS) if is_prime(q))
     code = (
         "import contextlib, io, sys\n"
         "from fermatlucas import cli\n"
+        "from fermatlucas.primality import square_chain\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    cli.main(['test', 'fermat', '{n}'])\n"
         f"    cli.main(['test', 'mersenne', '{q}'])\n"
         f"    cli.main(['table', 'uv-mod', '--modulus-fermat', '{n}', '--max', '16'])\n"
+        f"square_chain(5, 3, 2, {GMP_MIN_BITS + 1}, 1)\n"  # 2^m + 1 with 64 not dividing m
+        f"square_chain(4, 3, 2, {GMP_MIN_BITS}, -1)\n"     # 2^m - 1 with 64 | m
         "print('fermatlucas._gmp' in sys.modules)\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

@@ -1,4 +1,6 @@
-from fermatlucas import primality, verify
+import pytest
+
+from fermatlucas import _gmp, primality, verify
 from fermatlucas.lucas import ALTERNATE_PARAMS, LehmerPair, iter_uv_exact, sum_identity_holds
 from fermatlucas.lucas import STANDARD_PARAMS as P7
 from fermatlucas.primality import is_prime, lehmer_congruence_checks, rank_of_apparition
@@ -124,3 +126,17 @@ def test_prime_sieve_matches_trial_division():
     # 0..6 and 20000 as the suite uses it; up to 50 reaches n - 1 = 9, 25 and 49.
     for p_max in [*range(51), 20000]:
         assert verify._odd_primes_below(p_max) == [p for p in range(3, p_max, 2) if is_prime(p)]
+
+
+@pytest.mark.skipif(_gmp.load() is None, reason="libgmp did not load")
+def test_traces_check_the_libgmp_chain_against_the_int_ladder(monkeypatch):
+    # A defect both libgmp routes share: each returns residues one too high.
+    # From F_11 on the chain runs on libgmp and the v-route on ints, so only
+    # the F_11 final residue can see it.
+    chain, ladder = _gmp.GmpKernel.square_chain, _gmp.GmpKernel.uv_ladder
+    monkeypatch.setattr(_gmp.GmpKernel, "square_chain", lambda self, *args: chain(self, *args) + 1)
+    monkeypatch.setattr(_gmp.GmpKernel, "uv_ladder",
+                        lambda self, *args: tuple(x + 1 for x in ladder(self, *args)))
+    checks = verify.traces(11)
+    assert len(checks) == 19
+    assert [c.name for c in checks if not c.passed] == ["final_matches_v_route_F11"]
