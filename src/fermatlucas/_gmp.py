@@ -91,16 +91,13 @@ class GmpKernel:
 
         Returns the canonical residue `fermat_mod` (0..2^m) or `mersenne_mod`
         (0..N-1) returns; with steps <= 0, x itself, as the int loop does.
-        ValueError unless `takes(m, sign)`; the caller keeps m within what
-        libgmp can allocate.
+        The folds settle any c.  ValueError unless `takes(m, sign)`; the
+        caller keeps m within what libgmp can allocate.
         """
         ring = _Ring(self, m, sign)
         if steps <= 0:
             return x
         N = ring.N
-        c %= N
-        if c > N >> 1:  # the fold takes c off the low limbs, so keep it small either way
-            c -= N
         if sign < 0:  # each step squares one array into the other and folds it there
             sqr, nml = self._sqr, ring.size(ring.ml)
             a, b = ring.array(2 * ring.ml, x % N), ring.array(2 * ring.ml)
@@ -121,7 +118,7 @@ class GmpKernel:
         return ring.get(x)
 
     def uv_ladder(self, R: int, Q: int, n: int, m: int) -> tuple[int, int]:
-        """(u_bar(n), v_bar(n)) mod N = 2^m + 1 for the parameters (R, Q), Q = +-1.
+        """(u_bar(n), v_bar(n)) mod N = 2^m + 1 for the parameters (R, Q), Q = +-1, n >= 1.
 
         The binary fast doubling of `lucas.uv_mod`, folded after every
         product: from index k, u <- u*v and v <- c*v^2 - 2*Q^k with c = R
@@ -133,10 +130,8 @@ class GmpKernel:
         libgmp can allocate.
         """
         ring = _Ring(self, m, 1)
-        if Q not in (1, -1) or n < 0:
-            raise ValueError(f"need Q = +-1 and n >= 0, got Q = {Q}, n = {n}")
-        if n == 0:
-            return 0, 2  # N >= 3
+        if Q not in (1, -1) or n < 1:
+            raise ValueError(f"need Q = +-1 and n >= 1, got Q = {Q}, n = {n}")
         N, ml, pl = ring.N, ring.ml, ring.pl
         R, D = R % N, (R - 4 * Q) % N
         u, v, n_limbs = (ring.array(pl, value) for value in (1, 1, N))

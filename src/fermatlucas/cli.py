@@ -84,8 +84,6 @@ def _cmd_test(args) -> tuple[dict, dict, int, Renderer]:
 
 
 def _resolve_modulus(args) -> int | None:
-    if args.modulus is not None and args.modulus_fermat is not None:
-        raise ValueError("give at most one of --modulus / --modulus-fermat")
     if args.modulus_fermat is not None:
         return FermatNumber(args.modulus_fermat).value
     return args.modulus
@@ -93,8 +91,8 @@ def _resolve_modulus(args) -> int | None:
 
 def _table_indices(args) -> range | list[int]:
     """The sorted, distinct row indices; --max stays a range, so nothing is built before the cap check."""
-    if (args.max is None) == (args.indices is None):
-        raise ValueError("give exactly one of --max / --indices")
+    if args.max is None and args.indices is None:  # argparse refuses both
+        raise ValueError("give one of --max / --indices")
     if args.max is not None:
         if args.max < 0:
             raise ValueError("--max must be >= 0")
@@ -241,10 +239,12 @@ def build_parser() -> argparse.ArgumentParser:
     tb = sub.add_parser("table", help="print u_bar/v_bar rows, exact or modular")
     tb.add_argument("which", choices=["uv-exact", "uv-mod"])
     tb.add_argument("--params", type=_params_arg, default=STANDARD_PARAMS, metavar="R,Q")
-    tb.add_argument("--modulus", type=int, default=None, metavar="N")
-    tb.add_argument("--modulus-fermat", type=int, default=None, metavar="n")
-    tb.add_argument("--max", type=int, default=None, help="rows 0..max")
-    tb.add_argument("--indices", type=_indices_arg, default=None, metavar="i,j,...")
+    # Not `required`: a missing --max is refused after the modulus is checked.
+    modulus, rows = tb.add_mutually_exclusive_group(), tb.add_mutually_exclusive_group()
+    modulus.add_argument("--modulus", type=int, default=None, metavar="N")
+    modulus.add_argument("--modulus-fermat", type=int, default=None, metavar="n")
+    rows.add_argument("--max", type=int, default=None, help="rows 0..max")
+    rows.add_argument("--indices", type=_indices_arg, default=None, metavar="i,j,...")
 
     v = sub.add_parser("verify", help="run a verification suite")
     v.add_argument("suite", choices=sorted(_SUITES))
@@ -273,7 +273,7 @@ def main(argv: list[str] | None = None) -> int:
     t0 = time.perf_counter()
     try:
         inputs, result, code, render = handler(args)
-    except (ValueError, InconclusiveError) as exc:
+    except (ValueError, OverflowError, InconclusiveError) as exc:  # OverflowError: a bound past any index
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:

@@ -183,6 +183,8 @@ def uv_mod(params: LucasParams, n: int, N: int) -> LehmerPair:
         raise ValueError(f"modulus {N} shares a factor with Q = {params.Q}")
     if n < 0:
         raise ValueError(f"index must be >= 0, got {n}")
+    if n == 0:  # both ladders start from index 1
+        return LehmerPair(0, 0, 2)
     m = fermat_form_exponent(N)
     native = native_kernel(m, 1) if m is not None and abs(params.Q) == 1 else None
     if native is not None:
@@ -191,12 +193,10 @@ def uv_mod(params: LucasParams, n: int, N: int) -> LehmerPair:
 
 
 def _uv_ladder(params: LucasParams, n: int, N: int, M: int | _FermatFold) -> tuple[int, int]:
-    """`uv_mod`'s int loop, unchecked: (u_bar(n), v_bar(n)) mod odd N coprime to Q.
+    """`uv_mod`'s int loop, unchecked: (u_bar(n), v_bar(n)) mod odd N coprime to Q, n >= 1.
 
     `x % M` reduces mod N: M is N (one C-level `%`) or `_FermatFold(m)` for N = 2^m + 1.
     """
-    if n == 0:
-        return 0, 2
     R, Q, D = params.R, params.Q, params.D
     u, v, qk, k_odd = 1, 1, Q, True  # the pair, Q^k and k's parity at k = 1
     for bit in bin(n)[3:]:
@@ -215,7 +215,7 @@ def s_from_v(params: LucasParams, k: int, N: int) -> int:
 
     Requires the standard (7, 1) parameters; evaluated by fast doubling.
     """
-    if (params.R, params.Q) != (7, 1):
+    if params != STANDARD_PARAMS:
         raise ValueError("the squaring-chain bridge holds only for parameters (7, 1)")
     if k < 0:
         raise ValueError(f"chain index must be >= 0, got {k}")

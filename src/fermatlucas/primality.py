@@ -13,9 +13,9 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .lucas import LucasParams, _uv_ladder, uv_mod
+from .lucas import STANDARD_PARAMS, LucasParams, _uv_ladder, uv_mod
 from .native import native_kernel
-from .quadratic import fermat_mod, mersenne_mod
+from .quadratic import fermat_form_exponent, fermat_mod, mersenne_mod
 from .symbols import jacobi
 
 # Full traces are only kept for small indices; 2^n - 1 residues of 2^n bits
@@ -227,11 +227,13 @@ MR_EXACT_BOUND = 3317044064679887385961981
 def is_prime(n: int) -> bool:
     """Exact primality of n: the one test behind every prime check here.
 
-    Trial division below 2^32, where it is the faster test; deterministic
-    Miller-Rabin on MR_BASES up to MR_EXACT_BOUND; a ValueError above, where
-    no test here is proven exact.
+    Trial division below 2^20, deterministic Miller-Rabin on MR_BASES up to
+    MR_EXACT_BOUND, a ValueError above, where no test here is proven exact.
+    On a prime, trial division / Miller-Rabin take 15 / 26 us near 2^18,
+    33 / 31 us near 2^20, 119 / 38 us near 2^24 and 2094 / 115 us near 2^32
+    (best of 7 interleaved runs, 2-vCPU VM, Python 3.11).
     """
-    if n < 1 << 32:
+    if n < 1 << 20:
         return n >= 2 and trial_division(n) is None
     if n >= MR_EXACT_BOUND:
         raise ValueError(f"{n} is not below {MR_EXACT_BOUND}; its primality cannot be proven here")
@@ -312,10 +314,9 @@ def certify_via_rank(
     if math.gcd(N, 2 * params.Q * params.R * params.D) != 1:
         raise ValueError(f"N = {N} shares a factor with 2*Q*R*D")
     if factors is None:
-        if (N - 1) & (N - 2) == 0:  # N - 1 is a power of two
-            factors = (2,)
-        else:
+        if fermat_form_exponent(N) is None:
             raise ValueError("N - 1 is not a power of two; supply its distinct prime factors")
+        factors = (2,)
     remaining = N - 1
     for q in set(factors):
         if q < 2 or (N - 1) % q != 0:
@@ -408,7 +409,7 @@ FLANK_V_RESIDUES = (-23, -4, -5, -1, -2, -1, -5, -4, -23)
 
 def appendix_residues(params: LucasParams, n: int) -> tuple[ResidueCheck, ...]:
     """Check the 18 flanking congruences of the pair around F_n, n in {2,3,4}."""
-    if (params.R, params.Q) != (7, 1):
+    if params != STANDARD_PARAMS:
         raise ValueError("the flanking pattern is stated only for parameters (7, 1)")
     if n not in (2, 3, 4):
         raise ValueError(f"the pattern is asserted only for n in {{2, 3, 4}}, got {n}")

@@ -153,6 +153,25 @@ def test_table_flag_validation():
     )
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("--modulus", "17", "--modulus-fermat", "2", "--max", "1"),
+     "argument --modulus-fermat: not allowed with argument --modulus"),
+    (("--modulus", "17", "--max", "3", "--indices", "1,2"),
+     "argument --indices: not allowed with argument --max"),
+])
+def test_table_flag_pairs_are_exclusive_in_argparse(argv, message, capsys):
+    from fermatlucas import cli
+
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["table", "uv-mod", *argv])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"fermatlucas table: error: {message}\n")
+    assert "[--modulus N | --modulus-fermat n]" in captured.err
+    assert "[--max MAX | --indices i,j,...]" in captured.err
+
+
 def test_table_human_rendering():
     proc = run_cli("--human", "table", "uv-exact", "--max", "3")
     assert proc.returncode == 0
@@ -211,6 +230,17 @@ def test_verify_empty_suite_exits_2(p_max):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "zero checks" in proc.stderr
+
+
+@pytest.mark.parametrize("p_max", [str(2**63), str(10**19)])
+def test_verify_sieve_past_any_index_exits_2(p_max, capsys):
+    # The sieve's bytearray cannot have p_max entries: exit 2, never 1.
+    from fermatlucas import cli
+
+    assert cli.main(["verify", "congruences", "--p-max", p_max]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("sweep_max", ["1", "-1"])

@@ -318,10 +318,12 @@ def test_certify_via_rank_refuses_factors_above_the_exact_bound(monkeypatch):
 
 
 def test_factor_check_at_the_trial_division_edge():
-    # is_prime switches from trial division to Miller-Rabin at 2^32; trial
-    # division is the independent reference on both sides.
-    for q in range((1 << 32) - 200, (1 << 32) + 200):
-        assert is_prime(q) == (trial_division(q) is None), q
+    # is_prime switches from trial division to Miller-Rabin at 2^20; trial
+    # division is the independent reference on both sides, and at 2^32,
+    # well inside Miller-Rabin's range.
+    for edge in (1 << 20, 1 << 32):
+        for q in range(edge - 200, edge + 200):
+            assert is_prime(q) == (trial_division(q) is None), q
 
 
 def test_is_prime_of_a_61_bit_prime_is_fast():
