@@ -83,12 +83,6 @@ def _cmd_test(args) -> tuple[dict, dict, int, Renderer]:
 # table
 
 
-def _resolve_modulus(args) -> int | None:
-    if args.modulus_fermat is not None:
-        return FermatNumber(args.modulus_fermat).value
-    return args.modulus
-
-
 def _table_indices(args) -> range | list[int]:
     """The sorted, distinct row indices; --max stays a range, so nothing is built before the cap check."""
     if args.max is None and args.indices is None:  # argparse refuses both
@@ -104,7 +98,7 @@ def _table_indices(args) -> range | list[int]:
 
 def _cmd_table(args) -> tuple[dict, dict, int, Renderer]:
     params = args.params
-    modulus = _resolve_modulus(args)
+    modulus = args.modulus if args.modulus_fermat is None else FermatNumber(args.modulus_fermat).value
     indices = _table_indices(args)
     inputs = {
         "which": args.which,
@@ -273,7 +267,7 @@ def main(argv: list[str] | None = None) -> int:
     t0 = time.perf_counter()
     try:
         inputs, result, code, render = handler(args)
-    except (ValueError, OverflowError, InconclusiveError) as exc:  # OverflowError: a bound past any index
+    except (ValueError, InconclusiveError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:

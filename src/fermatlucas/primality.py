@@ -190,7 +190,7 @@ def mersenne_llt(q: int) -> Verdict:
     """
     if q > 1 << MAX_FERMAT_INDEX:
         raise ValueError(f"Mersenne exponent must be <= 2^{MAX_FERMAT_INDEX}, got {q}")
-    if q < 3 or q % 2 == 0 or not is_prime(q):
+    if q < 3 or not is_prime(q):
         raise ValueError(f"exponent must be an odd prime, got {q}")
     s = square_chain(4, q - 2, 2, q, -1)
     if s == 0:
@@ -363,7 +363,7 @@ def lehmer_congruence_checks(params: LucasParams, p: int) -> CongruenceReport:
     2Q*V_{k-1} = P*V_k - D*U_k give ((R*u' - v')/(2Q), (v' - D*u')/(2Q)).
     2Q is a unit mod p, as p is odd and does not divide Q.
     """
-    if p < 3 or p % 2 == 0 or not is_prime(p):
+    if p < 3 or not is_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
     if (params.Q * params.R * params.D) % p == 0:
         raise ValueError(f"p = {p} divides QRD")

@@ -7,6 +7,7 @@ records; the CLI's `verify` command only renders them.
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple
 
 from .lucas import (
@@ -121,6 +122,8 @@ def _odd_primes_below(n: int) -> list[int]:
 
 def congruences(p_max: int) -> list[Check]:
     """The five classical congruences at every odd prime below p_max not dividing QRD."""
+    if p_max > sys.maxsize:  # the sieve is one bytearray of p_max entries
+        raise ValueError(f"p_max must be <= {sys.maxsize}, got {p_max}")
     primes = _odd_primes_below(p_max)
     checks = []
     for params in (STANDARD_PARAMS, ALTERNATE_PARAMS):

@@ -234,13 +234,13 @@ def test_verify_empty_suite_exits_2(p_max):
 
 @pytest.mark.parametrize("p_max", [str(2**63), str(10**19)])
 def test_verify_sieve_past_any_index_exits_2(p_max, capsys):
-    # The sieve's bytearray cannot have p_max entries: exit 2, never 1.
+    # The sieve's bytearray cannot have p_max entries: exit 2, never 1, and say which bound.
     from fermatlucas import cli
 
     assert cli.main(["verify", "congruences", "--p-max", p_max]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.err == f"error: p_max must be <= {sys.maxsize}, got {p_max}\n"
 
 
 @pytest.mark.parametrize("sweep_max", ["1", "-1"])

@@ -2,8 +2,11 @@
 
 `timing_ms` is the one field allowed to differ between runs, so it is cut out
 before comparing.  Outputs over 4 KB are stored as a sha256 of the stripped
-text.  Regenerate (only when an output change is intended, and say so in the
-change log) with
+text.  The goldens are frozen from the libgmp kernel, and tier-1 replays them
+twice: with `PYTHONPATH=src`, and with `PYTHONPATH=tests/no_gmp:src`, where
+every chain and ladder runs on Python ints.  Those two replays are the check
+that the kernels agree.  Regenerate (only when an output change is intended,
+and say so in the change log) with
 
     PYTHONPATH=src python tests/test_cli_golden.py --write
 """
@@ -26,8 +29,12 @@ INLINE_LIMIT = 4096
 
 # Every command in README's CLI block, the two heavy jobs of the benchmark,
 # uv-mod rows on F_12, whose fast doubling runs on libgmp (as from F_11 on),
-# and the congruence, rank and identity suites at scale, in human form and with
-# zero checks.
+# the congruence, rank and identity suites at scale, in human form and with
+# zero checks, and libgmp paths the rows above leave out: chains mod 2^m - 1
+# with 64 not dividing m (M_4423 prime, M_4093 composite, M_1999, and M_2111
+# and M_2113, where the fold multiplies the high part by 2^t with t = 1 and
+# t = 63), Pepin mod F_12, verify traces to F_12, and a full uv_mod ladder
+# mod F_12 whose all-ones index halves at every bit.
 COMMANDS = (
     "test fermat 4",
     "test fermat 5",
@@ -56,6 +63,14 @@ COMMANDS = (
     "--human verify rank",
     "--human verify identities --m-max 9 --n-max 9",
     "verify congruences --p-max 3",
+    "test mersenne 4423",
+    "test mersenne 4093",
+    "test mersenne 1999",
+    "test mersenne 2111",
+    "test mersenne 2113",
+    "test pepin 12",
+    "verify traces --max-n 12",
+    f"table uv-mod --modulus-fermat 12 --indices {(1 << 4095) - 1}",
 )
 
 _TIMING = re.compile(r', "timing_ms": [-+.0-9eE]+\}$', re.MULTILINE)
