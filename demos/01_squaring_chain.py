@@ -7,11 +7,11 @@ cross-checked against the independent Pepin oracle.
 
 import time
 
-from fermatlucas import FermatNumber, fermat_llt, pepin, s_sequence
+from fermatlucas import fermat_llt, fermat_number, pepin, s_sequence
 from fermatlucas.quadratic import balanced_residue
 
 for n in (2, 3, 4):
-    F = FermatNumber(n).value
+    F = fermat_number(n)
     trace = s_sequence(n, keep_trace=True)
     shown = [
         f"{r} = {balanced_residue(r, F)}" if balanced_residue(r, F) != r and abs(balanced_residue(r, F)) < 100 else str(r)

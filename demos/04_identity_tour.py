@@ -10,10 +10,10 @@
 
 from fermatlucas import (
     ALTERNATE_PARAMS,
-    FermatNumber,
     STANDARD_PARAMS,
     alternate_params_pair,
     appendix_residues,
+    fermat_number,
     fermat_symbols_closed_form,
     iter_uv_exact,
     lehmer_pairs_exact,
@@ -24,7 +24,7 @@ from fermatlucas import (
 from fermatlucas.quadratic import balanced_residue
 
 for n in (1, 2, 3, 5):
-    F = FermatNumber(n).value
+    F = fermat_number(n)
     closed = fermat_symbols_closed_form(n)
     generic = symbol_triple(STANDARD_PARAMS, F)
     print(f"F_{n}: closed form {closed} == jacobi {generic}: {closed == generic}")

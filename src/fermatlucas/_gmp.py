@@ -296,10 +296,10 @@ class _Ring:
         2^(64L) == 2^t with t = 64L - m, so z == lo + hi*2^t, and one
         `mpn_addmul_1` adds hi*2^t onto lo.  The carry cy it returns is
         another cy*2^(64L) == cy*2^t, and cy <= 2^t, so cy*2^t - c is below
-        2^126 for |c| < 2^64, and is settled on the two low limbs.  In a
-        chain they carry out about once in 3*2^(128 - 2t) folds, as cy
-        averages 2^t/3: rare but for t = 63 and 61 (m = 1 and 3 mod 64),
-        about 1 in 12 and 1 in 190 (298 of 4000 steps for 2^2113 - 1).
+        2^126 for |c| < 2^64, and is settled on the two low limbs.  They
+        carry out in about 1 fold of 3*2^(128 - 2t) (1 in 12 at t = 63), and
+        limb 2 takes that carry or a borrow; the fold finishes on Python ints
+        only when limb 2 passes it on, about once in 2^64, or when L <= 2.
         """
         ml, t, N = self.ml, self.t, self.N
         addmul_1, get, put = self.kernel._addmul_1, self.get, self.put
@@ -312,6 +312,8 @@ class _Ring:
             if 0 <= low < low_end:
                 z[0] = low & MAX_LIMB
                 z[1] = low >> LIMB_BITS
+            elif ml > 2 and 0 <= (top := z[2] + (low >> 2 * LIMB_BITS)) <= MAX_LIMB:
+                z[0], z[1], z[2] = low & MAX_LIMB, (low >> LIMB_BITS) & MAX_LIMB, top
             else:
                 put(z, (get(z, ml) + delta) % N)
 

@@ -21,9 +21,9 @@ from .lucas import EXACT_INDEX_CAP, LucasParams, STANDARD_PARAMS, lehmer_pairs_e
 from .primality import (
     PROVEN_SEED,
     RANK_SEARCH_CAP,
-    FermatNumber,
     InconclusiveError,
     fermat_llt,
+    fermat_number,
     mersenne_llt,
     pepin,
     rank_of_apparition,
@@ -98,7 +98,7 @@ def _table_indices(args) -> range | list[int]:
 
 def _cmd_table(args) -> tuple[dict, dict, int, Renderer]:
     params = args.params
-    modulus = args.modulus if args.modulus_fermat is None else FermatNumber(args.modulus_fermat).value
+    modulus = args.modulus if args.modulus_fermat is None else fermat_number(args.modulus_fermat)
     indices = _table_indices(args)
     inputs = {
         "which": args.which,
@@ -167,13 +167,13 @@ def _render_mod_table(modulus: int, rows: list[dict]) -> list[str]:
 # verify suites
 
 
-_SUITES = {
-    "identities": lambda args: verify.identities(args.m_max, args.n_max),
-    "congruences": lambda args: verify.congruences(args.p_max),
-    "appendix": lambda args: verify.appendix(args.n),
-    "rank": lambda args: verify.rank(args.sweep_max, args.cap),
-    "traces": lambda args: verify.traces(args.max_n),
+# Each suite's bounds, in the order its `verify` function takes them, and each bound's default.
+_SUITE_BOUNDS = {
+    "identities": ("m_max", "n_max"), "congruences": ("p_max",), "appendix": ("n",),
+    "rank": ("sweep_max", "cap"), "traces": ("max_n",),
 }
+_BOUND_DEFAULTS = {"m_max": 9, "n_max": 9, "p_max": 2000, "n": None, "sweep_max": 500,
+                   "cap": RANK_SEARCH_CAP, "max_n": 8}
 
 
 def _check_line(check: verify.Check) -> str:
@@ -182,7 +182,12 @@ def _check_line(check: verify.Check) -> str:
 
 
 def _cmd_verify(args) -> tuple[dict, dict, int, Renderer]:
-    checks = _SUITES[args.suite](args)
+    own, given = _SUITE_BOUNDS[args.suite], vars(args)
+    for key in _BOUND_DEFAULTS:
+        if key in given and key not in own:
+            raise ValueError(f"verify {args.suite} takes no --{key.replace('_', '-')}")
+    bounds = {key: given.get(key, default) for key, default in _BOUND_DEFAULTS.items()}
+    checks = getattr(verify, args.suite)(*(bounds[key] for key in own))
     if not checks:
         raise ValueError(f"suite {args.suite!r} ran zero checks with these bounds")
     records, passed = [], 0
@@ -191,8 +196,7 @@ def _cmd_verify(args) -> tuple[dict, dict, int, Renderer]:
         records.append(record if detail is None else {**record, "detail": detail})
         passed += ok
     failed = len(checks) - passed
-    keys = ("m_max", "n_max", "p_max", "n", "sweep_max", "cap", "max_n")
-    inputs = {"suite": args.suite, **{key: getattr(args, key) for key in keys}}
+    inputs = {"suite": args.suite, **bounds}
     result = {"checks": records, "passed": passed, "failed": failed}
     summary = f"{passed} passed, {failed} failed"
     return inputs, result, (0 if failed == 0 else 1), lambda: [*map(_check_line, checks), summary]
@@ -241,14 +245,9 @@ def build_parser() -> argparse.ArgumentParser:
     rows.add_argument("--indices", type=_indices_arg, default=None, metavar="i,j,...")
 
     v = sub.add_parser("verify", help="run a verification suite")
-    v.add_argument("suite", choices=sorted(_SUITES))
-    v.add_argument("--m-max", type=int, default=9, dest="m_max")
-    v.add_argument("--n-max", type=int, default=9, dest="n_max")
-    v.add_argument("--p-max", type=int, default=2000, dest="p_max")
-    v.add_argument("--n", type=int, default=None)
-    v.add_argument("--sweep-max", type=int, default=500, dest="sweep_max")
-    v.add_argument("--cap", type=int, default=RANK_SEARCH_CAP)
-    v.add_argument("--max-n", type=int, default=8, dest="max_n")
+    v.add_argument("suite", choices=sorted(_SUITE_BOUNDS))
+    for key in _BOUND_DEFAULTS:  # absent unless given, so a bound the suite does not read is refused
+        v.add_argument("--" + key.replace("_", "-"), type=int, default=argparse.SUPPRESS)
 
     r = sub.add_parser("rank", help="rank of apparition of m for the (7, 1) parameters")
     r.add_argument("m", type=int)

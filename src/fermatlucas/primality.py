@@ -36,21 +36,13 @@ class InconclusiveError(Exception):
     """The rank certificate neither proved nor refuted primality."""
 
 
-class FermatNumber:
-    """F = 2^(2^n) + 1 for an index 1 <= n <= MAX_FERMAT_INDEX."""
-
-    __slots__ = ("n", "value")
-
-    def __init__(self, n: int):
-        if n < 1:
-            raise ValueError(f"Fermat index must be >= 1, got {n}")
-        if n > MAX_FERMAT_INDEX:
-            raise ValueError(f"Fermat index must be <= {MAX_FERMAT_INDEX}, got {n}")
-        self.n = n
-        self.value = (1 << (1 << n)) + 1
-
-    def __repr__(self) -> str:
-        return f"FermatNumber(n={self.n})"
+def fermat_number(n: int) -> int:
+    """F_n = 2^(2^n) + 1 for an index 1 <= n <= MAX_FERMAT_INDEX."""
+    if n < 1:
+        raise ValueError(f"Fermat index must be >= 1, got {n}")
+    if n > MAX_FERMAT_INDEX:
+        raise ValueError(f"Fermat index must be <= {MAX_FERMAT_INDEX}, got {n}")
+    return (1 << (1 << n)) + 1
 
 
 class SSequenceTrace(NamedTuple):
@@ -141,9 +133,8 @@ def s_sequence(n: int, keep_trace: bool = False, seed: int = PROVEN_SEED) -> SSe
     """
     if keep_trace and n > TRACE_INDEX_LIMIT:
         raise ValueError(f"tracing is limited to n <= {TRACE_INDEX_LIMIT}, got {n}")
-    fermat = FermatNumber(n)
     e = 1 << n  # F_n = 2^e + 1
-    s = seed % fermat.value
+    s = seed % fermat_number(n)
     if not keep_trace:
         return SSequenceTrace(n, seed, square_chain(s, e - 2, 2, e, 1))
     trace = [s]
@@ -175,7 +166,7 @@ def pepin(n: int) -> Verdict:
     (F_n - 1)/2 = 2^(2^n - 1), so the power is 2^n - 1 squarings of 3 on
     the fold kernel; the tests check it against pow().
     """
-    F = FermatNumber(n).value
+    F = fermat_number(n)
     r = square_chain(3, (1 << n) - 1, 0, 1 << n, 1)
     if r == F - 1:
         return Verdict("prime", "pepin")
@@ -413,7 +404,7 @@ def appendix_residues(params: LucasParams, n: int) -> tuple[ResidueCheck, ...]:
         raise ValueError("the flanking pattern is stated only for parameters (7, 1)")
     if n not in (2, 3, 4):
         raise ValueError(f"the pattern is asserted only for n in {{2, 3, 4}}, got {n}")
-    F = FermatNumber(n).value
+    F = fermat_number(n)
     checks = []
     for off, eu, ev in zip(FLANK_OFFSETS, FLANK_U_RESIDUES, FLANK_V_RESIDUES):
         pair = uv_mod(params, F + off, F)

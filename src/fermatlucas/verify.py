@@ -23,11 +23,11 @@ from .lucas import (
     s_from_v,
 )
 from .primality import (
-    FermatNumber,
     _congruence_rows,
     _u_zeros,
     appendix_residues,
     certify_via_rank,
+    fermat_number,
     rank_of_apparition,
     s_sequence,
 )
@@ -189,10 +189,10 @@ def traces(max_n: int) -> list[Check]:
     """Chain traces against plain `%` and the v-side bridge; final residues to max_n on the int ladder."""
     if max_n < 1:  # no final residue would be checked
         raise ValueError(f"max_n must be >= 1, got {max_n}")
-    FermatNumber(max_n)  # refuse an index out of range before any chain runs
+    fermat_number(max_n)  # refuse an index out of range before any chain runs
     checks = []
     for n in (1, 2, 3, 4):
-        F = FermatNumber(n).value
+        F = fermat_number(n)
         trace = s_sequence(n, keep_trace=True).residues
         s = 5 % F
         generic = [s]
@@ -203,7 +203,7 @@ def traces(max_n: int) -> list[Check]:
         bridge = all(s_from_v(STANDARD_PARAMS, k, F) == trace[k] for k in range(len(trace)))
         checks.append(_check(f"trace_bridge_F{n}", bridge))
     for n in range(1, max_n + 1):
-        F = FermatNumber(n).value
+        F = fermat_number(n)
         v_route = _uv_ladder(STANDARD_PARAMS, (F - 1) // 2, F, _FermatFold(1 << n))[1]
         checks.append(_check(f"final_matches_v_route_F{n}", v_route == s_sequence(n).final))
     return checks

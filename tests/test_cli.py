@@ -272,6 +272,27 @@ def test_verify_bounds_that_check_nothing_exit_2(argv, message, capsys):
     assert captured.err == f"error: {message}\n"
 
 
+SUITE_FLAGS = {
+    "identities": ("--m-max", "--n-max"), "congruences": ("--p-max",), "appendix": ("--n",),
+    "rank": ("--sweep-max", "--cap"), "traces": ("--max-n",),
+}
+
+
+@pytest.mark.parametrize("suite, flag", [
+    (suite, flag) for suite in SUITE_FLAGS for other in SUITE_FLAGS if other != suite
+    for flag in SUITE_FLAGS[other]
+])
+def test_verify_refuses_a_bound_of_another_suite(suite, flag, capsys, monkeypatch):
+    # The suite would ignore the bound, yet the record would show it.
+    from fermatlucas import cli
+
+    monkeypatch.setattr(cli.verify, suite, None)  # refused before the suite runs
+    assert cli.main(["verify", suite, flag, "7"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: verify {suite} takes no {flag}\n"
+
+
 def test_verify_identities_flags():
     rec = record_of(run_cli("verify", "identities", "--m-max", "4", "--n-max", "4"))
     names = {c["name"] for c in rec["result"]["checks"]}

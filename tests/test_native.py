@@ -215,6 +215,23 @@ def test_chain_on_limb_edges(m):
 
 
 @needs_gmp
+def test_mersenne_fold_carries_into_limb_2(monkeypatch):
+    # At t = 63 the two low limbs carry out on about 1 fold in 12 (298 of
+    # these 4000); limb 2 takes the carry, so the fold stays off Python ints.
+    native, puts = _gmp.load(), []
+    put = _gmp._Ring.put
+    monkeypatch.setattr(_gmp._Ring, "put", lambda ring, a, value: puts.append(value) or put(ring, a, value))
+    assert native.square_chain(4, 4000, 2, 2113, -1) == int_chain(4, 4000, 2, 2113, -1)
+    assert len(puts) < 5  # one of them stores the start
+    # A carry out of limbs 0 and 1 (all ones, plus cy*2^t from hi's top limb)
+    # and a borrow from limb 2, through one fold each; `folded` stores z.
+    puts.clear()
+    for z, c in (((1 << 128) - 1 | _gmp.MAX_LIMB << 64 * 67, 0), (1 << 128, 1)):
+        assert folded(native, 2113, -1, z, c) == (z - c) % ((1 << 2113) - 1)
+    assert len(puts) == 2
+
+
+@needs_gmp
 @pytest.mark.parametrize("m", (64, 128, 4096, 65, 4097))
 def test_fermat_chain_enters_and_leaves_minus_one(m):
     chain, oracle = chain_route(_gmp.load(), m, 1)

@@ -16,7 +16,6 @@ from fermatlucas.lucas import (
 from fermatlucas.primality import (
     MR_BASES,
     MR_EXACT_BOUND,
-    FermatNumber,
     InconclusiveError,
     MAX_FERMAT_INDEX,
     ResidueCheck,
@@ -24,6 +23,7 @@ from fermatlucas.primality import (
     appendix_residues,
     certify_via_rank,
     fermat_llt,
+    fermat_number,
     is_prime,
     lehmer_congruence_checks,
     mersenne_llt,
@@ -49,12 +49,12 @@ def percent_chain(seed, c, steps, modulus):
 
 
 def test_fermat_number():
-    assert FermatNumber(1).value == 5
-    assert FermatNumber(2).value == 17
-    assert FermatNumber(3).value == 257
-    assert FermatNumber(4).value == 65537
-    with pytest.raises(ValueError):
-        FermatNumber(0)
+    assert fermat_number(1) == 5
+    assert fermat_number(2) == 17
+    assert fermat_number(3) == 257
+    assert fermat_number(4) == 65537
+    with pytest.raises(ValueError, match="^Fermat index must be >= 1, got 0$"):
+        fermat_number(0)
 
 
 def test_fermat_index_cap():
@@ -62,8 +62,8 @@ def test_fermat_index_cap():
     # value alone exceeds 1 GiB, so the index is refused before allocating.
     assert MAX_FERMAT_INDEX == 32
     for n in (MAX_FERMAT_INDEX + 1, 40):
-        with pytest.raises(ValueError, match="must be <= 32"):
-            FermatNumber(n)
+        with pytest.raises(ValueError, match=f"^Fermat index must be <= 32, got {n}$"):
+            fermat_number(n)
 
 
 def test_s_sequence_traces_golden():
@@ -94,7 +94,7 @@ def test_s_sequence_seed_override():
 
 @pytest.mark.parametrize("n", [5, 6])
 def test_s_sequence_chain_property(n):
-    F = FermatNumber(n).value
+    F = fermat_number(n)
     trace = s_sequence(n, keep_trace=True)
     assert trace.residues[0] == 5 % F
     for prev, cur in zip(trace.residues, trace.residues[1:]):
@@ -135,7 +135,7 @@ def test_oracles_agree_small():
     for n in range(1, 13):
         # Pepin runs on the fold kernel; pow() is its division-based
         # reference, compared on the full residue, not just the verdict.
-        F = FermatNumber(n).value
+        F = fermat_number(n)
         r = pow(3, (F - 1) // 2, F)
         verdict = pepin(n)
         assert (verdict.witness if verdict.witness is not None else F - 1) == r, n
@@ -144,7 +144,7 @@ def test_oracles_agree_small():
 
 def test_s_sequence_final_against_percent():
     for n in range(1, 11):
-        F = FermatNumber(n).value
+        F = fermat_number(n)
         assert s_sequence(n).final == percent_chain(5, 2, (1 << n) - 2, F)
 
 
@@ -462,7 +462,7 @@ def test_gcd_step_at_the_half_index():
     # Modular consequence for n = 1..8: no prime factor of F_n divides both,
     # so gcd(u, v, F_n) = 1; when F_n is prime, v vanishes and u does not.
     for n in range(1, 9):
-        F = FermatNumber(n).value
+        F = fermat_number(n)
         idx = (F - 1) // 2
         pair = uv_mod(P7, idx, F)
         assert math.gcd(math.gcd(pair.u_bar, pair.v_bar), F) == 1

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from fermatlucas.lucas import ALTERNATE_PARAMS, STANDARD_PARAMS, LucasParams
-from fermatlucas.primality import FermatNumber
+from fermatlucas.primality import fermat_number
 from fermatlucas.symbols import SymbolTriple, fermat_symbols_closed_form, jacobi, symbol_triple
 
 
@@ -92,16 +92,16 @@ def test_symbol_triple_alternate_params():
 def test_closed_form_values_and_branches():
     assert fermat_symbols_closed_form(1) == SymbolTriple(-1, -1, 1)
     assert fermat_symbols_closed_form(2) == SymbolTriple(-1, -1, 1)
-    assert FermatNumber(1).value % 7 == 5  # odd-n branch
-    assert FermatNumber(2).value % 7 == 3  # even-n branch
-    assert FermatNumber(1).value % 3 == 2
+    assert fermat_number(1) % 7 == 5  # odd-n branch
+    assert fermat_number(2) % 7 == 3  # even-n branch
+    assert fermat_number(1) % 3 == 2
     with pytest.raises(ValueError):
         fermat_symbols_closed_form(0)
 
 
 def test_closed_form_agrees_with_jacobi():
     for n in range(1, 21):  # F_20 has 315653 digits; jacobi is fast
-        F = FermatNumber(n).value
+        F = fermat_number(n)
         assert fermat_symbols_closed_form(n) == symbol_triple(STANDARD_PARAMS, F)
 
 
@@ -109,5 +109,5 @@ def test_closed_form_matches_generic_params_object():
     # D = 3 for the standard parameters, so epsilon is (3/F_n) specifically.
     params = LucasParams(7, 1)
     for n in (1, 2, 6):
-        F = FermatNumber(n).value
+        F = fermat_number(n)
         assert fermat_symbols_closed_form(n).epsilon == jacobi(params.D, F)
