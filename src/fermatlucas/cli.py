@@ -170,10 +170,9 @@ def _render_mod_table(modulus: int, rows: list[dict]) -> list[str]:
 # Each suite's bounds, in the order its `verify` function takes them, and each bound's default.
 _SUITE_BOUNDS = {
     "identities": ("m_max", "n_max"), "congruences": ("p_max",), "appendix": ("n",),
-    "rank": ("sweep_max", "cap"), "traces": ("max_n",),
+    "rank": (), "traces": ("max_n",),
 }
-_BOUND_DEFAULTS = {"m_max": 9, "n_max": 9, "p_max": 2000, "n": None, "sweep_max": 500,
-                   "cap": RANK_SEARCH_CAP, "max_n": 8}
+_BOUND_DEFAULTS = {"m_max": 9, "n_max": 9, "p_max": 2000, "n": None, "max_n": 8}
 
 
 def _check_line(check: verify.Check) -> str:
@@ -186,8 +185,8 @@ def _cmd_verify(args) -> tuple[dict, dict, int, Renderer]:
     for key in _BOUND_DEFAULTS:
         if key in given and key not in own:
             raise ValueError(f"verify {args.suite} takes no --{key.replace('_', '-')}")
-    bounds = {key: given.get(key, default) for key, default in _BOUND_DEFAULTS.items()}
-    checks = getattr(verify, args.suite)(*(bounds[key] for key in own))
+    bounds = {key: given.get(key, _BOUND_DEFAULTS[key]) for key in own}
+    checks = getattr(verify, args.suite)(*bounds.values())
     if not checks:
         raise ValueError(f"suite {args.suite!r} ran zero checks with these bounds")
     records, passed = [], 0

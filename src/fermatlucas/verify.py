@@ -147,20 +147,19 @@ def appendix(n: int | None) -> list[Check]:
     return checks
 
 
-def rank(sweep_max: int, cap: int) -> list[Check]:
-    """Rank examples, existence up to sweep_max, divisibility, and certificates."""
-    if sweep_max < 2:  # the existence sweep would test no modulus
-        raise ValueError(f"sweep_max must be >= 2, got {sweep_max}")
+def rank() -> list[Check]:
+    """Rank examples, existence up to 500, divisibility, and certificates."""
     checks = []
     for m, expected in ((5, 4), (17, 16), (257, 256)):
         got = rank_of_apparition(STANDARD_PARAMS, m).omega
         checks.append(_check(f"omega_{m}_is_{expected}", got == expected, f"got {got}"))
 
+    # The largest omega below 501 is 882 (m = 441), far under the default cap.
     missing = [
-        m for m in range(2, sweep_max + 1)
-        if math.gcd(m, STANDARD_PARAMS.Q) == 1 and rank_of_apparition(STANDARD_PARAMS, m, cap=cap).omega is None
+        m for m in range(2, 501)
+        if math.gcd(m, STANDARD_PARAMS.Q) == 1 and rank_of_apparition(STANDARD_PARAMS, m).omega is None
     ]
-    checks.append(_check(f"omega_exists_to_{sweep_max}", not missing, f"missing {missing[:5]}"))
+    checks.append(_check("omega_exists_to_500", not missing, f"missing {missing[:5]}"))
 
     bad = []
     for m in range(3, 201, 2):

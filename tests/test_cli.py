@@ -243,17 +243,6 @@ def test_verify_sieve_past_any_index_exits_2(p_max, capsys):
     assert captured.err == f"error: p_max must be <= {sys.maxsize}, got {p_max}\n"
 
 
-@pytest.mark.parametrize("sweep_max", ["1", "-1"])
-def test_verify_rank_empty_sweep_exits_2(sweep_max, capsys):
-    # Below 2 the existence sweep tests no modulus, so it must not read as passed.
-    from fermatlucas import cli
-
-    assert cli.main(["verify", "rank", "--sweep-max", sweep_max]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"error: sweep_max must be >= 2, got {sweep_max}\n"
-
-
 @pytest.mark.parametrize("argv, message", [
     (("identities", "--m-max", "1"), "m_max must be >= 2, got 1"),
     (("identities", "--m-max", "0", "--n-max", "0"), "m_max must be >= 2, got 0"),
@@ -274,23 +263,44 @@ def test_verify_bounds_that_check_nothing_exit_2(argv, message, capsys):
 
 SUITE_FLAGS = {
     "identities": ("--m-max", "--n-max"), "congruences": ("--p-max",), "appendix": ("--n",),
-    "rank": ("--sweep-max", "--cap"), "traces": ("--max-n",),
+    "rank": (), "traces": ("--max-n",),
 }
+# The rank suite's sweep (m <= 500) and cap are constants: no suite takes these.
+CONSTANT_FLAGS = ("--sweep-max", "--cap")
 
 
 @pytest.mark.parametrize("suite, flag", [
     (suite, flag) for suite in SUITE_FLAGS for other in SUITE_FLAGS if other != suite
     for flag in SUITE_FLAGS[other]
-])
+] + [(suite, flag) for suite in SUITE_FLAGS for flag in CONSTANT_FLAGS])
 def test_verify_refuses_a_bound_of_another_suite(suite, flag, capsys, monkeypatch):
-    # The suite would ignore the bound, yet the record would show it.
+    # The suite would ignore the bound, yet the record would show it.  A flag
+    # that no suite takes is refused by argparse itself.
     from fermatlucas import cli
 
     monkeypatch.setattr(cli.verify, suite, None)  # refused before the suite runs
-    assert cli.main(["verify", suite, flag, "7"]) == 2
+    if flag in CONSTANT_FLAGS:
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["verify", suite, flag, "7"])
+        code, message = exit_info.value.code, f"fermatlucas: error: unrecognized arguments: {flag} 7"
+    else:
+        code, message = cli.main(["verify", suite, flag, "7"]), f"error: verify {suite} takes no {flag}"
+    assert code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: verify {suite} takes no {flag}\n"
+    assert captured.err.endswith(message + "\n")
+
+
+@pytest.mark.parametrize("suite", SUITE_FLAGS)
+def test_verify_record_lists_only_the_suite_bounds(suite, capsys, monkeypatch):
+    # `verify rank` records {"suite": "rank"}; `verify congruences` adds p_max alone.
+    from fermatlucas import cli
+
+    monkeypatch.setattr(cli.verify, suite, lambda *bounds: [cli.verify.Check("stub", True)])
+    assert cli.main(["verify", suite]) == 0
+    inputs = json.loads(capsys.readouterr().out)["inputs"]
+    assert set(inputs) == {"suite", *(flag[2:].replace("-", "_") for flag in SUITE_FLAGS[suite])}
+    assert inputs["suite"] == suite
 
 
 def test_verify_identities_flags():
@@ -352,7 +362,7 @@ def test_oversized_identity_bounds_exit_2():
     assert "capped at index 10000" in proc.stderr
 
 
-@pytest.mark.parametrize("max_index", [20000000, 10**15])
+@pytest.mark.parametrize("max_index", [20000000, 10**15, 10**20])
 def test_oversized_exact_table_exits_2_with_the_cap(max_index):
     # The index range is never materialized: the cap is checked first, so
     # neither the time nor the 2 GB limit is reached.
@@ -362,9 +372,10 @@ def test_oversized_exact_table_exits_2_with_the_cap(max_index):
     assert f"capped at index 10000, got {max_index}" in proc.stderr
 
 
-@pytest.mark.parametrize("max_index", [20000000, 10**15])
+@pytest.mark.parametrize("max_index", [20000000, 10**15, 10**20])
 def test_oversized_mod_table_exits_2_with_the_row_cap(max_index):
-    # No row is computed: 10^8 rows would run for about an hour.
+    # No row is computed: 10^8 rows would run for about an hour.  Past
+    # sys.maxsize, len() of the index range would raise OverflowError.
     proc = run_cli_limited("table", "uv-mod", "--modulus", "17", "--max", str(max_index), timeout=10)
     assert proc.returncode == 2
     assert proc.stdout == ""

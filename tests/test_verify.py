@@ -72,7 +72,7 @@ def test_perturbed_omega_fails_the_divisibility_sweep(monkeypatch):
         return result._replace(omega=result.omega + 1) if m == 45 else result
 
     monkeypatch.setattr(verify, "rank_of_apparition", perturbed)
-    checks = {c.name: c for c in verify.rank(20, 10**4)}
+    checks = {c.name: c for c in verify.rank()}
     # omega_45 divides u_bar's first zero index but omega_45 + 1 does not.
     check = checks["divisibility_iff_rank_divides"]
     assert not check.passed and check.detail == f"first [(45, {omega_45})]"
@@ -87,9 +87,22 @@ def test_missing_late_zero_fails_the_divisibility_sweep(monkeypatch):
         return zeros[:-1] if m == 45 and not first else zeros
 
     monkeypatch.setattr(verify, "_u_zeros", perturbed)
-    check = next(c for c in verify.rank(20, 10**4) if c.name == "divisibility_iff_rank_divides")
+    check = next(c for c in verify.rank() if c.name == "divisibility_iff_rank_divides")
     last = u_zeros(P7, 45, 2000)[-1]
     assert not check.passed and check.detail == f"first [(45, {last})]"
+
+
+def test_rank_without_omega_fails_both_sweeps(monkeypatch):
+    def no_omega_at_9(params, m, cap=10**6):
+        result = rank_of_apparition(params, m, cap=cap)
+        return result._replace(omega=None) if m == 9 else result
+
+    monkeypatch.setattr(verify, "rank_of_apparition", no_omega_at_9)
+    checks = {c.name: c for c in verify.rank()}  # returned, not raised
+    assert checks["omega_exists_to_500"].detail == "missing [9]"
+    assert checks["divisibility_iff_rank_divides"].detail == "first [(9, 'no omega')]"
+    assert [name for name, c in checks.items() if not c.passed] == [
+        "omega_exists_to_500", "divisibility_iff_rank_divides"]
 
 
 def test_congruence_suite_matches_per_prime_reports():
