@@ -20,7 +20,6 @@ from . import verify
 from .lucas import EXACT_INDEX_CAP, LucasParams, STANDARD_PARAMS, lehmer_pairs_exact, uv_mod
 from .primality import (
     PROVEN_SEED,
-    RANK_SEARCH_CAP,
     InconclusiveError,
     fermat_llt,
     fermat_number,
@@ -206,8 +205,8 @@ def _cmd_verify(args) -> tuple[dict, dict, int, Renderer]:
 
 
 def _cmd_rank(args) -> tuple[dict, dict, int, Renderer]:
-    res = rank_of_apparition(STANDARD_PARAMS, args.m, cap=args.cap)
-    inputs = {"m": args.m, "cap": args.cap}
+    res = rank_of_apparition(STANDARD_PARAMS, args.m)  # at most RANK_SEARCH_CAP steps
+    inputs = {"m": args.m}
     result = {"omega": res.omega, "cap": res.cap}
     if res.omega is None:
         return inputs, result, 1, lambda: [f"no rank found below cap {res.cap}"]
@@ -250,7 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     r = sub.add_parser("rank", help="rank of apparition of m for the (7, 1) parameters")
     r.add_argument("m", type=int)
-    r.add_argument("--cap", type=int, default=RANK_SEARCH_CAP)
     return parser
 
 

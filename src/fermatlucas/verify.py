@@ -149,21 +149,22 @@ def appendix(n: int | None) -> list[Check]:
 
 def rank() -> list[Check]:
     """Rank examples, existence up to 500, divisibility, and certificates."""
-    checks = []
-    for m, expected in ((5, 4), (17, 16), (257, 256)):
-        got = rank_of_apparition(STANDARD_PARAMS, m).omega
-        checks.append(_check(f"omega_{m}_is_{expected}", got == expected, f"got {got}"))
-
-    # The largest omega below 501 is 882 (m = 441), far under the default cap.
-    missing = [
-        m for m in range(2, 501)
-        if math.gcd(m, STANDARD_PARAMS.Q) == 1 and rank_of_apparition(STANDARD_PARAMS, m).omega is None
+    # One search per modulus answers every check below.  The largest omega
+    # below 501 is 882 (m = 441), far under the default cap.
+    omegas = {
+        m: rank_of_apparition(STANDARD_PARAMS, m).omega
+        for m in range(2, 501) if math.gcd(m, STANDARD_PARAMS.Q) == 1
+    }
+    checks = [
+        _check(f"omega_{m}_is_{expected}", omegas[m] == expected, f"got {omegas[m]}")
+        for m, expected in ((5, 4), (17, 16), (257, 256))
     ]
+    missing = [m for m, omega in omegas.items() if omega is None]
     checks.append(_check("omega_exists_to_500", not missing, f"missing {missing[:5]}"))
 
     bad = []
     for m in range(3, 201, 2):
-        omega = rank_of_apparition(STANDARD_PARAMS, m, cap=5000).omega
+        omega = omegas[m]
         if omega is None:
             bad.append((m, "no omega"))
             continue

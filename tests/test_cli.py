@@ -324,9 +324,25 @@ def test_rank_command():
     assert rec["result"]["omega"] == 16
     assert record_of(run_cli("rank", "5"))["result"]["omega"] == 4
     assert record_of(run_cli("rank", "31"))["result"]["omega"] == 16
-    proc = run_cli("rank", "17", "--cap", "10")
+    # omega(1000033) exceeds the constant cap of 10^6 steps.
+    proc = run_cli("rank", "1000033")
     assert proc.returncode == 1
-    assert json.loads(proc.stdout)["result"]["omega"] is None
+    rec = json.loads(proc.stdout)
+    assert rec["result"] == {"cap": 1000000, "omega": None}
+    assert rec["inputs"] == {"m": 1000033}
+
+
+def test_rank_command_refuses_cap(capsys):
+    # The cap is a constant; only library callers of rank_of_apparition set it.
+    from fermatlucas import cli
+
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["rank", "17", "--cap", "10"])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (cli.build_parser().format_usage()
+                            + "fermatlucas: error: unrecognized arguments: --cap 10\n")
 
 
 def test_human_flag_on_test_and_rank():

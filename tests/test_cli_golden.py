@@ -52,7 +52,7 @@ COMMANDS = (
     "verify appendix --n 3",
     "verify rank",
     "rank 17",
-    "rank 17 --cap 10",
+    "rank 1000033",
     "table uv-exact --max 2000",
     "verify identities --m-max 20 --n-max 20",
     "table uv-mod --modulus-fermat 12 --indices 0,1,2,4095,65535,170141183460469231731687303715884105727",

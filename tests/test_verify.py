@@ -105,6 +105,22 @@ def test_rank_without_omega_fails_both_sweeps(monkeypatch):
         "omega_exists_to_500", "divisibility_iff_rank_divides"]
 
 
+def test_rank_searches_each_modulus_once(monkeypatch):
+    searched = []
+
+    def counted(params, m, cap=10**6):
+        searched.append(m)
+        return rank_of_apparition(params, m, cap=cap)
+
+    monkeypatch.setattr(verify, "rank_of_apparition", counted)
+    checks = verify.rank()
+    assert searched == list(range(2, 501))  # 499 searches, one per modulus
+    assert checks == [(name, True, None) for name in (
+        "omega_5_is_4", "omega_17_is_16", "omega_257_is_256", "omega_exists_to_500",
+        "divisibility_iff_rank_divides", "u_divides_u_at_multiples",
+        "certify_17", "certify_257", "certify_65537", "certify_F5_composite")]
+
+
 def test_congruence_suite_matches_per_prime_reports():
     expected = []
     for params in (P7, ALTERNATE_PARAMS):
