@@ -32,7 +32,7 @@ for n in (1, 2, 3, 5):
 print("\nchain from the v side, mod 10^9 + 7:")
 s = 5
 for k in range(6):
-    v = s_from_v(STANDARD_PARAMS, k, 10**9 + 7)
+    v = s_from_v(k, 10**9 + 7)
     print(f"  S_{k} = {s % (10**9 + 7)}  v_bar(2^{k + 1}) = {v}")
     s = s * s - 2
 

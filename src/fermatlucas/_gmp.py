@@ -11,16 +11,19 @@ Mersenne oracle, m prime).  Both folds are shift-and-folds, as in
 and the results are the same canonical residues.  Carries and borrows
 that stop in the low limbs are settled in Python.
 
-libgmp is loaded with `ctypes.PyDLL`, so its calls keep the GIL: each
+libgmp is opened only by its ELF soname, `libgmp.so.10`, the library the
+tests compare against the int route; a system without it runs on Python
+ints.  It is loaded with `ctypes.PyDLL`, so its calls keep the GIL: each
 takes microseconds, and the program runs one thread.
 
-Importing this module loads nothing: ctypes and libgmp are loaded by the
-first call to `load()`, and `native.native_kernel` calls it only for moduli
-large enough to gain.
+Importing this module loads no library: libgmp is loaded by the first call
+to `load()`.  `native.native_kernel` imports this module, and with it
+ctypes, only for moduli large enough to gain.
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
 
 from .native import LIMB_BITS, takes
@@ -30,29 +33,19 @@ MAX_LIMB = (1 << LIMB_BITS) - 1
 
 @functools.cache
 def load() -> GmpKernel | None:
-    """The libgmp chain kernel, or None if no usable libgmp loads.
+    """The libgmp chain kernel, or None if `libgmp.so.10` does not load or is not usable.
 
-    A libgmp whose limbs are not 64 bits wide is not usable.  The outcome is
-    cached for the life of the process.
+    A libgmp whose limbs are not 64 bits wide, or that lacks a symbol used
+    here, is not usable.  The outcome is cached for the life of the process.
     """
-    import ctypes
-
     try:
         # The ELF soname; Debian and Ubuntu install it with coreutils.
         lib = ctypes.PyDLL("libgmp.so.10")
     except OSError:
-        import ctypes.util  # find_library may start subprocesses
-
-        name = ctypes.util.find_library("gmp")
-        if name is None:
-            return None
-        try:
-            lib = ctypes.PyDLL(name)
-        except OSError:
-            return None
+        return None
     try:
         limb_bits = ctypes.cast(lib["__gmp_bits_per_limb"], ctypes.POINTER(ctypes.c_int))[0]
-        return GmpKernel(ctypes, lib) if limb_bits == LIMB_BITS else None
+        return GmpKernel(lib) if limb_bits == LIMB_BITS else None
     except AttributeError:  # a library without the symbols used here
         return None
 
@@ -64,7 +57,7 @@ class GmpKernel:
     and builds its folds.
     """
 
-    def __init__(self, ctypes, lib):
+    def __init__(self, lib):
         # Every argument is a ctypes instance built once per computation
         # (pointers c_void_p, sizes c_long as mp_size_t, limbs c_uint64), so
         # the functions have a restype and no argtypes: ctypes passes each
@@ -76,7 +69,6 @@ class GmpKernel:
             fn.restype = restype
             return fn
 
-        self._ctypes = ctypes
         self._sqr = bind("sqr", None)
         self._mul_n = bind("mul_n", None)
         self._mul = bind("mul")
@@ -99,7 +91,7 @@ class GmpKernel:
             return x
         N = ring.N
         if sign < 0:  # each step squares one array into the other and folds it there
-            sqr, nml = self._sqr, ring.size(ring.ml)
+            sqr, nml = self._sqr, ctypes.c_long(ring.ml)
             a, b = ring.array(2 * ring.ml, x % N), ring.array(2 * ring.ml)
             pa, pb = ring.ptr(a), ring.ptr(b)
             fold_a, fold_b = ring.mersenne_folder(a, c), ring.mersenne_folder(b, c)
@@ -143,8 +135,8 @@ class GmpKernel:
         w = ring.array(max(2 * ml, pl + len(r)))
         y = ring.array(max(2 * ml, pl + len(d)))
         pu, pv, pr, pd, pn, pz, pw, py = map(ring.ptr, (u, v, r, d, n_limbs, z, w, y))
-        npl, nrl, ndl, nwl, nyl = map(ring.size, (pl, len(r), len(d), pl + len(r), pl + len(d)))
-        one = self._ctypes.c_uint(1)
+        npl, nrl, ndl, nwl, nyl = map(ctypes.c_long, (pl, len(r), len(d), pl + len(r), pl + len(d)))
+        one = ctypes.c_uint(1)
         fold_uv = ring.folder(u, z)
         square_v, square_v2 = ring.folder(v, z, square=True), ring.folder(v, z, 2, square=True)
         fold_rv, fold_ru, fold_du = ring.folder(v, w, 2 * Q), ring.folder(u, w), ring.folder(v, y)
@@ -207,15 +199,11 @@ class _Ring:
         self.ml = -(-m // LIMB_BITS)
         self.t = LIMB_BITS * self.ml - m  # the bits above 2^m in the top limb, 0 for 2^m + 1
         self.pl = self.q + 1
-        ctypes = kernel._ctypes
-        self.size, self.limb = ctypes.c_long, ctypes.c_uint64
-        self._void_p = ctypes.c_void_p
-        self._memmove, self._addressof = ctypes.memmove, ctypes.addressof
         self._arrays = []
 
     def ptr(self, a, offset: int = 0):
         """The address of limb `offset` of the array a, as a c_void_p argument."""
-        return self._void_p(self._addressof(a) + 8 * offset)
+        return ctypes.c_void_p(ctypes.addressof(a) + 8 * offset)
 
     def array(self, limbs: int, value: int = 0):
         """A fresh array of `limbs` limbs holding 0 <= value < 2^(64 * limbs).
@@ -223,7 +211,7 @@ class _Ring:
         The ring keeps every array it makes, so the addresses its folds
         hold stay valid while any fold or the ring is alive.
         """
-        a = (self.limb * limbs)()
+        a = (ctypes.c_uint64 * limbs)()
         self._arrays.append(a)
         if value:
             self.put(a, value)
@@ -241,7 +229,7 @@ class _Ring:
     def put(self, a, value: int) -> None:
         """Store 0 <= value < 2^(64 * len(a)) in a."""
         data = value.to_bytes(8 * len(a), "little")
-        self._memmove(a, data, len(data))
+        ctypes.memmove(a, data, len(data))
 
     def folder(self, dst, src, c: int = 0, square: bool = False):
         """fold(steps=1) mod 2^m + 1: `steps` times, dst <- (z - c) mod N for the z in src.
@@ -259,7 +247,7 @@ class _Ring:
         +1 and the -c go to the low limb together, which keeps the result
         canonical unless that limb carries or borrows.
         """
-        q, N, nml = self.q, self.N, self.size(self.ml)
+        q, N, nml = self.q, self.N, ctypes.c_long(self.ml)
         ptr, get, put = self.ptr, self.get, self.put
         sqr, sub_n = self.kernel._sqr, self.kernel._sub_n
         pd, pz, ph = ptr(dst), ptr(src), ptr(src, q)
@@ -303,7 +291,7 @@ class _Ring:
         """
         ml, t, N = self.ml, self.t, self.N
         addmul_1, get, put = self.kernel._addmul_1, self.get, self.put
-        pz, ph, nml, scale = self.ptr(z), self.ptr(z, ml), self.size(ml), self.limb(1 << t)
+        pz, ph, nml, scale = self.ptr(z), self.ptr(z, ml), ctypes.c_long(ml), ctypes.c_uint64(1 << t)
         low_end = 1 << 2 * LIMB_BITS if ml > 1 else 0  # one limb: every delta goes to Python ints
 
         def fold():

@@ -210,16 +210,15 @@ def _uv_ladder(params: LucasParams, n: int, N: int, M: int | _FermatFold) -> tup
     return u, v
 
 
-def s_from_v(params: LucasParams, k: int, N: int) -> int:
+def s_from_v(k: int, N: int) -> int:
     """v_bar at index 2^(k+1) mod odd N: term k of the seed-5 squaring chain.
 
-    Requires the standard (7, 1) parameters; evaluated by fast doubling.
+    For the standard (7, 1) parameters, the only ones the chain rides;
+    evaluated by fast doubling.
     """
-    if params != STANDARD_PARAMS:
-        raise ValueError("the squaring-chain bridge holds only for parameters (7, 1)")
     if k < 0:
         raise ValueError(f"chain index must be >= 0, got {k}")
-    return uv_mod(params, 1 << (k + 1), N).v_bar
+    return uv_mod(STANDARD_PARAMS, 1 << (k + 1), N).v_bar
 
 
 def _ring_powers(params: LucasParams, x: QuadInt, k_max: int) -> list[QuadInt]:

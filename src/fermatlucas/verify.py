@@ -200,7 +200,7 @@ def traces(max_n: int) -> list[Check]:
             s = (s * s - 2) % F
             generic.append(s)
         checks.append(_check(f"trace_special_vs_generic_F{n}", list(trace) == generic))
-        bridge = all(s_from_v(STANDARD_PARAMS, k, F) == trace[k] for k in range(len(trace)))
+        bridge = all(s_from_v(k, F) == trace[k] for k in range(len(trace)))
         checks.append(_check(f"trace_bridge_F{n}", bridge))
     for n in range(1, max_n + 1):
         F = fermat_number(n)

@@ -176,26 +176,24 @@ def test_uv_mod_huge_index():
 
 
 def test_s_from_v_examples():
-    assert s_from_v(P7, 0, 257) == 5
-    assert s_from_v(P7, 1, 257) == 23
-    assert s_from_v(P7, 2, 10**9 + 7) == 527
+    assert s_from_v(0, 257) == 5
+    assert s_from_v(1, 257) == 23
+    assert s_from_v(2, 10**9 + 7) == 527
 
 
 def test_s_from_v_bridges_the_squaring_chain():
     N = 257
     s = 5 % N
     for k in range(13):
-        assert s_from_v(P7, k, N) == s
+        assert s_from_v(k, N) == s
         s = (s * s - 2) % N
 
 
 def test_s_from_v_validation():
     with pytest.raises(ValueError):
-        s_from_v(P3, 2, 257)  # only (7, 1) rides the chain
+        s_from_v(-1, 257)
     with pytest.raises(ValueError):
-        s_from_v(P7, -1, 257)
-    with pytest.raises(ValueError):
-        s_from_v(P7, 2, 10**9)  # even modulus: fast doubling halves
+        s_from_v(2, 10**9)  # even modulus: fast doubling halves
 
 
 def test_sum_identity_examples():
@@ -268,6 +266,8 @@ def test_alternate_params_pair_missing_index():
         alternate_params_pair(9, lehmer_pairs_exact(P7, 8))
     with pytest.raises(ValueError):
         alternate_params_pair(3, lehmer_pairs_exact(P7, 8)[1:])  # not indexed by index
+    with pytest.raises(ValueError, match="index must be >= 0"):
+        alternate_params_pair(-1, [])  # refused by name, not left to an IndexError
 
 
 def test_odd_index_u_recurrence():

@@ -8,6 +8,7 @@ the dispatch tests use a stand-in kernel and run everywhere.
 
 import collections
 import copy
+import ctypes
 import itertools
 import random
 import subprocess
@@ -276,8 +277,6 @@ def counting(native):
     shift count.  The functions have no argtypes, so a Python int would be
     passed as a C int, silently cut to 32 bits.
     """
-    import ctypes
-
     counts = collections.Counter()
     counted = copy.copy(native)
     for name, fn in vars(native).items():
@@ -321,24 +320,36 @@ def test_foreign_calls_per_step():
     assert with_minus_one == (pair.u_bar, pair.v_bar)
 
 
-def test_loader_refuses_32_bit_limbs(monkeypatch):
-    import ctypes
+def stand_in_gmp(limb_bits=64, missing=None):
+    """A `ctypes.PyDLL` whose every library is a libgmp as the loader sees it.
 
-    bits = ctypes.c_int(32)
+    Its limbs are `limb_bits` bits wide, no code is behind its functions,
+    and it has no symbol named `missing`.
+    """
+    bits = ctypes.c_int(limb_bits)
 
     class StandInGmp:
-        """A libgmp as the loader sees it, with `bits`-bit limbs and no code behind its functions."""
-
         def __init__(self, name, *args, **kwargs):
             pass
 
         def __getitem__(self, name):
+            if name == missing:
+                raise AttributeError(f"{name}: undefined symbol")
             return ctypes.pointer(bits) if name == "__gmp_bits_per_limb" else types.SimpleNamespace()
 
-    monkeypatch.setattr(ctypes, "PyDLL", StandInGmp)
+    return StandInGmp
+
+
+def test_loader_refuses_32_bit_limbs(monkeypatch):
+    monkeypatch.setattr(ctypes, "PyDLL", stand_in_gmp(32))
     assert _gmp.load.__wrapped__() is None
-    bits.value = 64
+    monkeypatch.setattr(ctypes, "PyDLL", stand_in_gmp(64))
     assert isinstance(_gmp.load.__wrapped__(), _gmp.GmpKernel)
+
+
+def test_loader_refuses_a_library_without_a_symbol(monkeypatch):
+    monkeypatch.setattr(ctypes, "PyDLL", stand_in_gmp(missing="__gmpn_addmul_1"))
+    assert _gmp.load.__wrapped__() is None
 
 
 def ladder_route(native, m):
@@ -431,17 +442,23 @@ def test_failed_loader_gives_the_same_verdicts(monkeypatch):
 
 
 def test_loader_returns_none_without_libgmp(monkeypatch):
-    import ctypes
+    # Only the soname the suite runs against is opened: no search for a
+    # libgmp of another name (another ABI, or a non-ELF build).
     import ctypes.util
 
+    opened = []
+
     def no_library(name, *args, **kwargs):
+        opened.append(name)
         raise OSError(f"{name}: cannot open shared object file")
 
+    def no_search(name):
+        pytest.fail(f"the loader searched for {name!r}")
+
     monkeypatch.setattr(ctypes, "PyDLL", no_library)
-    monkeypatch.setattr(ctypes.util, "find_library", lambda name: None)
+    monkeypatch.setattr(ctypes.util, "find_library", no_search)
     assert _gmp.load.__wrapped__() is None
-    monkeypatch.setattr(ctypes.util, "find_library", lambda name: "libgmp.so")
-    assert _gmp.load.__wrapped__() is None
+    assert opened == ["libgmp.so.10"]
 
 
 class RecordingKernel:
