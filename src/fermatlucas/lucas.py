@@ -92,6 +92,11 @@ class LehmerPair(NamedTuple):
     v_bar: int
 
 
+#: The exact pairs at indices 0 and 1, the same for every (R, Q): the int
+#: ladder's default start table.
+_LADDER_START = (LehmerPair(0, 0, 2), LehmerPair(1, 1, 1))
+
+
 def _check_exact_index(max_index: int) -> None:
     if max_index < 0:
         raise ValueError(f"index must be >= 0, got {max_index}")
@@ -183,23 +188,31 @@ def uv_mod(params: LucasParams, n: int, N: int) -> LehmerPair:
         raise ValueError(f"modulus {N} shares a factor with Q = {params.Q}")
     if n < 0:
         raise ValueError(f"index must be >= 0, got {n}")
-    if n == 0:  # both ladders start from index 1
-        return LehmerPair(0, 0, 2)
     m = fermat_form_exponent(N)
     native = native_kernel(m, 1) if m is not None and abs(params.Q) == 1 else None
-    if native is not None:
+    if native is not None and n:  # the libgmp ladder starts from index 1
         return LehmerPair(n, *native.uv_ladder(params.R, params.Q, n, m))
     return LehmerPair(n, *_uv_ladder(params, n, N, N if m is None else _FermatFold(m)))
 
 
-def _uv_ladder(params: LucasParams, n: int, N: int, M: int | _FermatFold) -> tuple[int, int]:
-    """`uv_mod`'s int loop, unchecked: (u_bar(n), v_bar(n)) mod odd N coprime to Q, n >= 1.
+def _uv_ladder(
+    params: LucasParams, n: int, N: int, M: int | _FermatFold, start: Sequence[LehmerPair] = _LADDER_START
+) -> tuple[int, int]:
+    """`uv_mod`'s int loop, unchecked: (u_bar(n), v_bar(n)) mod odd N coprime to Q, n >= 0.
 
     `x % M` reduces mod N: M is N (one C-level `%`) or `_FermatFold(m)` for N = 2^m + 1.
+    `start` holds the exact pairs at indices 0..2^t - 1, t >= 1, as
+    `lehmer_pairs_exact(params, 2^t - 1)` returns them; the walk starts at
+    the index k of n's top t bits and doubles over the rest.  A caller that
+    walks to many indices builds the table once and walks t - 1 fewer bits
+    each time.
     """
     R, Q, D = params.R, params.Q, params.D
-    u, v, qk, k_odd = 1, 1, Q, True  # the pair, Q^k and k's parity at k = 1
-    for bit in bin(n)[3:]:
+    t = len(start).bit_length() - 1
+    k = n >> max(n.bit_length() - t, 0)
+    _, u, v = start[k]
+    u, v, qk, k_odd = u % M, v % M, pow(Q, k, N), k & 1  # the pair, Q^k and k's parity
+    for bit in bin(n)[2 + t:]:
         u, v = u * v % M, ((R * v * v if k_odd else v * v) - 2 * qk) % M
         qk, k_odd = qk * qk % M, False
         if bit == "1":

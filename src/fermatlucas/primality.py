@@ -11,12 +11,12 @@ classical Mersenne squaring chain).
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
-from .lucas import STANDARD_PARAMS, LucasParams, _uv_ladder, uv_mod
+from .lucas import _LADDER_START, STANDARD_PARAMS, LehmerPair, LucasParams, _uv_ladder, uv_mod
 from .native import native_kernel
 from .quadratic import fermat_form_exponent, fermat_mod, mersenne_mod
-from .symbols import jacobi
+from .symbols import jacobi, symbol_triple
 
 # Full traces are only kept for small indices; 2^n - 1 residues of 2^n bits
 # each get out of hand quickly.
@@ -358,21 +358,26 @@ def lehmer_congruence_checks(params: LucasParams, p: int) -> CongruenceReport:
         raise ValueError(f"p must be an odd prime, got {p}")
     if (params.Q * params.R * params.D) % p == 0:
         raise ValueError(f"p = {p} divides QRD")
-    eps, sig, tau, rows = _congruence_rows(params, p)
-    return CongruenceReport(p, params, eps, sig, tau, tuple(map(ResidueCheck._make, rows)))
+    triple = symbol_triple(params, p)
+    rows = _congruence_rows(params, p, triple)
+    return CongruenceReport(p, params, *triple, tuple(map(ResidueCheck._make, rows)))
 
 
-def _congruence_rows(params: LucasParams, p: int) -> tuple[int, int, int, tuple[tuple, ...]]:
-    """(eps, sig, tau, rows) of `lehmer_congruence_checks` at an odd prime p not dividing QRD, unchecked.
+def _congruence_rows(
+    params: LucasParams, p: int, triple: tuple[int, int, int], start: Sequence[LehmerPair] = _LADDER_START
+) -> tuple[tuple, ...]:
+    """The rows of `lehmer_congruence_checks` at an odd prime p not dividing QRD, unchecked.
 
-    Each row is a plain `ResidueCheck` tuple (name, index, expected % p,
-    actual, passed); this is the one place each congruence is decided.
+    `triple` is (eps, sig, tau) at p and `start` the ladder's start table
+    (see `lucas._uv_ladder`).  Each row is a plain `ResidueCheck` tuple
+    (name, index, expected % p, actual, passed); this is the one place each
+    congruence is decided.
     """
     R, Q, D = params.R, params.Q, params.D
-    eps, sig, tau = jacobi(D, p), jacobi(R, p), jacobi(Q, p)
+    eps, sig, tau = triple
     se = sig * eps
     idx, half = p - se, (p - se) // 2
-    u, v = _uv_ladder(params, half, p, p)
+    u, v = _uv_ladder(params, half, p, p, start)
     u_idx = u * v % p
     v_idx = ((R if half % 2 else 1) * v * v - 2 * pow(Q, half, p)) % p
     if se == 1:
@@ -382,7 +387,7 @@ def _congruence_rows(params: LucasParams, p: int) -> tuple[int, int, int, tuple[
     u_p, v_p = u_p * inv % p, v_p * inv % p
     v_expected = 2 * sig * Q ** ((1 - se) // 2)
     name, x = ("v_vanishes_at_half", v) if sig == -tau else ("u_vanishes_at_half", u)
-    return eps, sig, tau, (
+    return (
         ("u_at_p", p, eps % p, u_p, (u_p - eps) % p == 0),
         ("v_at_p", p, sig % p, v_p, (v_p - sig) % p == 0),
         ("u_vanishes", idx, 0, u_idx, u_idx == 0),

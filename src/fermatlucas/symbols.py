@@ -40,6 +40,18 @@ def jacobi(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
+def jacobi_period(a: int) -> list[int]:
+    """(a/r) for r = 0..4|a| - 1 and nonzero a, so that (a/n) = table[n % 4|a|] on odd n > 0.
+
+    The Jacobi symbol (a/n) over odd n > 0 has a period dividing 4|a|.
+    Write a = +-2^e b with b odd and positive: (-1/n) depends on n mod 4,
+    (2/n) on n mod 8, needed only when e >= 1 and then 8 divides 4|a|, and
+    (b/n) = (n/b) (-1)^((b-1)/2 (n-1)/2) on n mod b and n mod 4.  Entries
+    at even r are 0; no odd n reads them.
+    """
+    return [jacobi(a, r) if r % 2 else 0 for r in range(4 * abs(a))]
+
+
 def symbol_triple(params: LucasParams, n: int) -> SymbolTriple:
     """(epsilon, sigma, tau) for the given parameters over odd n >= 3."""
     if n < 3 or n % 2 == 0:

@@ -12,6 +12,7 @@ from typing import NamedTuple
 
 from .lucas import (
     ALTERNATE_PARAMS,
+    EXACT_INDEX_CAP,
     STANDARD_PARAMS,
     _FermatFold,
     _ring_powers,
@@ -32,6 +33,7 @@ from .primality import (
     s_sequence,
 )
 from .quadratic import qscale
+from .symbols import jacobi_period
 
 
 class Check(NamedTuple):
@@ -113,11 +115,14 @@ def _odd_primes_below(n: int) -> list[int]:
     """The odd primes 3 <= p < n, from one bytearray sieve of Eratosthenes."""
     if n <= 3:
         return []
-    sieve = bytearray([1]) * n
+    # Composites are marked, so the sieve starts as `bytearray(n)`.  On CPython
+    # 3.11 a failed `bytearray([1]) * n` also prints a SystemError to stderr
+    # beside its MemoryError.
+    composite = bytearray(n)
     for i in range(3, math.isqrt(n - 1) + 1, 2):
-        if sieve[i]:
-            sieve[i * i::2 * i] = bytes(len(range(i * i, n, 2 * i)))
-    return [p for p in range(3, n, 2) if sieve[p]]
+        if not composite[i]:
+            composite[i * i::2 * i] = b"\x01" * len(range(i * i, n, 2 * i))
+    return [p for p in range(3, n, 2) if not composite[p]]
 
 
 def congruences(p_max: int) -> list[Check]:
@@ -125,14 +130,21 @@ def congruences(p_max: int) -> list[Check]:
     if p_max > sys.maxsize:  # the sieve is one bytearray of p_max entries
         raise ValueError(f"p_max must be <= {sys.maxsize}, got {p_max}")
     primes = _odd_primes_below(p_max)
+    # Every ladder walk starts from the exact pairs at its index's top t bits:
+    # t is half of p_max's bits, at least 1 and with 2^t - 1 inside the
+    # exact-index cap.  Built after the sieve, which refuses a huge p_max first.
+    t = min(max(p_max.bit_length() // 2, 1), EXACT_INDEX_CAP.bit_length() - 1)
     checks = []
     for params in (STANDARD_PARAMS, ALTERNATE_PARAMS):
         label = f"R{params.R}_Q{params.Q}"
         qrd = params.Q * params.R * params.D
+        start = lehmer_pairs_exact(params, (1 << t) - 1)
+        d, r, q = (jacobi_period(a) for a in (params.D, params.R, params.Q))
         for p in primes:
             if qrd % p == 0:
                 continue
-            rows = _congruence_rows(params, p)[3]  # sieved, so prime by construction
+            triple = d[p % len(d)], r[p % len(r)], q[p % len(q)]
+            rows = _congruence_rows(params, p, triple, start)  # sieved, so prime by construction
             failed = [name for name, _, _, _, passed in rows if not passed]
             checks.append(_check(f"congruences_{label}_p{p}", not failed, ", ".join(failed)))
     return checks

@@ -243,6 +243,16 @@ def test_verify_sieve_past_any_index_exits_2(p_max, capsys):
     assert captured.err == f"error: p_max must be <= {sys.maxsize}, got {p_max}\n"
 
 
+def test_verify_sieve_out_of_memory_exits_2_before_the_start_tables():
+    # Below sys.maxsize the allocator refuses the sieve's bytearray.  The
+    # ladder's start tables, built after the sieve and within the exact-index
+    # cap, never replace that error with one of their own.
+    proc = run_cli_limited("verify", "congruences", "--p-max", str(10**18), timeout=10)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: out of memory\n"
+
+
 @pytest.mark.parametrize("argv, message", [
     (("identities", "--m-max", "1"), "m_max must be >= 2, got 1"),
     (("identities", "--m-max", "0", "--n-max", "0"), "m_max must be >= 2, got 0"),

@@ -11,6 +11,9 @@ from fermatlucas.lucas import (
     LehmerPair,
     LucasParams,
     STANDARD_PARAMS,
+    _FermatFold,
+    _LADDER_START,
+    _uv_ladder,
     alternate_params_pair,
     iter_pairs,
     iter_uv_exact,
@@ -333,3 +336,23 @@ def test_uv_mod_agrees_with_stepping_for_non_unit_q(params):
     for N in NON_UNIT_Q_MODULI:
         for pair in itertools.islice(iter_pairs(params, N), 301):
             assert uv_mod(params, pair.index, N) == pair, (N, pair.index)
+
+
+# Odd moduli coprime to each Q below, reduced by `%`, and 2^m + 1 moduli
+# reduced by the fold.
+START_TABLE_MODULI = [(N, N) for N in (3, 7, 15, 1001, 65535, (1 << 61) - 1)] + [
+    ((1 << m) + 1, _FermatFold(m)) for m in (1, 2, 5, 16, 64)]
+
+
+@pytest.mark.parametrize("params", [P7, P3, LucasParams(5, 2)], ids=["R7_Q1", "R3_Q-1", "R5_Q2"])
+def test_ladder_from_exact_start_tables_matches_the_default_start(params):
+    # The default start is the exact table of 2^1 entries.
+    assert lehmer_pairs_exact(params, 1) == list(_LADDER_START)
+    rng = random.Random(14)
+    # An index below 2^t walks no bit from a table of 2^t pairs.
+    indices = [*range(20), 255, 256, 257, (1 << 14) - 1, 1 << 14] + [rng.randrange(1 << 14) for _ in range(40)]
+    for t in range(1, 9):
+        start = lehmer_pairs_exact(params, (1 << t) - 1)
+        for N, M in START_TABLE_MODULI:
+            for n in indices:
+                assert _uv_ladder(params, n, N, M, start) == _uv_ladder(params, n, N, M), (t, N, n)

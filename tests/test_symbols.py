@@ -4,7 +4,7 @@ import pytest
 
 from fermatlucas.lucas import ALTERNATE_PARAMS, STANDARD_PARAMS, LucasParams
 from fermatlucas.primality import fermat_number
-from fermatlucas.symbols import SymbolTriple, fermat_symbols_closed_form, jacobi, symbol_triple
+from fermatlucas.symbols import SymbolTriple, fermat_symbols_closed_form, jacobi, jacobi_period, symbol_triple
 
 
 def _sieve(limit):
@@ -54,6 +54,15 @@ def test_jacobi_euler_criterion():
             if euler not in (0, 1, p - 1):
                 raise AssertionError("Euler criterion broke; p is not prime?")
             assert jacobi(a, p) == expected
+
+
+def test_jacobi_period_covers_every_odd_denominator():
+    # Numerators of every shape +-2^e b, including the suite's D, R and Q.
+    for a in [*range(-24, 0), *range(1, 25), 96, -80]:
+        table = jacobi_period(a)
+        assert len(table) == 4 * abs(a)
+        for n in range(1, 12 * abs(a), 2):
+            assert table[n % len(table)] == jacobi(a, n), (a, n)
 
 
 def test_jacobi_multiplicative_in_numerator():

@@ -1,6 +1,6 @@
 import pytest
 
-from fermatlucas import _gmp, primality, verify
+from fermatlucas import _gmp, primality, symbols, verify
 from fermatlucas.lucas import ALTERNATE_PARAMS, LehmerPair, iter_uv_exact, sum_identity_holds
 from fermatlucas.lucas import STANDARD_PARAMS as P7
 from fermatlucas.primality import is_prime, lehmer_congruence_checks, rank_of_apparition
@@ -122,22 +122,44 @@ def test_rank_searches_each_modulus_once(monkeypatch):
 
 
 def test_congruence_suite_matches_per_prime_reports():
-    expected = []
-    for params in (P7, ALTERNATE_PARAMS):
-        qrd = params.Q * params.R * params.D
-        for p in range(3, 3000, 2):
-            if is_prime(p) and qrd % p:
-                assert lehmer_congruence_checks(params, p).ok, (params, p)
-                expected.append(verify.Check(f"congruences_R{params.R}_Q{params.Q}_p{p}", True))
-    assert verify.congruences(3000) == expected
+    # Up to 50 the suite's start tables hold 2, 4 and 8 pairs; up to 5 the suite is empty.
+    for p_max in [*range(51), 3000]:
+        expected = []
+        for params in (P7, ALTERNATE_PARAMS):
+            qrd = params.Q * params.R * params.D
+            for p in range(3, p_max, 2):
+                if is_prime(p) and qrd % p:
+                    assert lehmer_congruence_checks(params, p).ok, (params, p)
+                    expected.append(verify.Check(f"congruences_R{params.R}_Q{params.Q}_p{p}", True))
+        assert verify.congruences(p_max) == expected, p_max
+
+
+def test_congruence_suite_reads_its_symbols_from_one_period(monkeypatch):
+    # One table over 4|a| per numerator D, R and Q: for (7, 1) and (3, -1)
+    # alike, 6 + 14 + 2 odd residues, however many primes the suite checks.
+    calls = []
+    jacobi = symbols.jacobi
+
+    def counted(a, n):
+        calls.append((a, n))
+        return jacobi(a, n)
+
+    for module in (symbols, primality):
+        monkeypatch.setattr(module, "jacobi", counted)
+    counts = []
+    for p_max in (3000, 20000):
+        calls.clear()
+        verify.congruences(p_max)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= 44
 
 
 def test_wrong_ladder_residue_fails_exactly_that_prime(monkeypatch):
     ladder = primality._uv_ladder
     bad_p = 1009
 
-    def perturbed(params, n, N, M):
-        u, v = ladder(params, n, N, M)
+    def perturbed(params, n, N, M, start):
+        u, v = ladder(params, n, N, M, start)
         return ((u + 1) % N, v) if N == bad_p else (u, v)
 
     monkeypatch.setattr(primality, "_uv_ladder", perturbed)
