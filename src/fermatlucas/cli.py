@@ -174,9 +174,9 @@ _SUITE_BOUNDS = {
 _BOUND_DEFAULTS = {"m_max": 9, "n_max": 9, "p_max": 2000, "n": None, "max_n": 8}
 
 
-def _check_line(check: verify.Check) -> str:
-    detail = f"  ({check.detail})" if check.detail is not None else ""
-    return f"{'ok  ' if check.passed else 'FAIL'} {check.name}{detail}"
+def _check_line(record: dict) -> str:
+    detail = f"  ({record['detail']})" if "detail" in record else ""
+    return f"{'ok  ' if record['pass'] else 'FAIL'} {record['name']}{detail}"
 
 
 def _cmd_verify(args) -> tuple[dict, dict, int, Renderer]:
@@ -185,19 +185,18 @@ def _cmd_verify(args) -> tuple[dict, dict, int, Renderer]:
         if key in given and key not in own:
             raise ValueError(f"verify {args.suite} takes no --{key.replace('_', '-')}")
     bounds = {key: given.get(key, _BOUND_DEFAULTS[key]) for key in own}
-    checks = getattr(verify, args.suite)(*bounds.values())
-    if not checks:
-        raise ValueError(f"suite {args.suite!r} ran zero checks with these bounds")
     records, passed = [], 0
-    for name, ok, detail in checks:
+    for name, ok, detail in getattr(verify, args.suite)(*bounds.values()):
         record = {"name": name, "pass": ok}
         records.append(record if detail is None else {**record, "detail": detail})
         passed += ok
-    failed = len(checks) - passed
+    if not records:
+        raise ValueError(f"suite {args.suite!r} ran zero checks with these bounds")
+    failed = len(records) - passed
     inputs = {"suite": args.suite, **bounds}
     result = {"checks": records, "passed": passed, "failed": failed}
     summary = f"{passed} passed, {failed} failed"
-    return inputs, result, (0 if failed == 0 else 1), lambda: [*map(_check_line, checks), summary]
+    return inputs, result, (0 if failed == 0 else 1), lambda: [*map(_check_line, records), summary]
 
 
 # ---------------------------------------------------------------------------

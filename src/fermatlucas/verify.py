@@ -1,14 +1,14 @@
 """Verification suites: the paper's claims checked over bounded ranges.
 
-Each suite is a function of its bounds that returns a list of `Check`
-records; the CLI's `verify` command only renders them.
+Each suite yields `Check` records, refusing a bad bound before the first;
+the CLI's `verify` command only renders them.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .lucas import (
     ALTERNATE_PARAMS,
@@ -48,7 +48,7 @@ def _check(name: str, ok: bool, detail: str | None = None) -> Check:
     return Check(name, bool(ok), detail if detail and not ok else None)
 
 
-def identities(m_max: int, n_max: int) -> list[Check]:
+def identities(m_max: int, n_max: int) -> Iterator[Check]:
     """Parity structure, doubling, gcd, sum identities and the parity swap."""
     # Below these bounds no sum identity would be checked.
     if m_max < 2:
@@ -58,7 +58,6 @@ def identities(m_max: int, n_max: int) -> list[Check]:
     # One exact table serves every sum identity; building it first checks
     # m_max*n_max against the exact-index cap before any other work.
     ring = list(iter_uv_exact(STANDARD_PARAMS, m_max * n_max))
-    checks = []
     tables = {}
     for params in (STANDARD_PARAMS, ALTERNATE_PARAMS):
         label = f"R{params.R}_Q{params.Q}"
@@ -75,25 +74,25 @@ def identities(m_max: int, n_max: int) -> list[Check]:
                 kept = (u.a, v.b)
             if not ok or kept != pairs[i][1:]:
                 bad.append(i)
-        checks.append(_check(f"parity_structure_{label}", not bad, f"indices {bad[:5]}"))
+        yield _check(f"parity_structure_{label}", not bad, f"indices {bad[:5]}")
 
         # u_bar(2n) = u_bar(n)*v_bar(n), v_bar(2n) = c*v_bar(n)^2 - 2Q^n, c = R for odd n
         bad_u = [n for n in range(101) if pairs[2 * n].u_bar != pairs[n].u_bar * pairs[n].v_bar]
         bad_v = [n for n in range(101) if pairs[2 * n].v_bar
                  != (params.R if n % 2 else 1) * pairs[n].v_bar ** 2 - 2 * params.Q**n]
-        checks.append(_check(f"doubling_u_{label}", not bad_u, f"n {bad_u[:5]}"))
-        checks.append(_check(f"doubling_v_{label}", not bad_v, f"n {bad_v[:5]}"))
+        yield _check(f"doubling_u_{label}", not bad_u, f"n {bad_u[:5]}")
+        yield _check(f"doubling_v_{label}", not bad_v, f"n {bad_v[:5]}")
 
         bad = [n for n in range(201) if (2 * abs(params.Q) ** n) % math.gcd(pairs[n].u_bar, pairs[n].v_bar) != 0]
-        checks.append(_check(f"gcd_divides_2Qn_{label}", not bad, f"n {bad[:5]}"))
+        yield _check(f"gcd_divides_2Qn_{label}", not bad, f"n {bad[:5]}")
 
     powers = {n: [_ring_powers(STANDARD_PARAMS, x, m_max) for x in ring[n][1:]] for n in range(1, n_max + 1)}
     for m in range(2, m_max + 1):
         for n in range(1, n_max + 1):
             u_side, v_side = _sum_identity_sides(STANDARD_PARAMS, m, *powers[n])
             _, Umn, Vmn = ring[m * n]
-            checks.append(_check(f"sum_identity_u_m{m}_n{n}", qscale(1 << (m - 1), Umn) == u_side))
-            checks.append(_check(f"sum_identity_v_m{m}_n{n}", qscale(1 << (m - 1), Vmn) == v_side))
+            yield _check(f"sum_identity_u_m{m}_n{n}", qscale(1 << (m - 1), Umn) == u_side)
+            yield _check(f"sum_identity_v_m{m}_n{n}", qscale(1 << (m - 1), Vmn) == v_side)
 
     # Odd-index subsequence of u_bar for (7, 1) obeys x_{j+1} = 5 x_j - x_{j-1}
     # (the step-two recurrence, since v_bar(2) = 5 and Q^2 = 1).
@@ -103,12 +102,11 @@ def identities(m_max: int, n_max: int) -> list[Check]:
     for j in range(2, 100):
         x_prev, x = x, 5 * x - x_prev
         ok = ok and pairs7[2 * j + 1].u_bar == x
-    checks.append(_check("odd_index_recurrence", ok))
+    yield _check("odd_index_recurrence", ok)
 
     pairs3 = tables[ALTERNATE_PARAMS]
     swapped = all(alternate_params_pair(n, pairs7) == pairs3[n] for n in range(61))
-    checks.append(_check("alternate_params_swap", swapped))
-    return checks
+    yield _check("alternate_params_swap", swapped)
 
 
 def _odd_primes_below(n: int) -> list[int]:
@@ -125,7 +123,7 @@ def _odd_primes_below(n: int) -> list[int]:
     return [p for p in range(3, n, 2) if not composite[p]]
 
 
-def congruences(p_max: int) -> list[Check]:
+def congruences(p_max: int) -> Iterator[Check]:
     """The five classical congruences at every odd prime below p_max not dividing QRD."""
     if p_max > sys.maxsize:  # the sieve is one bytearray of p_max entries
         raise ValueError(f"p_max must be <= {sys.maxsize}, got {p_max}")
@@ -134,7 +132,6 @@ def congruences(p_max: int) -> list[Check]:
     # t is half of p_max's bits, at least 1 and with 2^t - 1 inside the
     # exact-index cap.  Built after the sieve, which refuses a huge p_max first.
     t = min(max(p_max.bit_length() // 2, 1), EXACT_INDEX_CAP.bit_length() - 1)
-    checks = []
     for params in (STANDARD_PARAMS, ALTERNATE_PARAMS):
         label = f"R{params.R}_Q{params.Q}"
         qrd = params.Q * params.R * params.D
@@ -146,20 +143,17 @@ def congruences(p_max: int) -> list[Check]:
             triple = d[p % len(d)], r[p % len(r)], q[p % len(q)]
             rows = _congruence_rows(params, p, triple, start)  # sieved, so prime by construction
             failed = [name for name, _, _, _, passed in rows if not passed]
-            checks.append(_check(f"congruences_{label}_p{p}", not failed, ", ".join(failed)))
-    return checks
+            yield _check(f"congruences_{label}_p{p}", not failed, ", ".join(failed))
 
 
-def appendix(n: int | None) -> list[Check]:
+def appendix(n: int | None) -> Iterator[Check]:
     """The 18 flanking residues around F_n; n = None checks n = 2, 3 and 4."""
-    checks = []
     for k in (n,) if n is not None else (2, 3, 4):
         for c in appendix_residues(STANDARD_PARAMS, k):
-            checks.append(_check(c.name, c.passed, f"expected {c.expected}, got {c.actual}"))
-    return checks
+            yield _check(c.name, c.passed, f"expected {c.expected}, got {c.actual}")
 
 
-def rank() -> list[Check]:
+def rank() -> Iterator[Check]:
     """Rank examples, existence up to 500, divisibility, and certificates."""
     # One search per modulus answers every check below.  The largest omega
     # below 501 is 882 (m = 441), far under the default cap.
@@ -167,12 +161,10 @@ def rank() -> list[Check]:
         m: rank_of_apparition(STANDARD_PARAMS, m).omega
         for m in range(2, 501) if math.gcd(m, STANDARD_PARAMS.Q) == 1
     }
-    checks = [
-        _check(f"omega_{m}_is_{expected}", omegas[m] == expected, f"got {omegas[m]}")
-        for m, expected in ((5, 4), (17, 16), (257, 256))
-    ]
+    for m, expected in ((5, 4), (17, 16), (257, 256)):
+        yield _check(f"omega_{m}_is_{expected}", omegas[m] == expected, f"got {omegas[m]}")
     missing = [m for m, omega in omegas.items() if omega is None]
-    checks.append(_check("omega_exists_to_500", not missing, f"missing {missing[:5]}"))
+    yield _check("omega_exists_to_500", not missing, f"missing {missing[:5]}")
 
     bad = []
     for m in range(3, 201, 2):
@@ -183,26 +175,24 @@ def rank() -> list[Check]:
         zeros, multiples = _u_zeros(STANDARD_PARAMS, m, 2000), range(omega, 2001, omega)
         if zeros != list(multiples):
             bad.append((m, min(set(zeros).symmetric_difference(multiples))))
-    checks.append(_check("divisibility_iff_rank_divides", not bad, f"first {bad[:3]}"))
+    yield _check("divisibility_iff_rank_divides", not bad, f"first {bad[:3]}")
 
     pairs = lehmer_pairs_exact(STANDARD_PARAMS, 60)
     bad = [(k, n) for k in range(1, 61) for n in range(k, 61, k) if pairs[n].u_bar % pairs[k].u_bar != 0]
-    checks.append(_check("u_divides_u_at_multiples", not bad, f"first {bad[:3]}"))
+    yield _check("u_divides_u_at_multiples", not bad, f"first {bad[:3]}")
 
     for N, name in ((17, "certify_17"), (257, "certify_257"), (65537, "certify_65537")):
         verdict = certify_via_rank(STANDARD_PARAMS, N)
-        checks.append(_check(name, verdict.classification == "prime"))
+        yield _check(name, verdict.classification == "prime")
     f5 = certify_via_rank(STANDARD_PARAMS, (1 << 32) + 1)
-    checks.append(_check("certify_F5_composite", f5.classification == "composite"))
-    return checks
+    yield _check("certify_F5_composite", f5.classification == "composite")
 
 
-def traces(max_n: int) -> list[Check]:
+def traces(max_n: int) -> Iterator[Check]:
     """Chain traces against plain `%` and the v-side bridge; final residues to max_n on the int ladder."""
     if max_n < 1:  # no final residue would be checked
         raise ValueError(f"max_n must be >= 1, got {max_n}")
     fermat_number(max_n)  # refuse an index out of range before any chain runs
-    checks = []
     for n in (1, 2, 3, 4):
         F = fermat_number(n)
         trace = s_sequence(n, keep_trace=True).residues
@@ -211,11 +201,10 @@ def traces(max_n: int) -> list[Check]:
         for _ in range((1 << n) - 2):
             s = (s * s - 2) % F
             generic.append(s)
-        checks.append(_check(f"trace_special_vs_generic_F{n}", list(trace) == generic))
+        yield _check(f"trace_special_vs_generic_F{n}", list(trace) == generic)
         bridge = all(s_from_v(k, F) == trace[k] for k in range(len(trace)))
-        checks.append(_check(f"trace_bridge_F{n}", bridge))
+        yield _check(f"trace_bridge_F{n}", bridge)
     for n in range(1, max_n + 1):
         F = fermat_number(n)
         v_route = _uv_ladder(STANDARD_PARAMS, (F - 1) // 2, F, _FermatFold(1 << n))[1]
-        checks.append(_check(f"final_matches_v_route_F{n}", v_route == s_sequence(n).final))
-    return checks
+        yield _check(f"final_matches_v_route_F{n}", v_route == s_sequence(n).final)

@@ -315,6 +315,24 @@ def test_verify_record_lists_only_the_suite_bounds(suite, capsys, monkeypatch):
     assert inputs["suite"] == suite
 
 
+def test_verify_failing_check_exits_1_with_its_detail(capsys, monkeypatch):
+    # The goldens are all-pass; a stub suite sends one failure through both renderers.
+    from fermatlucas import cli
+
+    def suite():
+        yield cli.verify.Check("holds", True)
+        yield cli.verify.Check("breaks", False, "got 3")
+
+    monkeypatch.setattr(cli.verify, "rank", suite)
+    assert cli.main(["verify", "rank"]) == 1
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["checks"] == [{"name": "holds", "pass": True},
+                                {"name": "breaks", "pass": False, "detail": "got 3"}]
+    assert (result["passed"], result["failed"]) == (1, 1)
+    assert cli.main(["--human", "verify", "rank"]) == 1
+    assert capsys.readouterr().out == "ok   holds\nFAIL breaks  (got 3)\n1 passed, 1 failed\n"
+
+
 def test_verify_identities_flags():
     rec = record_of(run_cli("verify", "identities", "--m-max", "4", "--n-max", "4"))
     names = {c["name"] for c in rec["result"]["checks"]}

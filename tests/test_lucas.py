@@ -216,7 +216,7 @@ def test_sum_identity_cap():
     # One exact ring table to index m*n serves the sum identities; over the
     # cap the suite refuses before checking anything.
     with pytest.raises(ValueError, match=f"capped at index {EXACT_INDEX_CAP}, got 10201"):
-        verify.identities(101, 101)
+        list(verify.identities(101, 101))
 
 
 def test_gcd_uv_examples():

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from fermatlucas import _gmp, primality, symbols, verify
@@ -113,7 +115,7 @@ def test_rank_searches_each_modulus_once(monkeypatch):
         return rank_of_apparition(params, m, cap=cap)
 
     monkeypatch.setattr(verify, "rank_of_apparition", counted)
-    checks = verify.rank()
+    checks = list(verify.rank())
     assert searched == list(range(2, 501))  # 499 searches, one per modulus
     assert checks == [(name, True, None) for name in (
         "omega_5_is_4", "omega_17_is_16", "omega_257_is_256", "omega_exists_to_500",
@@ -131,7 +133,7 @@ def test_congruence_suite_matches_per_prime_reports():
                 if is_prime(p) and qrd % p:
                     assert lehmer_congruence_checks(params, p).ok, (params, p)
                     expected.append(verify.Check(f"congruences_R{params.R}_Q{params.Q}_p{p}", True))
-        assert verify.congruences(p_max) == expected, p_max
+        assert list(verify.congruences(p_max)) == expected, p_max
 
 
 def test_congruence_suite_reads_its_symbols_from_one_period(monkeypatch):
@@ -149,9 +151,9 @@ def test_congruence_suite_reads_its_symbols_from_one_period(monkeypatch):
     counts = []
     for p_max in (3000, 20000):
         calls.clear()
-        verify.congruences(p_max)
+        list(verify.congruences(p_max))
         counts.append(len(calls))
-    assert counts[0] == counts[1] <= 44
+    assert counts == [44, 44]
 
 
 def test_wrong_ladder_residue_fails_exactly_that_prime(monkeypatch):
@@ -173,6 +175,19 @@ def test_wrong_ladder_residue_fails_exactly_that_prime(monkeypatch):
         assert "u_vanishes" in check.detail and "v_at_even_index" not in check.detail
 
 
+@pytest.mark.parametrize("suite, bounds", [
+    ("identities", (1, 9)), ("identities", (9, 0)), ("identities", (101, 101)),
+    ("traces", (0,)), ("traces", (33,)),
+    ("congruences", (sys.maxsize + 1,)),
+    ("appendix", (5,)),
+])
+def test_suite_refuses_its_bounds_before_its_first_check(suite, bounds):
+    # A record streamed check by check can exit 2 cleanly only before its
+    # first check is written, so every refusal comes before the first yield.
+    with pytest.raises(ValueError):
+        next(iter(getattr(verify, suite)(*bounds)))
+
+
 def test_prime_sieve_matches_trial_division():
     # 0..6 and 20000 as the suite uses it; up to 50 reaches n - 1 = 9, 25 and 49.
     for p_max in [*range(51), 20000]:
@@ -188,6 +203,6 @@ def test_traces_check_the_libgmp_chain_against_the_int_ladder(monkeypatch):
     monkeypatch.setattr(_gmp.GmpKernel, "square_chain", lambda self, *args: chain(self, *args) + 1)
     monkeypatch.setattr(_gmp.GmpKernel, "uv_ladder",
                         lambda self, *args: tuple(x + 1 for x in ladder(self, *args)))
-    checks = verify.traces(11)
+    checks = list(verify.traces(11))
     assert len(checks) == 19
     assert [c.name for c in checks if not c.passed] == ["final_matches_v_route_F11"]
