@@ -33,8 +33,10 @@ INLINE_LIMIT = 4096
 # zero checks, and libgmp paths the rows above leave out: chains mod 2^m - 1
 # with 64 not dividing m (M_4423 prime, M_4093 composite, M_1999, and M_2111
 # and M_2113, where the fold multiplies the high part by 2^t with t = 1 and
-# t = 63), Pepin mod F_12, verify traces to F_12, and a full uv_mod ladder
-# mod F_12 whose all-ones index halves at every bit.
+# t = 63), Pepin mod F_12, verify traces to F_12, a full uv_mod ladder
+# mod F_12 whose all-ones index halves at every bit, and each --human line
+# the rows above leave out: the witness, the unproven tag, M_q, a rank not
+# found, a ×√3 tag and a plain --modulus heading.
 COMMANDS = (
     "test fermat 4",
     "test fermat 5",
@@ -71,6 +73,12 @@ COMMANDS = (
     "test pepin 12",
     "verify traces --max-n 12",
     f"table uv-mod --modulus-fermat 12 --indices {(1 << 4095) - 1}",
+    "--human test fermat 5",
+    "--human test fermat 3 --seed 6 --experimental",
+    "--human test mersenne 7",
+    "--human rank 1000033",
+    "--human table uv-exact --params 3,-1 --max 5",
+    "--human table uv-mod --modulus 17 --max 16",
 )
 
 _TIMING = re.compile(r', "timing_ms": [-+.0-9eE]+\}$', re.MULTILINE)
