@@ -1,9 +1,10 @@
 """Command-line front end: primality tests, sequence tables, verification suites.
 
 Default output is one JSON record per invocation (stable key order, so byte
-identical across runs up to the timing field); --human switches to aligned
-text.  Exit codes: 0 = prime / all checks passed / rank found, 1 = composite /
-failures / rank not found, 2 = usage or precondition error.
+identical across runs up to the timing field); --human renders that record,
+and nothing else, as aligned text.  Exit codes: 0 = prime / all checks
+passed / rank found, 1 = composite / failures / rank not found, 2 = usage or
+precondition error.
 """
 
 from __future__ import annotations
@@ -13,8 +14,7 @@ import json
 import os
 import sys
 import time
-from functools import cache, partial
-from typing import Callable
+from functools import cache
 
 from . import verify
 from .lucas import EXACT_INDEX_CAP, LucasParams, STANDARD_PARAMS, lehmer_pairs_exact, uv_mod
@@ -28,10 +28,6 @@ from .primality import (
     rank_of_apparition,
 )
 from .quadratic import balanced_residue
-
-
-# Commands return (inputs, result, exit code, renderer of the --human lines).
-Renderer = Callable[[], list[str]]
 
 
 def _params_arg(text: str) -> LucasParams:
@@ -53,7 +49,7 @@ def _indices_arg(text: str) -> tuple[int, ...]:
 # test
 
 
-def _cmd_test(args) -> tuple[dict, dict, int, Renderer]:
+def _cmd_test(args) -> tuple[dict, dict, int]:
     if args.kind != "fermat" and (args.seed is not None or args.experimental):
         raise ValueError("--seed/--experimental only apply to the fermat test")
     seed = args.seed if args.seed is not None else PROVEN_SEED
@@ -67,15 +63,7 @@ def _cmd_test(args) -> tuple[dict, dict, int, Renderer]:
     if args.kind == "fermat":
         inputs["seed"] = seed
         inputs["experimental"] = args.experimental
-    result = verdict._asdict()
-
-    def render() -> list[str]:
-        number = f"{'M' if args.kind == 'mersenne' else 'F'}_{args.index}"
-        line = f"{number} is {verdict.classification} ({verdict.method})"
-        line += "" if verdict.proven else " [unproven: experimental seed]"
-        return [line] + ([] if verdict.witness is None else [f"witness residue: {verdict.witness}"])
-
-    return inputs, result, (0 if verdict.is_prime else 1), render
+    return inputs, verdict._asdict(), (0 if verdict.is_prime else 1)
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +83,7 @@ def _table_indices(args) -> range | list[int]:
     return sorted(set(args.indices))
 
 
-def _cmd_table(args) -> tuple[dict, dict, int, Renderer]:
+def _cmd_table(args) -> tuple[dict, dict, int]:
     params = args.params
     modulus = args.modulus if args.modulus_fermat is None else fermat_number(args.modulus_fermat)
     indices = _table_indices(args)
@@ -115,7 +103,6 @@ def _cmd_table(args) -> tuple[dict, dict, int, Renderer]:
              "v": p.v_bar, "v_radical": p.index % 2 == 1}
             for p in (pairs[i] for i in indices)
         ]
-        render = partial(_render_exact_table, params, rows)
     else:
         if modulus is None:
             raise ValueError("uv-mod needs --modulus or --modulus-fermat")
@@ -128,38 +115,7 @@ def _cmd_table(args) -> tuple[dict, dict, int, Renderer]:
              "v": p.v_bar, "v_balanced": balanced_residue(p.v_bar, modulus)}
             for p in (uv_mod(params, i, modulus) for i in indices)
         ]
-        render = partial(_render_mod_table, modulus, rows)
-    return inputs, {"rows": rows}, 0, render
-
-
-def _render_columns(heads: tuple[str, ...], cells: list[tuple[str, ...]]) -> list[str]:
-    """The heading line and one line per row, each column right-aligned to its widest entry."""
-    widths = [max(map(len, column)) for column in zip(heads, *cells)]
-    return [" | ".join(f"{cell:>{w}}" for cell, w in zip(row, widths)) for row in (heads, *cells)]
-
-
-def _render_exact_table(params: LucasParams, rows: list[dict]) -> list[str]:
-    tag = f" ×√{params.R}"
-    cells = [
-        (str(r["i"]), str(r["u"]) + (tag if r["u_radical"] else ""),
-         str(r["v"]) + (tag if r["v_radical"] else ""))
-        for r in rows
-    ]
-    return _render_columns(("i", "U_i", "V_i"), cells)
-
-
-def _fmt_residue(canonical: int, balanced: int) -> str:
-    if balanced != canonical and abs(balanced) < 100:
-        return f"{canonical} = {balanced}"
-    return str(canonical)
-
-
-def _render_mod_table(modulus: int, rows: list[dict]) -> list[str]:
-    cells = [
-        (str(r["i"]), _fmt_residue(r["u"], r["u_balanced"]), _fmt_residue(r["v"], r["v_balanced"]))
-        for r in rows
-    ]
-    return _render_columns(("i", f"u_bar mod {modulus}", f"v_bar mod {modulus}"), cells)
+    return inputs, {"rows": rows}, 0
 
 
 # ---------------------------------------------------------------------------
@@ -174,12 +130,7 @@ _SUITE_BOUNDS = {
 _BOUND_DEFAULTS = {"m_max": 9, "n_max": 9, "p_max": 2000, "n": None, "max_n": 8}
 
 
-def _check_line(record: dict) -> str:
-    detail = f"  ({record['detail']})" if "detail" in record else ""
-    return f"{'ok  ' if record['pass'] else 'FAIL'} {record['name']}{detail}"
-
-
-def _cmd_verify(args) -> tuple[dict, dict, int, Renderer]:
+def _cmd_verify(args) -> tuple[dict, dict, int]:
     own, given = _SUITE_BOUNDS[args.suite], vars(args)
     for key in _BOUND_DEFAULTS:
         if key in given and key not in own:
@@ -195,21 +146,16 @@ def _cmd_verify(args) -> tuple[dict, dict, int, Renderer]:
     failed = len(records) - passed
     inputs = {"suite": args.suite, **bounds}
     result = {"checks": records, "passed": passed, "failed": failed}
-    summary = f"{passed} passed, {failed} failed"
-    return inputs, result, (0 if failed == 0 else 1), lambda: [*map(_check_line, records), summary]
+    return inputs, result, (0 if failed == 0 else 1)
 
 
 # ---------------------------------------------------------------------------
 # rank
 
 
-def _cmd_rank(args) -> tuple[dict, dict, int, Renderer]:
+def _cmd_rank(args) -> tuple[dict, dict, int]:
     res = rank_of_apparition(STANDARD_PARAMS, args.m)  # at most RANK_SEARCH_CAP steps
-    inputs = {"m": args.m}
-    result = {"omega": res.omega, "cap": res.cap}
-    if res.omega is None:
-        return inputs, result, 1, lambda: [f"no rank found below cap {res.cap}"]
-    return inputs, result, 0, lambda: [f"omega({args.m}) = {res.omega}"]
+    return {"m": args.m}, {"omega": res.omega, "cap": res.cap}, (1 if res.omega is None else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -261,22 +207,18 @@ def main(argv: list[str] | None = None) -> int:
     handler = {"test": _cmd_test, "table": _cmd_table, "verify": _cmd_verify, "rank": _cmd_rank}[args.command]
     t0 = time.perf_counter()
     try:
-        inputs, result, code, render = handler(args)
+        inputs, result, code = handler(args)
     except (ValueError, InconclusiveError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
         return 2
+    record = {"command": args.command, "inputs": inputs, "result": result}
     if args.human:
-        print("\n".join(render()))
+        print("\n".join(_human_lines(record)))
     else:
-        record = {
-            "command": args.command,
-            "inputs": inputs,
-            "result": result,
-            "timing_ms": round((time.perf_counter() - t0) * 1000, 3),
-        }
+        record["timing_ms"] = round((time.perf_counter() - t0) * 1000, 3)
         print(json.dumps(record, sort_keys=True))
     return code
 
@@ -292,6 +234,56 @@ def entry() -> None:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 2
     sys.exit(code)
+
+
+# ---------------------------------------------------------------------------
+# --human
+
+
+def _human_lines(record: dict) -> list[str]:
+    """The --human text of one record, read from its command, inputs and result alone."""
+    command, inputs, result = record["command"], record["inputs"], record["result"]
+    if command == "test":
+        number = f"{'M' if inputs['kind'] == 'mersenne' else 'F'}_{inputs['index']}"
+        line = f"{number} is {result['classification']} ({result['method']})"
+        line += "" if result["proven"] else " [unproven: experimental seed]"
+        return [line] + ([] if result["witness"] is None else [f"witness residue: {result['witness']}"])
+    if command == "table" and inputs["which"] == "uv-exact":
+        tag = f" ×√{inputs['params']['R']}"
+        cells = [
+            (str(r["i"]), str(r["u"]) + (tag if r["u_radical"] else ""),
+             str(r["v"]) + (tag if r["v_radical"] else ""))
+            for r in result["rows"]
+        ]
+        return _render_columns(("i", "U_i", "V_i"), cells)
+    if command == "table":
+        cells = [
+            (str(r["i"]), _fmt_residue(r["u"], r["u_balanced"]), _fmt_residue(r["v"], r["v_balanced"]))
+            for r in result["rows"]
+        ]
+        return _render_columns(("i", f"u_bar mod {inputs['modulus']}", f"v_bar mod {inputs['modulus']}"), cells)
+    if command == "verify":
+        return [*map(_check_line, result["checks"]), f"{result['passed']} passed, {result['failed']} failed"]
+    if result["omega"] is None:
+        return [f"no rank found below cap {result['cap']}"]
+    return [f"omega({inputs['m']}) = {result['omega']}"]
+
+
+def _render_columns(heads: tuple[str, ...], cells: list[tuple[str, ...]]) -> list[str]:
+    """The heading line and one line per row, each column right-aligned to its widest entry."""
+    widths = [max(map(len, column)) for column in zip(heads, *cells)]
+    return [" | ".join(f"{cell:>{w}}" for cell, w in zip(row, widths)) for row in (heads, *cells)]
+
+
+def _fmt_residue(canonical: int, balanced: int) -> str:
+    if balanced != canonical and abs(balanced) < 100:
+        return f"{canonical} = {balanced}"
+    return str(canonical)
+
+
+def _check_line(check: dict) -> str:
+    detail = f"  ({check['detail']})" if "detail" in check else ""
+    return f"{'ok  ' if check['pass'] else 'FAIL'} {check['name']}{detail}"
 
 
 if __name__ == "__main__":

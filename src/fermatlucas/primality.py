@@ -99,8 +99,9 @@ class CongruenceReport(NamedTuple):
 def chain_kernel(bits: int, sign: int) -> str:
     """The kernel `square_chain` uses mod 2^bits + sign: "gmp" (libgmp) or "int".
 
-    One rule (`native.native_kernel`) serves the chains and `uv_mod`'s fast
-    doubling mod 2^bits + 1, so this names the kernel of both.
+    `uv_mod`'s fast doubling mod 2^bits + 1 follows the same rule
+    (`native.native_kernel`) only for Q = +-1 and index >= 1: it sends every
+    other Q, and index 0, to the int ladder whatever this returns.
     """
     return "int" if native_kernel(bits, sign) is None else "gmp"
 

@@ -475,15 +475,41 @@ def test_human_lines_are_built_only_under_human(argv, monkeypatch, capsys):
     from fermatlucas import cli
 
     calls = []
-    for name in ("_cmd_test", "_cmd_table", "_cmd_verify", "_cmd_rank"):
-        def counted(args, cmd=getattr(cli, name)):
-            inputs, result, code, render = cmd(args)  # render builds the --human lines
-            return inputs, result, code, lambda: calls.append(argv) or render()
-        monkeypatch.setattr(cli, name, counted)
+    human_lines = cli._human_lines
+
+    def counted(record):
+        calls.append(argv)
+        return human_lines(record)
+
+    monkeypatch.setattr(cli, "_human_lines", counted)
     cli.main(argv)
     assert calls == [] and capsys.readouterr().out.startswith('{"command"')
     cli.main(["--human", *argv])
     assert calls == [argv] and not capsys.readouterr().out.startswith("{")
+
+
+@pytest.mark.parametrize("command", [
+    "test fermat 5",
+    "test fermat 3 --seed 6 --experimental",
+    "test mersenne 7",
+    "test pepin 5",
+    "table uv-exact --params 3,-1 --max 5",
+    "table uv-mod --params 3,-1 --modulus 17 --max 5",
+    "table uv-mod --modulus 17 --max 16",
+    "table uv-mod --modulus-fermat 3 --max 16",
+    "verify appendix --n 3",
+    "verify rank",
+    "rank 17",
+    "rank 1000033",
+])
+def test_human_output_is_a_view_of_the_record(command, capsys):
+    # Every branch of _human_lines: the --human text is rendered from the JSON record alone.
+    from fermatlucas import cli
+
+    code = cli.main(command.split())
+    record = json.loads(capsys.readouterr().out)
+    assert cli.main(["--human", *command.split()]) == code
+    assert capsys.readouterr().out == "\n".join(cli._human_lines(record)) + "\n"
 
 
 def test_closed_stdout_exits_2_quietly():
