@@ -1,10 +1,10 @@
 """Command-line front end: primality tests, sequence tables, verification suites.
 
 Default output is one JSON record per invocation (stable key order, so byte
-identical across runs up to the timing field); --human renders that record,
-and nothing else, as aligned text.  Exit codes: 0 = prime / all checks
-passed / rank found, 1 = composite / failures / rank not found, 2 = usage or
-precondition error.
+identical across runs up to the timing field), written as a table's rows or a
+suite's checks arrive; --human renders that record, and nothing else, as
+aligned text.  Exit codes: 0 = prime / all checks passed / rank found, 1 =
+composite / failures / rank not found, 2 = usage or precondition error.
 """
 
 from __future__ import annotations
@@ -15,9 +15,10 @@ import os
 import sys
 import time
 from functools import cache
+from itertools import islice
 
 from . import verify
-from .lucas import EXACT_INDEX_CAP, LucasParams, STANDARD_PARAMS, lehmer_pairs_exact, uv_mod
+from .lucas import EXACT_INDEX_CAP, LucasParams, STANDARD_PARAMS, _check_exact_index, iter_pairs, uv_mod
 from .primality import (
     PROVEN_SEED,
     InconclusiveError,
@@ -49,7 +50,7 @@ def _indices_arg(text: str) -> tuple[int, ...]:
 # test
 
 
-def _cmd_test(args) -> tuple[dict, dict, int]:
+def _cmd_test(args) -> tuple[dict, dict]:
     if args.kind != "fermat" and (args.seed is not None or args.experimental):
         raise ValueError("--seed/--experimental only apply to the fermat test")
     seed = args.seed if args.seed is not None else PROVEN_SEED
@@ -63,7 +64,7 @@ def _cmd_test(args) -> tuple[dict, dict, int]:
     if args.kind == "fermat":
         inputs["seed"] = seed
         inputs["experimental"] = args.experimental
-    return inputs, verdict._asdict(), (0 if verdict.is_prime else 1)
+    return inputs, verdict._asdict()
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +84,7 @@ def _table_indices(args) -> range | list[int]:
     return sorted(set(args.indices))
 
 
-def _cmd_table(args) -> tuple[dict, dict, int]:
+def _cmd_table(args) -> tuple[dict, dict]:
     params = args.params
     modulus = args.modulus if args.modulus_fermat is None else fermat_number(args.modulus_fermat)
     indices = _table_indices(args)
@@ -97,12 +98,13 @@ def _cmd_table(args) -> tuple[dict, dict, int]:
     if args.which == "uv-exact":
         if modulus is not None:
             raise ValueError("uv-exact takes no modulus")
-        pairs = lehmer_pairs_exact(params, indices[-1])  # checks the cap first
-        rows = [
+        _check_exact_index(indices[-1])
+        wanted = indices if args.max is not None else set(indices)
+        rows = (
             {"i": p.index, "u": p.u_bar, "u_radical": p.index % 2 == 0,
              "v": p.v_bar, "v_radical": p.index % 2 == 1}
-            for p in (pairs[i] for i in indices)
-        ]
+            for p in islice(iter_pairs(params), indices[-1] + 1) if p.index in wanted
+        )
     else:
         if modulus is None:
             raise ValueError("uv-mod needs --modulus or --modulus-fermat")
@@ -110,12 +112,12 @@ def _cmd_table(args) -> tuple[dict, dict, int]:
         count = len(indices) if args.max is None else args.max + 1
         if count > EXACT_INDEX_CAP + 1:
             raise ValueError(f"uv-mod tables are capped at {EXACT_INDEX_CAP + 1} rows, got {count}")
-        rows = [
+        rows = (
             {"i": p.index, "u": p.u_bar, "u_balanced": balanced_residue(p.u_bar, modulus),
              "v": p.v_bar, "v_balanced": balanced_residue(p.v_bar, modulus)}
             for p in (uv_mod(params, i, modulus) for i in indices)
-        ]
-    return inputs, {"rows": rows}, 0
+        )
+    return inputs, {"rows": rows}
 
 
 # ---------------------------------------------------------------------------
@@ -130,32 +132,36 @@ _SUITE_BOUNDS = {
 _BOUND_DEFAULTS = {"m_max": 9, "n_max": 9, "p_max": 2000, "n": None, "max_n": 8}
 
 
-def _cmd_verify(args) -> tuple[dict, dict, int]:
+def _cmd_verify(args) -> tuple[dict, dict]:
     own, given = _SUITE_BOUNDS[args.suite], vars(args)
     for key in _BOUND_DEFAULTS:
         if key in given and key not in own:
             raise ValueError(f"verify {args.suite} takes no --{key.replace('_', '-')}")
     bounds = {key: given.get(key, _BOUND_DEFAULTS[key]) for key in own}
-    records, passed = [], 0
-    for name, ok, detail in getattr(verify, args.suite)(*bounds.values()):
-        record = {"name": name, "pass": ok}
-        records.append(record if detail is None else {**record, "detail": detail})
+    result = {}
+    result["checks"] = _check_records(args.suite, getattr(verify, args.suite)(*bounds.values()), result)
+    return {"suite": args.suite, **bounds}, result
+
+
+def _check_records(suite: str, checks, result: dict):
+    """One record per check as it arrives; once the last is taken, `result` gets the counts."""
+    count = passed = 0
+    for name, ok, detail in checks:
+        count += 1
         passed += ok
-    if not records:
-        raise ValueError(f"suite {args.suite!r} ran zero checks with these bounds")
-    failed = len(records) - passed
-    inputs = {"suite": args.suite, **bounds}
-    result = {"checks": records, "passed": passed, "failed": failed}
-    return inputs, result, (0 if failed == 0 else 1)
+        yield {"name": name, "pass": ok} if detail is None else {"name": name, "pass": ok, "detail": detail}
+    if count == 0:
+        raise ValueError(f"suite {suite!r} ran zero checks with these bounds")
+    result.update(passed=passed, failed=count - passed)
 
 
 # ---------------------------------------------------------------------------
 # rank
 
 
-def _cmd_rank(args) -> tuple[dict, dict, int]:
+def _cmd_rank(args) -> tuple[dict, dict]:
     res = rank_of_apparition(STANDARD_PARAMS, args.m)  # at most RANK_SEARCH_CAP steps
-    return {"m": args.m}, {"omega": res.omega, "cap": res.cap}, (1 if res.omega is None else 0)
+    return {"m": args.m}, {"omega": res.omega, "cap": res.cap}
 
 
 # ---------------------------------------------------------------------------
@@ -207,20 +213,59 @@ def main(argv: list[str] | None = None) -> int:
     handler = {"test": _cmd_test, "table": _cmd_table, "verify": _cmd_verify, "rank": _cmd_rank}[args.command]
     t0 = time.perf_counter()
     try:
-        inputs, result, code = handler(args)
+        inputs, result = handler(args)
+        record = {"command": args.command, "inputs": inputs, "result": result}
+        if args.human:
+            key = _STREAMED.get(args.command)
+            if key is not None:  # every row sets the column widths
+                result[key] = list(result[key])
+            print("\n".join(_human_lines(record)))
+        else:
+            _write_json(record, t0)
     except (ValueError, InconclusiveError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
         return 2
-    record = {"command": args.command, "inputs": inputs, "result": result}
-    if args.human:
-        print("\n".join(_human_lines(record)))
+    return _exit_code(record)
+
+
+# The result key whose items a handler yields lazily.  It sorts first in its
+# result, so the keys after it (a suite's counts) may be set as the items run out.
+_STREAMED = {"table": "rows", "verify": "checks"}
+# Items per `encode` call: one call per item takes about 3x as long.
+_BATCH = 256
+
+
+def _write_json(record: dict, t0: float) -> None:
+    """Write `json.dumps(record, sort_keys=True)` plus `timing_ms`, encoding the items a batch at a time.
+
+    The first batch is taken before the first byte is written, so a refusal,
+    which comes before the first item, leaves stdout empty.
+    """
+    write, encode = sys.stdout.write, json.JSONEncoder(sort_keys=True).encode
+    result, key = record["result"], _STREAMED.get(record["command"])
+    head = encode({"command": record["command"], "inputs": record["inputs"]})[:-1] + ', "result": '
+    if key is None:
+        write(head + encode(result))
     else:
-        record["timing_ms"] = round((time.perf_counter() - t0) * 1000, 3)
-        print(json.dumps(record, sort_keys=True))
-    return code
+        items = iter(result.pop(key))
+        batch = list(islice(items, _BATCH))
+        write(f"{head}{{{encode(key)}: [{encode(batch)[1:-1]}")
+        while batch := list(islice(items, _BATCH)):
+            write(", " + encode(batch)[1:-1])
+        rest = encode(result)[1:-1]  # the keys that sort after the items
+        write("]" + (", " + rest if rest else "") + "}")
+    write(f', "timing_ms": {encode(round((time.perf_counter() - t0) * 1000, 3))}}}\n')
+
+
+def _exit_code(record: dict) -> int:
+    """1 for a composite, a failed check or a rank not found, read from the finished record alone."""
+    command, result = record["command"], record["result"]
+    return int(command == "test" and result["classification"] == "composite"
+               or command == "verify" and result["failed"] > 0
+               or command == "rank" and result["omega"] is None)
 
 
 def entry() -> None:

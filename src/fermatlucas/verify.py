@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import sys
+from itertools import compress, count
 from typing import Iterator, NamedTuple
 
 from .lucas import (
@@ -109,25 +110,35 @@ def identities(m_max: int, n_max: int) -> Iterator[Check]:
     yield _check("alternate_params_swap", swapped)
 
 
-def _odd_primes_below(n: int) -> list[int]:
-    """The odd primes 3 <= p < n, from one bytearray sieve of Eratosthenes."""
+# The sieve marks composites with 1; translated, its flags mark primes, as `compress` wants.
+_PRIME_FLAGS = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+
+
+def _odd_prime_flags(n: int) -> bytes:
+    """Entry j is 1 when 2j + 1 < n is prime, from one sieve of Eratosthenes over the odd numbers."""
     if n <= 3:
-        return []
-    # Composites are marked, so the sieve starts as `bytearray(n)`.  On CPython
-    # 3.11 a failed `bytearray([1]) * n` also prints a SystemError to stderr
-    # beside its MemoryError.
-    composite = bytearray(n)
+        return b""
+    # Composites are marked, so the sieve starts as `bytearray(n // 2)`.  On
+    # CPython 3.11 a failed `bytearray([1]) * n` also prints a SystemError to
+    # stderr beside its MemoryError.
+    composite = bytearray(n // 2)
+    composite[0] = 1  # the number 1
     for i in range(3, math.isqrt(n - 1) + 1, 2):
-        if not composite[i]:
-            composite[i * i::2 * i] = b"\x01" * len(range(i * i, n, 2 * i))
-    return [p for p in range(3, n, 2) if not composite[p]]
+        if not composite[i // 2]:
+            composite[i * i // 2::i] = b"\x01" * len(range(i * i // 2, n // 2, i))
+    return composite.translate(_PRIME_FLAGS)
+
+
+def _odd_primes(flags: bytes) -> Iterator[int]:
+    """The primes that `_odd_prime_flags` marks, taken lazily at C speed."""
+    return compress(count(1, 2), flags)
 
 
 def congruences(p_max: int) -> Iterator[Check]:
     """The five classical congruences at every odd prime below p_max not dividing QRD."""
-    if p_max > sys.maxsize:  # the sieve is one bytearray of p_max entries
+    if p_max > sys.maxsize:  # past any index: refused by name, before the sieve
         raise ValueError(f"p_max must be <= {sys.maxsize}, got {p_max}")
-    primes = _odd_primes_below(p_max)
+    flags = _odd_prime_flags(p_max)
     # Every ladder walk starts from the exact pairs at its index's top t bits:
     # t is half of p_max's bits, at least 1 and with 2^t - 1 inside the
     # exact-index cap.  Built after the sieve, which refuses a huge p_max first.
@@ -137,7 +148,7 @@ def congruences(p_max: int) -> Iterator[Check]:
         qrd = params.Q * params.R * params.D
         start = lehmer_pairs_exact(params, (1 << t) - 1)
         d, r, q = (jacobi_period(a) for a in (params.D, params.R, params.Q))
-        for p in primes:
+        for p in _odd_primes(flags):
             if qrd % p == 0:
                 continue
             triple = d[p % len(d)], r[p % len(r)], q[p % len(q)]

@@ -1,4 +1,5 @@
 import json
+import re
 import resource
 import subprocess
 import sys
@@ -438,6 +439,83 @@ def test_mod_table_row_cap_counts_rows_of_max_and_indices_alike():
     assert len(record_of(run_cli("table", "uv-mod", "--modulus", "17", "--indices", many))["result"]["rows"]) == 10001
     proc = run_cli("table", "uv-mod", "--modulus", "17", "--indices", ",".join(map(str, range(10002))))
     assert proc.returncode == 2 and "capped at 10001 rows, got 10002" in proc.stderr
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("uv-exact", "--max", "10001"), "exact evaluation is capped at index 10000, got 10001"),
+    (("uv-exact", "--indices", "5,10001"), "exact evaluation is capped at index 10000, got 10001"),
+    (("uv-exact", "--max", "-1"), "--max must be >= 0"),
+    (("uv-mod", "--modulus", "17", "--indices=3,-1"), "indices must be >= 0"),
+    (("uv-mod", "--max", "3"), "uv-mod needs --modulus or --modulus-fermat"),
+    (("uv-exact", "--modulus", "17", "--max", "3"), "uv-exact takes no modulus"),
+    (("uv-mod", "--modulus", "16", "--max", "3"), "modulus must be an odd integer >= 3, got 16"),
+    (("uv-mod", "--params", "7,3", "--modulus", "9", "--max", "3"), "modulus 9 shares a factor with Q = 3"),
+    (("uv-mod", "--modulus", "17", "--max", "10001"), "uv-mod tables are capped at 10001 rows, got 10002"),
+])
+def test_table_refusals_write_no_partial_record(argv, message, capsys):
+    # Rows are written as they are computed; a refusal comes before the first.
+    from fermatlucas import cli
+
+    assert cli.main(["table", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("exc, message", [(ValueError("no such check"), "no such check"),
+                                          (MemoryError(), "out of memory")])
+@pytest.mark.parametrize("before", ["first check", "second batch"])
+def test_error_after_the_first_check_exits_2(exc, message, before, capsys, monkeypatch):
+    # The failed check makes the record read as exit 1; the error must win,
+    # before the first byte and after it alike.
+    from fermatlucas import cli
+
+    def suite():
+        yield cli.verify.Check("breaks", False, "got 3")
+        for k in range(cli._BATCH if before == "second batch" else 0):
+            yield cli.verify.Check(f"holds_{k}", True)
+        raise exc
+
+    monkeypatch.setattr(cli.verify, "rank", suite)
+    assert cli.main(["verify", "rank"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    if before == "first check":
+        assert captured.out == ""
+    else:  # the first batch was written, and the record stops there
+        assert captured.out.startswith('{"command": "verify"') and not captured.out.endswith("\n")
+
+
+# Above what the streamed records need (VmPeak 20-25 MB with Python 3.11 on
+# x86-64 Linux), below what they needed held whole (112 MB for the table,
+# 136 MB for the suite).
+STREAM_LIMIT = 64 * 2**20
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "congruences", "--p-max", "2000000"),
+    ("table", "uv-exact", "--max", "10000"),
+])
+def test_large_records_stream_under_an_address_space_limit(argv, tmp_path):
+    # Exit 0 with the bytes of an unlimited run, `timing_ms` aside.  The two
+    # runs overlap: the unlimited one writes to a file, not a pipe.
+    command = [sys.executable, "-m", "fermatlucas", *argv]
+    limit = (STREAM_LIMIT, STREAM_LIMIT)
+    with open(tmp_path / "unlimited.json", "wb") as sink:
+        free = subprocess.Popen(command, stdout=sink, env=cli_env())
+        limited = subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=cli_env(),
+                                   preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, limit))
+        out, err = limited.communicate(timeout=120)
+        assert free.wait(timeout=120) == 0
+    assert (limited.returncode, err) == (0, b"")
+    reference = (tmp_path / "unlimited.json").read_bytes()
+
+    def untimed(stdout):
+        head, timing = stdout.rsplit(b', "timing_ms": ', 1)
+        assert re.fullmatch(rb"[0-9.]+}\n", timing)
+        return head
+
+    assert untimed(out) == untimed(reference)
 
 
 @pytest.mark.parametrize("q", [2**32 + 15, 2**61 - 1])

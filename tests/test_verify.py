@@ -191,7 +191,7 @@ def test_suite_refuses_its_bounds_before_its_first_check(suite, bounds):
 def test_prime_sieve_matches_trial_division():
     # 0..6 and 20000 as the suite uses it; up to 50 reaches n - 1 = 9, 25 and 49.
     for p_max in [*range(51), 20000]:
-        assert verify._odd_primes_below(p_max) == [p for p in range(3, p_max, 2) if is_prime(p)]
+        assert list(verify._odd_primes(verify._odd_prime_flags(p_max))) == [p for p in range(3, p_max, 2) if is_prime(p)]
 
 
 @pytest.mark.skipif(_gmp.load() is None, reason="libgmp did not load")
