@@ -467,7 +467,7 @@ def test_table_refusals_write_no_partial_record(argv, message, capsys):
 @pytest.mark.parametrize("before", ["first check", "second batch"])
 def test_error_after_the_first_check_exits_2(exc, message, before, capsys, monkeypatch):
     # The failed check makes the record read as exit 1; the error must win,
-    # before the first byte and after it alike.
+    # before the first byte and after it alike, as JSON and under --human.
     from fermatlucas import cli
 
     def suite():
@@ -477,30 +477,39 @@ def test_error_after_the_first_check_exits_2(exc, message, before, capsys, monke
         raise exc
 
     monkeypatch.setattr(cli.verify, "rank", suite)
-    assert cli.main(["verify", "rank"]) == 2
-    captured = capsys.readouterr()
-    assert captured.err == f"error: {message}\n"
-    if before == "first check":
-        assert captured.out == ""
-    else:  # the first batch was written, and the record stops there
-        assert captured.out.startswith('{"command": "verify"') and not captured.out.endswith("\n")
+    for human in ([], ["--human"]):
+        assert cli.main([*human, "verify", "rank"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        if before == "first check":
+            assert captured.out == ""
+        elif human:  # the first batch of lines was written, with no summary line after it
+            assert captured.out.startswith("FAIL breaks  (got 3)\n")
+            assert captured.out.endswith(f"ok   holds_{cli._BATCH - 2}\n")
+        else:  # the first batch was written, and the record stops there
+            assert captured.out.startswith('{"command": "verify"') and not captured.out.endswith("\n")
 
 
 # Above what the streamed records need (VmPeak 20-25 MB with Python 3.11 on
 # x86-64 Linux), below what they needed held whole (112 MB for the table,
 # 136 MB for the suite).
 STREAM_LIMIT = 64 * 2**20
+# A --human table holds its cell strings, which set the column widths: it
+# runs under 96 MiB, and needed more than 400 MiB with every padded line held.
+HUMAN_TABLE_LIMIT = 128 * 2**20
 
 
 @pytest.mark.parametrize("argv", [
     ("verify", "congruences", "--p-max", "2000000"),
     ("table", "uv-exact", "--max", "10000"),
+    ("--human", "verify", "congruences", "--p-max", "2000000"),
+    ("--human", "table", "uv-exact", "--max", "10000"),
 ])
 def test_large_records_stream_under_an_address_space_limit(argv, tmp_path):
     # Exit 0 with the bytes of an unlimited run, `timing_ms` aside.  The two
     # runs overlap: the unlimited one writes to a file, not a pipe.
     command = [sys.executable, "-m", "fermatlucas", *argv]
-    limit = (STREAM_LIMIT, STREAM_LIMIT)
+    limit = (HUMAN_TABLE_LIMIT,) * 2 if argv[:2] == ("--human", "table") else (STREAM_LIMIT,) * 2
     with open(tmp_path / "unlimited.json", "wb") as sink:
         free = subprocess.Popen(command, stdout=sink, env=cli_env())
         limited = subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=cli_env(),
@@ -511,6 +520,8 @@ def test_large_records_stream_under_an_address_space_limit(argv, tmp_path):
     reference = (tmp_path / "unlimited.json").read_bytes()
 
     def untimed(stdout):
+        if argv[0] == "--human":  # a --human record has no timing_ms
+            return stdout
         head, timing = stdout.rsplit(b', "timing_ms": ', 1)
         assert re.fullmatch(rb"[0-9.]+}\n", timing)
         return head
@@ -592,17 +603,18 @@ def test_human_output_is_a_view_of_the_record(command, capsys):
 
 def test_closed_stdout_exits_2_quietly():
     # A reader that stops early (`| head -c 10`) must not read as "composite".
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "fermatlucas", "table", "uv-exact", "--max", "3000"],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        env=cli_env(),
-    )
-    assert proc.stdout.read(10) == b'{"command"'
-    proc.stdout.close()
-    stderr = proc.stderr.read()
-    assert proc.wait(timeout=60) == 2
-    assert b"Traceback" not in stderr
+    for human, head in (([], b'{"command"'), (["--human"], b"   i |    ")):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "fermatlucas", *human, "table", "uv-exact", "--max", "3000"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=cli_env(),
+        )
+        assert proc.stdout.read(10) == head
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=60) == 2
+        assert b"Traceback" not in stderr
 
 
 def test_one_parser_serves_every_call(capsys):
