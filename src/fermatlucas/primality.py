@@ -249,21 +249,31 @@ def _u_zeros(params: LucasParams, m: int, limit: int, first: bool = False) -> li
 
     Two indices a turn (odd k, then k + 1) put R on the even-to-odd step with
     no parity branch: the zero test is the only one.  `first` stops at a zero.
+
+    The walk stops after one period P: the state (u_bar(P), u_bar(P + 1))
+    can equal (u_bar(0), u_bar(1)) = (0, 1) only at a zero of even index P,
+    so the test costs one comparison per zero.  From there the recurrence
+    repeats every term, and the zeros found in 1..P are tiled up to limit:
+    the list is the full walk's.  With Q a unit mod m the sequence is purely
+    periodic (Wall, Amer. Math. Monthly 67, 1960); for (7, 1) and odd m
+    below 200, P is at most 756 (m = 189).
     """
     R, Q = params.R % m, params.Q % m
     zeros = []
-    u_prev, u = 0, 1  # u_bar(0), u_bar(1)
+    even, odd = 0, 1  # u_bar(k - 1), u_bar(k) at the top of each turn
     for k in range(1, limit + 1, 2):
-        if u == 0:
+        if odd == 0:
             zeros.append(k)
             if first:
                 break
-        u_prev, u = u, (u - Q * u_prev) % m
-        if u == 0:
+        even = (odd - Q * even) % m
+        odd = (R * even - Q * odd) % m
+        if even == 0:
             zeros.append(k + 1)
             if first:
                 break
-        u_prev, u = u, (R * u - Q * u_prev) % m
+            if odd == 1:  # u_bar at k + 1, k + 2 is u_bar at 0, 1: period k + 1
+                return [z + j for j in range(0, limit, k + 1) for z in zeros if z + j <= limit]
     return zeros[:-1] if zeros and zeros[-1] > limit else zeros  # k + 1 overshot an odd limit
 
 
@@ -274,7 +284,8 @@ def rank_of_apparition(params: LucasParams, m: int, cap: int = RANK_SEARCH_CAP) 
     resource bound, not a theory bound).  Stepping needs every index, so a
     first-order recurrence beats fast doubling here.  This and the
     `verify rank` divisibility sweep share one u-only loop, `_u_zeros`, which
-    runs about 6x faster than taking whole pairs from `iter_pairs`.
+    runs about 6x faster than taking whole pairs from `iter_pairs`.  Only the
+    sweep stops at the period P: omega <= P, so the search ends first.
     """
     if m < 2:
         raise ValueError(f"m must be >= 2, got {m}")

@@ -239,6 +239,39 @@ def test_u_only_loop_matches_iter_pairs():
         assert rank_of_apparition(params, m, cap=2000).omega == (zeros[0] if zeros else None)
 
 
+# (params, m, P): P is the least even index with (u_bar(P), u_bar(P + 1)) = (0, 1) mod m,
+# where the u-only loop stops.  P = 4008 for m = 2003 lies past the sweep's limit of 2000.
+U_PERIODS = [(P7, 45, 72), (P7, 189, 756), (LucasParams(5, 2), 53, 104), (P7, 2003, 4008)]
+
+
+def test_u_only_loop_tiles_its_zeros_past_the_period():
+    for params, m, period in U_PERIODS:
+        u = [p.u_bar for p in islice(iter_pairs(params, modulus=m), max(2 * period + 2, 2000) + 1)]
+        assert [k for k in range(2, period + 1, 2) if u[k:k + 2] == [0, 1]] == [period], (params, m)
+        for limit in (period - 1, period, period + 1, 2 * period + 1, 2000):
+            zeros = [k for k in range(1, limit + 1) if u[k] == 0]
+            assert _u_zeros(params, m, limit) == zeros, (params, m, limit)
+            assert _u_zeros(params, m, limit, first=True) == zeros[:1], (params, m, limit)
+
+
+class CountingModulus(int):
+    """A modulus that counts the reductions by it: Python tries a subclass's reflected `%` first."""
+
+    reductions = 0
+
+    def __rmod__(self, other):
+        self.reductions += 1
+        return other % int(self)
+
+
+def test_u_only_loop_stops_after_one_period():
+    # m = 189 has the longest period of the `verify rank` sweep, 756: R % m and
+    # Q % m, then one reduction per index up to P, where a full walk makes 2000.
+    m = CountingModulus(189)
+    assert _u_zeros(P7, m, 2000) == _u_zeros(P7, 189, 2000)
+    assert m.reductions <= 756 + 2
+
+
 def test_rank_of_apparition_at_an_odd_cap():
     # omega(5) = 4: the loop's second index of a turn lands on the cap or past it.
     assert rank_of_apparition(P7, 5, cap=4).omega == 4
