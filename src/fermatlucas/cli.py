@@ -124,22 +124,21 @@ def _cmd_table(args) -> tuple[dict, dict]:
 # verify suites
 
 
-# Each suite's bounds, in the order its `verify` function takes them, and each bound's default.
-_SUITE_BOUNDS = {
-    "identities": ("m_max", "n_max"), "congruences": ("p_max",), "appendix": ("n",),
-    "rank": (), "traces": ("max_n",),
-}
-_BOUND_DEFAULTS = {"m_max": 9, "n_max": 9, "p_max": 2000, "n": None, "max_n": 8}
+# Each suite's bounds and their defaults, read (never changed) from its keyword-only
+# parameters; the `verify` flags and the stray-bound check follow this suite order.
+_SUITE_BOUNDS = {suite: getattr(verify, suite).__kwdefaults__ or {}
+                 for suite in ("identities", "congruences", "appendix", "rank", "traces")}
+_BOUNDS = [key for own in _SUITE_BOUNDS.values() for key in own]
 
 
 def _cmd_verify(args) -> tuple[dict, dict]:
     own, given = _SUITE_BOUNDS[args.suite], vars(args)
-    for key in _BOUND_DEFAULTS:
+    for key in _BOUNDS:
         if key in given and key not in own:
             raise ValueError(f"verify {args.suite} takes no --{key.replace('_', '-')}")
-    bounds = {key: given.get(key, _BOUND_DEFAULTS[key]) for key in own}
+    bounds = {key: given.get(key, default) for key, default in own.items()}
     result = {}
-    result["checks"] = _check_records(args.suite, getattr(verify, args.suite)(*bounds.values()), result)
+    result["checks"] = _check_records(args.suite, getattr(verify, args.suite)(**bounds), result)
     return {"suite": args.suite, **bounds}, result
 
 
@@ -195,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run a verification suite")
     v.add_argument("suite", choices=sorted(_SUITE_BOUNDS))
-    for key in _BOUND_DEFAULTS:  # absent unless given, so a bound the suite does not read is refused
+    for key in _BOUNDS:  # absent unless given, so a bound the suite does not read is refused
         v.add_argument("--" + key.replace("_", "-"), type=int, default=argparse.SUPPRESS)
 
     r = sub.add_parser("rank", help="rank of apparition of m for the (7, 1) parameters")

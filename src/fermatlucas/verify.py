@@ -1,7 +1,7 @@
 """Verification suites: the paper's claims checked over bounded ranges.
 
-Each suite yields `Check` records, refusing a bad bound before the first;
-the CLI's `verify` command only renders them.
+Each suite takes keyword-only bounds, whose defaults are the CLI's, and yields
+`Check` records, refusing a bad bound before the first; the CLI renders them.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ def _check(name: str, ok: bool, detail: str | None = None) -> Check:
     return Check(name, bool(ok), detail if detail and not ok else None)
 
 
-def identities(m_max: int, n_max: int) -> Iterator[Check]:
+def identities(*, m_max: int = 9, n_max: int = 9) -> Iterator[Check]:
     """Parity structure, doubling, gcd, sum identities and the parity swap."""
     # Below these bounds no sum identity would be checked.
     if m_max < 2:
@@ -134,7 +134,7 @@ def _odd_primes(flags: bytes) -> Iterator[int]:
     return compress(count(1, 2), flags)
 
 
-def congruences(p_max: int) -> Iterator[Check]:
+def congruences(*, p_max: int = 2000) -> Iterator[Check]:
     """The five classical congruences at every odd prime below p_max not dividing QRD."""
     if p_max > sys.maxsize:  # past any index: refused by name, before the sieve
         raise ValueError(f"p_max must be <= {sys.maxsize}, got {p_max}")
@@ -157,7 +157,7 @@ def congruences(p_max: int) -> Iterator[Check]:
             yield _check(f"congruences_{label}_p{p}", not failed, ", ".join(failed))
 
 
-def appendix(n: int | None) -> Iterator[Check]:
+def appendix(*, n: int | None = None) -> Iterator[Check]:
     """The 18 flanking residues around F_n; n = None checks n = 2, 3 and 4."""
     for k in (n,) if n is not None else (2, 3, 4):
         for c in appendix_residues(STANDARD_PARAMS, k):
@@ -199,7 +199,7 @@ def rank() -> Iterator[Check]:
     yield _check("certify_F5_composite", f5.classification == "composite")
 
 
-def traces(max_n: int) -> Iterator[Check]:
+def traces(*, max_n: int = 8) -> Iterator[Check]:
     """Chain traces against plain `%` and the v-side bridge; final residues to max_n on the int ladder."""
     if max_n < 1:  # no final residue would be checked
         raise ValueError(f"max_n must be >= 1, got {max_n}")

@@ -173,6 +173,18 @@ def test_table_flag_pairs_are_exclusive_in_argparse(argv, message, capsys):
     assert "[--max MAX | --indices i,j,...]" in captured.err
 
 
+@pytest.mark.parametrize("text", ["1,x", "", "1,,2"])
+def test_table_refuses_a_malformed_index_list_in_argparse(text, capsys):
+    from fermatlucas import cli
+
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["table", "uv-mod", "--modulus", "17", "--indices", text])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"fermatlucas table: error: argument --indices: bad index list {text!r}\n")
+
+
 def test_table_human_rendering():
     proc = run_cli("--human", "table", "uv-exact", "--max", "3")
     assert proc.returncode == 0
@@ -309,11 +321,29 @@ def test_verify_record_lists_only_the_suite_bounds(suite, capsys, monkeypatch):
     # `verify rank` records {"suite": "rank"}; `verify congruences` adds p_max alone.
     from fermatlucas import cli
 
-    monkeypatch.setattr(cli.verify, suite, lambda *bounds: [cli.verify.Check("stub", True)])
+    monkeypatch.setattr(cli.verify, suite, lambda **bounds: [cli.verify.Check("stub", True)])
     assert cli.main(["verify", suite]) == 0
     inputs = json.loads(capsys.readouterr().out)["inputs"]
     assert set(inputs) == {"suite", *(flag[2:].replace("-", "_") for flag in SUITE_FLAGS[suite])}
     assert inputs["suite"] == suite
+
+
+@pytest.mark.parametrize("suite", SUITE_FLAGS)
+def test_verify_runs_the_suite_keyword_only_defaults(suite, capsys):
+    # The CLI states no bound of its own: each is a keyword-only parameter of
+    # the suite, and its default is what `verify SUITE` runs with no flag.
+    import inspect
+
+    from fermatlucas import cli
+
+    run = getattr(cli.verify, suite)
+    params = inspect.signature(run).parameters.values()
+    assert all(p.kind is p.KEYWORD_ONLY and p.default is not p.empty for p in params)
+    defaults = {p.name: p.default for p in params}
+    with pytest.raises(TypeError):
+        run(0)
+    assert cli.main(["verify", suite]) == 0
+    assert json.loads(capsys.readouterr().out)["inputs"] == {"suite": suite, **defaults}
 
 
 def test_verify_failing_check_exits_1_with_its_detail(capsys, monkeypatch):
@@ -650,13 +680,15 @@ def test_no_state_leaks_between_calls(capsys):
     assert fresh["inputs"]["params"] == {"R": 7, "Q": 1} and alternate != fresh
 
 
-def test_cli_import_loads_no_dataclasses_or_inspect():
+def test_cli_import_loads_no_inspect_dataclasses_or_ctypes():
     # Measured against the fresh interpreter's own start-up set, so modules
-    # that `site` or a .pth file preloads do not count.
+    # that `site` or a .pth file preloads do not count.  The suites' bounds are
+    # read from `__kwdefaults__`, not `inspect`, and `ctypes` comes only with
+    # the first modulus that libgmp takes.
     code = ("import sys; before = set(sys.modules); import fermatlucas.cli; "
             "print(*sorted(set(sys.modules) - before))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=cli_env())
     assert proc.returncode == 0, proc.stderr
     added = set(proc.stdout.split())
     assert "fermatlucas.cli" in added
-    assert not added & {"dataclasses", "inspect"}, sorted(added)
+    assert not added & {"inspect", "dataclasses", "ctypes"}, sorted(added)

@@ -25,7 +25,7 @@ def test_identity_table_matches_per_pair_checks():
             expected.append((f"sum_identity_u_m{m}_n{n}", sum_identity_holds(P7, m, Un, Vn, Umn, True)))
             expected.append((f"sum_identity_v_m{m}_n{n}", sum_identity_holds(P7, m, Un, Vn, Vmn, False)))
     assert all(holds for _, holds in expected)
-    assert sum_identity_checks(verify.identities(8, 8)) == expected
+    assert sum_identity_checks(verify.identities(m_max=8, n_max=8)) == expected
 
 
 def test_corrupted_table_entry_fails_sum_identities(monkeypatch):
@@ -39,7 +39,7 @@ def test_corrupted_table_entry_fails_sum_identities(monkeypatch):
                 yield n, U, V
 
         monkeypatch.setattr(verify, "iter_uv_exact", corrupted)
-        failed = {c.name for c in verify.identities(8, 8) if not c.passed}
+        failed = {c.name for c in verify.identities(m_max=8, n_max=8) if not c.passed}
         # It enters both sides as X_n at n = j, and its own side as X_{mn} at
         # m*n = j; no other suite part reads it.
         expected = {f"sum_identity_{s}_m{m}_n{j}" for m in range(2, 9) for s in "uv"}
@@ -57,7 +57,7 @@ def test_perturbed_pair_fails_parity_structure(monkeypatch):
         return pairs
 
     monkeypatch.setattr(verify, "lehmer_pairs_exact", perturbed)
-    checks = {c.name: c for c in verify.identities(2, 2)}
+    checks = {c.name: c for c in verify.identities(m_max=2, n_max=2)}
     # Of the other checks only the gcd one reads v_bar(151), and it cannot tell.
     for label in ("R7_Q1", "R3_Q-1"):
         check = checks[f"parity_structure_{label}"]
@@ -133,7 +133,7 @@ def test_congruence_suite_matches_per_prime_reports():
                 if is_prime(p) and qrd % p:
                     assert lehmer_congruence_checks(params, p).ok, (params, p)
                     expected.append(verify.Check(f"congruences_R{params.R}_Q{params.Q}_p{p}", True))
-        assert list(verify.congruences(p_max)) == expected, p_max
+        assert list(verify.congruences(p_max=p_max)) == expected, p_max
 
 
 def test_congruence_suite_reads_its_symbols_from_one_period(monkeypatch):
@@ -151,7 +151,7 @@ def test_congruence_suite_reads_its_symbols_from_one_period(monkeypatch):
     counts = []
     for p_max in (3000, 20000):
         calls.clear()
-        list(verify.congruences(p_max))
+        list(verify.congruences(p_max=p_max))
         counts.append(len(calls))
     assert counts == [44, 44]
 
@@ -165,7 +165,7 @@ def test_wrong_ladder_residue_fails_exactly_that_prime(monkeypatch):
         return ((u + 1) % N, v) if N == bad_p else (u, v)
 
     monkeypatch.setattr(primality, "_uv_ladder", perturbed)
-    checks = verify.congruences(3000)
+    checks = verify.congruences(p_max=3000)
     failed = [c for c in checks if not c.passed]
     assert [c.name for c in failed] == [f"congruences_R7_Q1_p{bad_p}", f"congruences_R3_Q-1_p{bad_p}"]
     for check, params in zip(failed, (P7, ALTERNATE_PARAMS)):
@@ -176,16 +176,16 @@ def test_wrong_ladder_residue_fails_exactly_that_prime(monkeypatch):
 
 
 @pytest.mark.parametrize("suite, bounds", [
-    ("identities", (1, 9)), ("identities", (9, 0)), ("identities", (101, 101)),
-    ("traces", (0,)), ("traces", (33,)),
-    ("congruences", (sys.maxsize + 1,)),
-    ("appendix", (5,)),
+    ("identities", {"m_max": 1}), ("identities", {"n_max": 0}), ("identities", {"m_max": 101, "n_max": 101}),
+    ("traces", {"max_n": 0}), ("traces", {"max_n": 33}),
+    ("congruences", {"p_max": sys.maxsize + 1}),
+    ("appendix", {"n": 5}),
 ])
 def test_suite_refuses_its_bounds_before_its_first_check(suite, bounds):
     # A record streamed check by check can exit 2 cleanly only before its
     # first check is written, so every refusal comes before the first yield.
     with pytest.raises(ValueError):
-        next(iter(getattr(verify, suite)(*bounds)))
+        next(iter(getattr(verify, suite)(**bounds)))
 
 
 def test_prime_sieve_matches_trial_division():
@@ -203,6 +203,6 @@ def test_traces_check_the_libgmp_chain_against_the_int_ladder(monkeypatch):
     monkeypatch.setattr(_gmp.GmpKernel, "square_chain", lambda self, *args: chain(self, *args) + 1)
     monkeypatch.setattr(_gmp.GmpKernel, "uv_ladder",
                         lambda self, *args: tuple(x + 1 for x in ladder(self, *args)))
-    checks = list(verify.traces(11))
+    checks = list(verify.traces(max_n=11))
     assert len(checks) == 19
     assert [c.name for c in checks if not c.passed] == ["final_matches_v_route_F11"]
