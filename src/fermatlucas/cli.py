@@ -18,7 +18,8 @@ from functools import cache
 from itertools import islice
 
 from . import verify
-from .lucas import EXACT_INDEX_CAP, LucasParams, STANDARD_PARAMS, _check_exact_index, iter_pairs, uv_mod
+from .lucas import (EXACT_INDEX_CAP, LucasParams, STANDARD_PARAMS, _check_exact_index, _check_modulus,
+                    iter_pairs, uv_mod)
 from .primality import (
     PROVEN_SEED,
     InconclusiveError,
@@ -112,10 +113,15 @@ def _cmd_table(args) -> tuple[dict, dict]:
         count = len(indices) if args.max is None else args.max + 1
         if count > EXACT_INDEX_CAP + 1:
             raise ValueError(f"uv-mod tables are capped at {EXACT_INDEX_CAP + 1} rows, got {count}")
+        if args.max is None:  # one walk per listed index: an index like 2^8191 cannot be stepped to
+            pairs = (uv_mod(params, i, modulus) for i in indices)
+        else:
+            _check_modulus(params, modulus)
+            pairs = islice(iter_pairs(params, modulus), args.max + 1)
         rows = (
             {"i": p.index, "u": p.u_bar, "u_balanced": balanced_residue(p.u_bar, modulus),
              "v": p.v_bar, "v_balanced": balanced_residue(p.v_bar, modulus)}
-            for p in (uv_mod(params, i, modulus) for i in indices)
+            for p in pairs
         )
     return inputs, {"rows": rows}
 

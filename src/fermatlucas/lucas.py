@@ -160,6 +160,22 @@ def iter_pairs(params: LucasParams, modulus: int | None = None) -> Iterator[Lehm
         k += 1
 
 
+# The int ladder reduces mod 2^m + 1 by `_FermatFold` when N has more than
+# FOLD_MIN_BITS bits, and by `%` otherwise; testing the bit length first
+# costs the congruence suite's small primes one int comparison a walk.
+# Per index bit, `%` / fold in µs, best of 15 interleaved walks to (N - 1)/2
+# and to one random odd m-bit index (2-vCPU VM, Python 3.11, two passes):
+#
+#     m      to (N - 1)/2            random index
+#     256    0.88 / 1.37 (0.64x)    1.17 / 1.87 (0.63x)
+#     384    1.35 / 1.46 (0.92x)    1.73 / 2.09 (0.83x)
+#     512    2.57 / 1.96 (1.31x)    2.88 / 2.63 (1.10x)
+#
+# A second pass read 0.71x, 0.84x, 1.27x.  Walks to (F_n - 1)/2 read 0.25-0.67x
+# at F_3..F_8 and 2.0-3.3x at F_10..F_12: `%` takes F_n up to n = 8, the fold n >= 9.
+FOLD_MIN_BITS = 512
+
+
 class _FermatFold(NamedTuple):
     """2^m + 1 on the right of `%`: `x % _FermatFold(m)` folds instead of dividing."""
 
@@ -167,6 +183,14 @@ class _FermatFold(NamedTuple):
 
     def __rmod__(self, x: int) -> int:
         return fermat_mod(x, self.m)
+
+
+def _check_modulus(params: LucasParams, N: int) -> None:
+    """Refuse a modulus `uv_mod` cannot take: even, below 3, or sharing a factor with Q."""
+    if N < 3 or N % 2 == 0:
+        raise ValueError(f"modulus must be an odd integer >= 3, got {N}")
+    if math.gcd(N, params.Q) != 1:
+        raise ValueError(f"modulus {N} shares a factor with Q = {params.Q}")
 
 
 def uv_mod(params: LucasParams, n: int, N: int) -> LehmerPair:
@@ -182,25 +206,22 @@ def uv_mod(params: LucasParams, n: int, N: int) -> LehmerPair:
     when libgmp does not load, takes the int loop here, which is also the
     ladder's oracle in the tests and `verify.traces`; both give the same canonical residues.
     """
-    if N < 3 or N % 2 == 0:
-        raise ValueError(f"modulus must be an odd integer >= 3, got {N}")
-    if math.gcd(N, params.Q) != 1:
-        raise ValueError(f"modulus {N} shares a factor with Q = {params.Q}")
+    _check_modulus(params, N)
     if n < 0:
         raise ValueError(f"index must be >= 0, got {n}")
     m = fermat_form_exponent(N)
     native = native_kernel(m, 1) if m is not None and abs(params.Q) == 1 else None
     if native is not None and n:  # the libgmp ladder starts from index 1
         return LehmerPair(n, *native.uv_ladder(params.R, params.Q, n, m))
-    return LehmerPair(n, *_uv_ladder(params, n, N, N if m is None else _FermatFold(m)))
+    return LehmerPair(n, *_uv_ladder(params, n, N))
 
 
 def _uv_ladder(
-    params: LucasParams, n: int, N: int, M: int | _FermatFold, start: Sequence[LehmerPair] = _LADDER_START
+    params: LucasParams, n: int, N: int, start: Sequence[LehmerPair] = _LADDER_START
 ) -> tuple[int, int]:
     """`uv_mod`'s int loop, unchecked: (u_bar(n), v_bar(n)) mod odd N coprime to Q, n >= 0.
 
-    `x % M` reduces mod N: M is N (one C-level `%`) or `_FermatFold(m)` for N = 2^m + 1.
+    `x % M` reduces mod N: M is `_FermatFold(m)` for N = 2^m + 1 above FOLD_MIN_BITS, else N.
     `start` holds the exact pairs at indices 0..2^t - 1, t >= 1, as
     `lehmer_pairs_exact(params, 2^t - 1)` returns them; the walk starts at
     the index k of n's top t bits and doubles over the rest.  A caller that
@@ -208,6 +229,7 @@ def _uv_ladder(
     each time.
     """
     R, Q, D = params.R, params.Q, params.D
+    M = N if N.bit_length() <= FOLD_MIN_BITS or (m := fermat_form_exponent(N)) is None else _FermatFold(m)
     t = len(start).bit_length() - 1
     k = n >> max(n.bit_length() - t, 0)
     _, u, v = start[k]

@@ -389,7 +389,7 @@ def _congruence_rows(
     eps, sig, tau = triple
     se = sig * eps
     idx, half = p - se, (p - se) // 2
-    u, v = _uv_ladder(params, half, p, p, start)
+    u, v = _uv_ladder(params, half, p, start)
     u_idx = u * v % p
     v_idx = ((R if half % 2 else 1) * v * v - 2 * pow(Q, half, p)) % p
     if se == 1:

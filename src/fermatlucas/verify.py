@@ -15,7 +15,6 @@ from .lucas import (
     ALTERNATE_PARAMS,
     EXACT_INDEX_CAP,
     STANDARD_PARAMS,
-    _FermatFold,
     _ring_powers,
     _sum_identity_sides,
     _uv_ladder,
@@ -217,5 +216,5 @@ def traces(*, max_n: int = 8) -> Iterator[Check]:
         yield _check(f"trace_bridge_F{n}", bridge)
     for n in range(1, max_n + 1):
         F = fermat_number(n)
-        v_route = _uv_ladder(STANDARD_PARAMS, (F - 1) // 2, F, _FermatFold(1 << n))[1]
+        v_route = _uv_ladder(STANDARD_PARAMS, (F - 1) // 2, F)[1]
         yield _check(f"final_matches_v_route_F{n}", v_route == s_sequence(n).final)

@@ -141,6 +141,21 @@ def test_table_mod_plain_modulus():
     assert rec["result"]["rows"][16]["v_balanced"] == -2
 
 
+@pytest.mark.parametrize("modulus", [["--modulus", "275808711546923307"], ["--modulus-fermat", "3"],
+                                     ["--modulus-fermat", "11"]], ids=["plain", "F3", "F11"])
+def test_mod_table_range_steps_to_the_rows_the_index_list_walks_to(modulus, capsys):
+    # --max k steps iter_pairs; --indices walks uv_mod once per index, which
+    # mod F_11 is the libgmp ladder when libgmp loads and the int fold when not.
+    from fermatlucas import cli
+
+    results = []
+    for rows in (["--max", "300"], ["--indices", ",".join(map(str, range(301)))]):
+        assert cli.main(["table", "uv-mod", *modulus, *rows]) == 0
+        results.append(json.loads(capsys.readouterr().out)["result"])
+    assert results[0] == results[1]
+    assert [row["i"] for row in results[0]["rows"]] == list(range(301))
+
+
 def test_table_flag_validation():
     assert run_cli("table", "uv-exact", "--max", "5", "--modulus", "17").returncode == 2
     assert run_cli("table", "uv-mod", "--max", "5").returncode == 2
@@ -481,6 +496,7 @@ def test_mod_table_row_cap_counts_rows_of_max_and_indices_alike():
     (("uv-mod", "--modulus", "16", "--max", "3"), "modulus must be an odd integer >= 3, got 16"),
     (("uv-mod", "--params", "7,3", "--modulus", "9", "--max", "3"), "modulus 9 shares a factor with Q = 3"),
     (("uv-mod", "--modulus", "17", "--max", "10001"), "uv-mod tables are capped at 10001 rows, got 10002"),
+    (("uv-mod", "--modulus", "1", "--max", "3"), "modulus must be an odd integer >= 3, got 1"),
 ])
 def test_table_refusals_write_no_partial_record(argv, message, capsys):
     # Rows are written as they are computed; a refusal comes before the first.

@@ -4,14 +4,14 @@ import random
 
 import pytest
 
-from fermatlucas import verify
+from fermatlucas import lucas, verify
 from fermatlucas.lucas import (
     ALTERNATE_PARAMS,
     EXACT_INDEX_CAP,
+    FOLD_MIN_BITS,
     LehmerPair,
     LucasParams,
     STANDARD_PARAMS,
-    _FermatFold,
     _LADDER_START,
     _uv_ladder,
     alternate_params_pair,
@@ -22,7 +22,7 @@ from fermatlucas.lucas import (
     sum_identity_holds,
     uv_mod,
 )
-from fermatlucas.quadratic import QuadInt
+from fermatlucas.quadratic import QuadInt, fermat_mod
 
 from golden_data import EXACT_ROWS
 
@@ -306,7 +306,7 @@ def test_iter_pairs_modular():
 
 @pytest.mark.parametrize("N", [3, 9, 17, 31], ids=["fold3", "fold9", "fold17", "generic31"])
 def test_uv_mod_agrees_with_stepping_small_moduli(N):
-    # N = 3, 9, 17 exercise the 2^m + 1 fold path at tiny m; 31 the generic path.
+    # N = 3, 9, 17 are of the 2^m + 1 form, which `%` reduces below FOLD_MIN_BITS; 31 is generic.
     it = iter_pairs(P7, modulus=N)
     for _ in range(64):
         pair = next(it)
@@ -324,8 +324,8 @@ def test_uv_mod_fold_route_off_limb_boundaries():
             assert pair == (n, wide.u_bar % N, wide.v_bar % N), n
 
 
-# 2^m + 1 moduli (Fermat numbers, 2^10 + 1 = 5^2 * 41 and F_7) take the fold,
-# the rest plain `%`; all are coprime to the Q values below.
+# 2^m + 1 moduli (Fermat numbers, 2^10 + 1 = 5^2 * 41 and F_7) and others,
+# all reduced by `%` (below FOLD_MIN_BITS) and coprime to the Q values below.
 NON_UNIT_Q_MODULI = [5, 17, 257, 65537, 1025, (1 << 128) + 1, 7, 31, 1001, 10**9 + 7, (1 << 61) - 1]
 
 
@@ -338,10 +338,9 @@ def test_uv_mod_agrees_with_stepping_for_non_unit_q(params):
             assert uv_mod(params, pair.index, N) == pair, (N, pair.index)
 
 
-# Odd moduli coprime to each Q below, reduced by `%`, and 2^m + 1 moduli
-# reduced by the fold.
-START_TABLE_MODULI = [(N, N) for N in (3, 7, 15, 1001, 65535, (1 << 61) - 1)] + [
-    ((1 << m) + 1, _FermatFold(m)) for m in (1, 2, 5, 16, 64)]
+# Odd moduli coprime to each Q below, and 2^m + 1 moduli: reduced by `%` up
+# to FOLD_MIN_BITS, by the fold above it (2^512 + 1 and 2^1024 + 1).
+START_TABLE_MODULI = [3, 7, 15, 1001, 65535, (1 << 61) - 1] + [(1 << m) + 1 for m in (1, 2, 5, 16, 64, 512, 1024)]
 
 
 @pytest.mark.parametrize("params", [P7, P3, LucasParams(5, 2)], ids=["R7_Q1", "R3_Q-1", "R5_Q2"])
@@ -353,6 +352,26 @@ def test_ladder_from_exact_start_tables_matches_the_default_start(params):
     indices = [*range(20), 255, 256, 257, (1 << 14) - 1, 1 << 14] + [rng.randrange(1 << 14) for _ in range(40)]
     for t in range(1, 9):
         start = lehmer_pairs_exact(params, (1 << t) - 1)
-        for N, M in START_TABLE_MODULI:
+        for N in START_TABLE_MODULI:
             for n in indices:
-                assert _uv_ladder(params, n, N, M, start) == _uv_ladder(params, n, N, M), (t, N, n)
+                assert _uv_ladder(params, n, N, start) == _uv_ladder(params, n, N), (t, N, n)
+
+
+@pytest.mark.parametrize("params", [P7, P3, LucasParams(5, 2)], ids=["R7_Q1", "R3_Q-1", "R5_Q2"])
+def test_ladder_folds_only_fermat_moduli_above_the_bound(monkeypatch, params):
+    # 2^256 + 1 has FOLD_MIN_BITS bits or fewer and reduces by `%`; 2^512 + 1
+    # has more and folds.  Both sides give the stepped residues.
+    calls = []
+
+    def counted(x, m):
+        calls.append(m)
+        return fermat_mod(x, m)
+
+    monkeypatch.setattr(lucas, "fermat_mod", counted)
+    for m, folds in ((256, False), (512, True)):
+        N = (1 << m) + 1
+        assert (N.bit_length() > FOLD_MIN_BITS) == folds
+        calls.clear()
+        for pair in itertools.islice(iter_pairs(params, N), 301):
+            assert uv_mod(params, pair.index, N) == pair, (m, pair.index)
+        assert bool(calls) == folds and set(calls) <= {m}, m

@@ -160,8 +160,8 @@ def test_wrong_ladder_residue_fails_exactly_that_prime(monkeypatch):
     ladder = primality._uv_ladder
     bad_p = 1009
 
-    def perturbed(params, n, N, M, start):
-        u, v = ladder(params, n, N, M, start)
+    def perturbed(params, n, N, start):
+        u, v = ladder(params, n, N, start)
         return ((u + 1) % N, v) if N == bad_p else (u, v)
 
     monkeypatch.setattr(primality, "_uv_ladder", perturbed)
