@@ -72,23 +72,18 @@ def _cmd_test(args) -> tuple[dict, dict]:
 # table
 
 
-def _table_indices(args) -> range | list[int]:
-    """The sorted, distinct row indices; --max stays a range, so nothing is built before the cap check."""
-    if args.max is None and args.indices is None:  # argparse refuses both
-        raise ValueError("give one of --max / --indices")
-    if args.max is not None:
-        if args.max < 0:
-            raise ValueError("--max must be >= 0")
-        return range(args.max + 1)
-    if any(i < 0 for i in args.indices):
-        raise ValueError("indices must be >= 0")
-    return sorted(set(args.indices))
-
-
 def _cmd_table(args) -> tuple[dict, dict]:
+    """Rows listed mod N take one `uv_mod` walk each; every other table steps `iter_pairs` from 0."""
     params = args.params
     modulus = args.modulus if args.modulus_fermat is None else fermat_number(args.modulus_fermat)
-    indices = _table_indices(args)
+    if args.max is None and args.indices is None:  # argparse refuses both
+        raise ValueError("give one of --max / --indices")
+    if args.max is not None and args.max < 0:
+        raise ValueError("--max must be >= 0")
+    if args.indices is not None and min(args.indices) < 0:
+        raise ValueError("indices must be >= 0")
+    wanted = None if args.indices is None else set(args.indices)
+    last = args.max if wanted is None else max(wanted)
     inputs = {
         "which": args.which,
         "params": {"R": params.R, "Q": params.Q},
@@ -99,30 +94,27 @@ def _cmd_table(args) -> tuple[dict, dict]:
     if args.which == "uv-exact":
         if modulus is not None:
             raise ValueError("uv-exact takes no modulus")
-        _check_exact_index(indices[-1])
-        wanted = indices if args.max is not None else set(indices)
-        rows = (
-            {"i": p.index, "u": p.u_bar, "u_radical": p.index % 2 == 0,
-             "v": p.v_bar, "v_radical": p.index % 2 == 1}
-            for p in islice(iter_pairs(params), indices[-1] + 1) if p.index in wanted
-        )
+        _check_exact_index(last)
     else:
         if modulus is None:
             raise ValueError("uv-mod needs --modulus or --modulus-fermat")
         # As many rows as an exact table can print; checked before any row is computed.
-        count = len(indices) if args.max is None else args.max + 1
+        count = last + 1 if wanted is None else len(wanted)
         if count > EXACT_INDEX_CAP + 1:
             raise ValueError(f"uv-mod tables are capped at {EXACT_INDEX_CAP + 1} rows, got {count}")
-        if args.max is None:  # one walk per listed index: an index like 2^8191 cannot be stepped to
-            pairs = (uv_mod(params, i, modulus) for i in indices)
-        else:
-            _check_modulus(params, modulus)
-            pairs = islice(iter_pairs(params, modulus), args.max + 1)
-        rows = (
-            {"i": p.index, "u": p.u_bar, "u_balanced": balanced_residue(p.u_bar, modulus),
-             "v": p.v_bar, "v_balanced": balanced_residue(p.v_bar, modulus)}
-            for p in pairs
-        )
+        _check_modulus(params, modulus)
+    if wanted is not None and modulus is not None:  # an index like 2^8191 cannot be stepped to
+        pairs = (uv_mod(params, i, modulus) for i in sorted(wanted))
+    else:
+        pairs = islice(iter_pairs(params, modulus), last + 1)
+        if wanted is not None:
+            pairs = (p for p in pairs if p.index in wanted)
+    if modulus is None:
+        rows = ({"i": p.index, "u": p.u_bar, "u_radical": p.index % 2 == 0,
+                 "v": p.v_bar, "v_radical": p.index % 2 == 1} for p in pairs)
+    else:
+        rows = ({"i": p.index, "u": p.u_bar, "u_balanced": balanced_residue(p.u_bar, modulus),
+                 "v": p.v_bar, "v_balanced": balanced_residue(p.v_bar, modulus)} for p in pairs)
     return inputs, {"rows": rows}
 
 

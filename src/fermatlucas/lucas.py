@@ -200,11 +200,10 @@ def uv_mod(params: LucasParams, n: int, N: int) -> LehmerPair:
     doubling step is u(2k) = u(k)*v(k) and v(2k) = c*v(k)^2 - 2*Q^k with
     c = R for odd k, 1 for even k; the +1 step halves (R*u + v, D*u + v).
 
-    For N = 2^m + 1 and Q = +-1 the ladder runs on libgmp under the rule
-    `square_chain` uses (`native.native_kernel(m, 1)`, reported by
-    `primality.chain_kernel`); every other modulus and Q, and every modulus
-    when libgmp does not load, takes the int loop here, which is also the
-    ladder's oracle in the tests and `verify.traces`; both give the same canonical residues.
+    For N = 2^m + 1, Q = +-1 and n >= 1 the ladder runs on libgmp when
+    `native.native_kernel(m, 1)` takes that modulus; everything else takes
+    the int loop here, which is also the ladder's oracle in the tests and
+    `verify.traces`.  Both give the same canonical residues.
     """
     _check_modulus(params, N)
     if n < 0:

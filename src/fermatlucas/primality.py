@@ -97,12 +97,7 @@ class CongruenceReport(NamedTuple):
 
 
 def chain_kernel(bits: int, sign: int) -> str:
-    """The kernel `square_chain` uses mod 2^bits + sign: "gmp" (libgmp) or "int".
-
-    `uv_mod`'s fast doubling mod 2^bits + 1 follows the same rule
-    (`native.native_kernel`) only for Q = +-1 and index >= 1: it sends every
-    other Q, and index 0, to the int ladder whatever this returns.
-    """
+    """The kernel `square_chain` uses mod 2^bits + sign: "gmp" (libgmp) or "int"."""
     return "int" if native_kernel(bits, sign) is None else "gmp"
 
 

@@ -156,6 +156,34 @@ def test_mod_table_range_steps_to_the_rows_the_index_list_walks_to(modulus, caps
     assert [row["i"] for row in results[0]["rows"]] == list(range(301))
 
 
+@pytest.mark.parametrize("argv, walks, steps", [
+    (("uv-exact", "--max", "40"), 0, 1),
+    (("uv-exact", "--indices", "8,2,2,5"), 0, 1),
+    (("uv-mod", "--modulus", "17", "--max", "16"), 0, 1),
+    (("uv-mod", "--modulus", "17", "--indices", "0,2,2,5"), 3, 0),
+], ids=["exact-max", "exact-indices", "mod-max", "mod-indices"])
+def test_table_rows_come_from_one_source(argv, walks, steps, capsys, monkeypatch):
+    # Rows listed mod N take one uv_mod walk per distinct index; every other
+    # table, exact or mod N, is one iter_pairs stream from index 0.
+    from fermatlucas import cli
+
+    calls = {"uv_mod": 0, "iter_pairs": 0}
+
+    def counted(name):
+        real = getattr(cli, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(cli, name, counted(name))
+    assert cli.main(["table", *argv]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["rows"]
+    assert calls == {"uv_mod": walks, "iter_pairs": steps}
+
+
 def test_table_flag_validation():
     assert run_cli("table", "uv-exact", "--max", "5", "--modulus", "17").returncode == 2
     assert run_cli("table", "uv-mod", "--max", "5").returncode == 2
@@ -497,6 +525,14 @@ def test_mod_table_row_cap_counts_rows_of_max_and_indices_alike():
     (("uv-mod", "--params", "7,3", "--modulus", "9", "--max", "3"), "modulus 9 shares a factor with Q = 3"),
     (("uv-mod", "--modulus", "17", "--max", "10001"), "uv-mod tables are capped at 10001 rows, got 10002"),
     (("uv-mod", "--modulus", "1", "--max", "3"), "modulus must be an odd integer >= 3, got 1"),
+    # Which refusal wins when two apply, on either row source: the Fermat index,
+    # then the row spec, the modulus's presence, the row cap, the modulus check.
+    (("uv-exact", "--modulus", "17", "--max", "-1"), "--max must be >= 0"),
+    (("uv-exact", "--modulus-fermat", "0", "--max", "3"), "Fermat index must be >= 1, got 0"),
+    (("uv-mod", "--indices", "5,10001"), "uv-mod needs --modulus or --modulus-fermat"),
+    (("uv-mod", "--modulus", "16", "--max", "10001"), "uv-mod tables are capped at 10001 rows, got 10002"),
+    (("uv-mod", "--modulus", "16", "--indices", "0,2,2"), "modulus must be an odd integer >= 3, got 16"),
+    (("uv-mod", "--params", "7,3", "--modulus", "9", "--indices", "0,2,2"), "modulus 9 shares a factor with Q = 3"),
 ])
 def test_table_refusals_write_no_partial_record(argv, message, capsys):
     # Rows are written as they are computed; a refusal comes before the first.

@@ -304,7 +304,7 @@ def test_iter_pairs_modular():
         next(iter_pairs(P7, modulus=1))
 
 
-@pytest.mark.parametrize("N", [3, 9, 17, 31], ids=["fold3", "fold9", "fold17", "generic31"])
+@pytest.mark.parametrize("N", [3, 9, 17, 31], ids=["fermat3", "fermat9", "fermat17", "generic31"])
 def test_uv_mod_agrees_with_stepping_small_moduli(N):
     # N = 3, 9, 17 are of the 2^m + 1 form, which `%` reduces below FOLD_MIN_BITS; 31 is generic.
     it = iter_pairs(P7, modulus=N)
