@@ -21,6 +21,7 @@ from . import verify
 from .lucas import (EXACT_INDEX_CAP, LucasParams, STANDARD_PARAMS, _check_exact_index, _check_modulus,
                     iter_pairs, uv_mod)
 from .primality import (
+    MAX_FERMAT_INDEX,
     PROVEN_SEED,
     InconclusiveError,
     fermat_llt,
@@ -74,8 +75,9 @@ def _cmd_test(args) -> tuple[dict, dict]:
 
 def _cmd_table(args) -> tuple[dict, dict]:
     """Rows listed mod N take one `uv_mod` walk each; every other table steps `iter_pairs` from 0."""
-    params = args.params
-    modulus = args.modulus if args.modulus_fermat is None else fermat_number(args.modulus_fermat)
+    params, modulus, fermat = args.params, args.modulus, args.modulus_fermat
+    if fermat is not None and not 1 <= fermat <= MAX_FERMAT_INDEX:
+        fermat_number(fermat)  # refuses the index; F_n itself is built only for a table that uses it
     if args.max is None and args.indices is None:  # argparse refuses both
         raise ValueError("give one of --max / --indices")
     if args.max is not None and args.max < 0:
@@ -84,6 +86,19 @@ def _cmd_table(args) -> tuple[dict, dict]:
         raise ValueError("indices must be >= 0")
     wanted = None if args.indices is None else set(args.indices)
     last = args.max if wanted is None else max(wanted)
+    if args.which == "uv-exact":
+        if modulus is not None or fermat is not None:
+            raise ValueError("uv-exact takes no modulus")
+        _check_exact_index(last)
+    else:
+        if modulus is None and fermat is None:
+            raise ValueError("uv-mod needs --modulus or --modulus-fermat")
+        # As many rows as an exact table can print; checked before any row is computed.
+        count = last + 1 if wanted is None else len(wanted)
+        if count > EXACT_INDEX_CAP + 1:
+            raise ValueError(f"uv-mod tables are capped at {EXACT_INDEX_CAP + 1} rows, got {count}")
+        modulus = modulus if fermat is None else fermat_number(fermat)
+        _check_modulus(params, modulus)
     inputs = {
         "which": args.which,
         "params": {"R": params.R, "Q": params.Q},
@@ -91,18 +106,6 @@ def _cmd_table(args) -> tuple[dict, dict]:
         "max": args.max,
         "indices": list(args.indices) if args.indices is not None else None,
     }
-    if args.which == "uv-exact":
-        if modulus is not None:
-            raise ValueError("uv-exact takes no modulus")
-        _check_exact_index(last)
-    else:
-        if modulus is None:
-            raise ValueError("uv-mod needs --modulus or --modulus-fermat")
-        # As many rows as an exact table can print; checked before any row is computed.
-        count = last + 1 if wanted is None else len(wanted)
-        if count > EXACT_INDEX_CAP + 1:
-            raise ValueError(f"uv-mod tables are capped at {EXACT_INDEX_CAP + 1} rows, got {count}")
-        _check_modulus(params, modulus)
     if wanted is not None and modulus is not None:  # an index like 2^8191 cannot be stepped to
         pairs = (uv_mod(params, i, modulus) for i in sorted(wanted))
     else:

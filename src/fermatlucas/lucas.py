@@ -92,9 +92,8 @@ class LehmerPair(NamedTuple):
     v_bar: int
 
 
-#: The exact pairs at indices 0 and 1, the same for every (R, Q): the int
-#: ladder's default start table.
-_LADDER_START = (LehmerPair(0, 0, 2), LehmerPair(1, 1, 1))
+#: The exact pair at index 0 for every (R, Q): the int ladder's default start table.
+_LADDER_START = (LehmerPair(0, 0, 2),)
 
 
 def _check_exact_index(max_index: int) -> None:
@@ -196,21 +195,21 @@ def _check_modulus(params: LucasParams, N: int) -> None:
 def uv_mod(params: LucasParams, n: int, N: int) -> LehmerPair:
     """(u_bar(n), v_bar(n)) mod N by binary fast doubling.
 
-    N must be odd (halving is a shift of x or x + N) and coprime to Q.  The
-    doubling step is u(2k) = u(k)*v(k) and v(2k) = c*v(k)^2 - 2*Q^k with
-    c = R for odd k, 1 for even k; the +1 step halves (R*u + v, D*u + v).
+    N must be odd (halving is a shift of x or x + N) and coprime to Q.  From
+    index 0, doubling takes u(2k) = u(k)*v(k) and v(2k) = c*v(k)^2 - 2*Q^k,
+    c = R for odd k and 1 for even k, and a +1 step halves (R*u + v, D*u + v).
 
-    For N = 2^m + 1, Q = +-1 and n >= 1 the ladder runs on libgmp when
+    For N = 2^m + 1 and Q = +-1 the ladder runs on libgmp when
     `native.native_kernel(m, 1)` takes that modulus; everything else takes
     the int loop here, which is also the ladder's oracle in the tests and
-    `verify.traces`.  Both give the same canonical residues.
+    `verify.traces`.  Both walk every bit of n to the same canonical residues.
     """
     _check_modulus(params, N)
     if n < 0:
         raise ValueError(f"index must be >= 0, got {n}")
     m = fermat_form_exponent(N)
     native = native_kernel(m, 1) if m is not None and abs(params.Q) == 1 else None
-    if native is not None and n:  # the libgmp ladder starts from index 1
+    if native is not None:
         return LehmerPair(n, *native.uv_ladder(params.R, params.Q, n, m))
     return LehmerPair(n, *_uv_ladder(params, n, N))
 
@@ -221,11 +220,11 @@ def _uv_ladder(
     """`uv_mod`'s int loop, unchecked: (u_bar(n), v_bar(n)) mod odd N coprime to Q, n >= 0.
 
     `x % M` reduces mod N: M is `_FermatFold(m)` for N = 2^m + 1 above FOLD_MIN_BITS, else N.
-    `start` holds the exact pairs at indices 0..2^t - 1, t >= 1, as
+    `start` holds the exact pairs at indices 0..2^t - 1, t >= 0, as
     `lehmer_pairs_exact(params, 2^t - 1)` returns them; the walk starts at
-    the index k of n's top t bits and doubles over the rest.  A caller that
-    walks to many indices builds the table once and walks t - 1 fewer bits
-    each time.
+    the index k of n's top t bits (k = 0 for t = 0) and doubles over the
+    rest.  A caller that walks to many indices builds the table once and
+    walks t fewer bits each time.
     """
     R, Q, D = params.R, params.Q, params.D
     M = N if N.bit_length() <= FOLD_MIN_BITS or (m := fermat_form_exponent(N)) is None else _FermatFold(m)

@@ -139,9 +139,9 @@ def congruences(*, p_max: int = 2000) -> Iterator[Check]:
         raise ValueError(f"p_max must be <= {sys.maxsize}, got {p_max}")
     flags = _odd_prime_flags(p_max)
     # Every ladder walk starts from the exact pairs at its index's top t bits:
-    # t is half of p_max's bits, at least 1 and with 2^t - 1 inside the
-    # exact-index cap.  Built after the sieve, which refuses a huge p_max first.
-    t = min(max(p_max.bit_length() // 2, 1), EXACT_INDEX_CAP.bit_length() - 1)
+    # t is half of p_max's bits, with 2^t - 1 inside the exact-index cap.
+    # Built after the sieve, which refuses a huge p_max first.
+    t = min(p_max.bit_length() // 2, EXACT_INDEX_CAP.bit_length() - 1)
     for params in (STANDARD_PARAMS, ALTERNATE_PARAMS):
         label = f"R{params.R}_Q{params.Q}"
         qrd = params.Q * params.R * params.D

@@ -22,13 +22,12 @@ def run_cli(*args):
     return proc
 
 
-def run_cli_limited(*args, timeout=60):
-    """run_cli under a 2 GB address-space limit and a time limit.
+def run_cli_limited(*args, timeout=60, limit=2 * 10**9):
+    """run_cli under an address-space limit (2 GB by default) and a time limit.
 
     A command that tried to build a huge Fermat number fails fast here
     instead of exhausting the machine's memory.
     """
-    limit = 2 * 10**9
     return subprocess.run(
         [sys.executable, "-m", "fermatlucas", *args],
         capture_output=True,
@@ -455,22 +454,26 @@ def test_human_flag_on_test_and_rank():
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, message",
     [
-        ("test", "fermat", "33"),
-        ("test", "fermat", "40"),
-        ("test", "pepin", "63"),
-        ("table", "uv-mod", "--modulus-fermat", "40"),
+        (("test", "fermat", "33"), "Fermat index must be <= 32"),
+        (("test", "fermat", "40"), "Fermat index must be <= 32"),
+        (("test", "pepin", "63"), "Fermat index must be <= 32"),
+        (("table", "uv-mod", "--modulus-fermat", "40"), "Fermat index must be <= 32"),
         # Refused before the chains for n = 1..32, which would run for years.
-        ("verify", "traces", "--max-n", "33"),
+        (("verify", "traces", "--max-n", "33"), "Fermat index must be <= 32"),
+        # Refused before F_32 (512 MiB) is built, which no refusal needs.
+        (("table", "uv-exact", "--modulus-fermat", "32", "--max", "1"), "uv-exact takes no modulus"),
+        (("table", "uv-mod", "--modulus-fermat", "32", "--max", "10001"),
+         "uv-mod tables are capped at 10001 rows, got 10002"),
     ],
-    ids=["fermat33", "fermat40", "pepin63", "uv-mod-F40", "traces33"],
+    ids=["fermat33", "fermat40", "pepin63", "uv-mod-F40", "traces33", "uv-exact-F32", "uv-mod-F32-row-cap"],
 )
-def test_oversized_fermat_index_exits_2(argv):
-    proc = run_cli_limited(*argv, timeout=20)
+def test_oversized_fermat_index_exits_2(argv, message):
+    proc = run_cli_limited(*argv, timeout=20, limit=256 * 2**20)
     assert proc.returncode == 2
     assert proc.stdout == ""
-    assert "Fermat index must be <= 32" in proc.stderr
+    assert message in proc.stderr
 
 
 def test_oversized_identity_bounds_exit_2():

@@ -345,12 +345,12 @@ START_TABLE_MODULI = [3, 7, 15, 1001, 65535, (1 << 61) - 1] + [(1 << m) + 1 for 
 
 @pytest.mark.parametrize("params", [P7, P3, LucasParams(5, 2)], ids=["R7_Q1", "R3_Q-1", "R5_Q2"])
 def test_ladder_from_exact_start_tables_matches_the_default_start(params):
-    # The default start is the exact table of 2^1 entries.
-    assert lehmer_pairs_exact(params, 1) == list(_LADDER_START)
+    # The default start is the exact table of 2^0 entries.
+    assert lehmer_pairs_exact(params, 0) == list(_LADDER_START)
     rng = random.Random(14)
     # An index below 2^t walks no bit from a table of 2^t pairs.
     indices = [*range(20), 255, 256, 257, (1 << 14) - 1, 1 << 14] + [rng.randrange(1 << 14) for _ in range(40)]
-    for t in range(1, 9):
+    for t in range(9):
         start = lehmer_pairs_exact(params, (1 << t) - 1)
         for N in START_TABLE_MODULI:
             for n in indices:

@@ -266,7 +266,7 @@ def test_ladder_on_limb_edges(m, monkeypatch):
     minus_one = next(LucasParams(k * N - 1, q) for k in itertools.count(1) for q in (1, -1)
                      if not is_perfect_square(k * N - 1) and k * N - 1 != 4 * q)
     for params in (STANDARD_PARAMS, ALTERNATE_PARAMS, minus_one, LucasParams((1 << 64) + 13, -1)):
-        for n in ladder_indices(m, rng)[:6] + [(1 << 70) - 1, N - 2]:
+        for n in ladder_indices(m, rng)[1:7] + [(1 << 70) - 1, N - 2]:
             assert ladder(params, n) == oracle(params, n), n
 
 
@@ -304,18 +304,21 @@ def test_foreign_calls_per_step():
     counts.clear()
     assert native.square_chain(4, 1000, 2, 4423, -1) == int_chain(4, 1000, 2, 4423, -1)
     assert counts == {"sqr": 1000, "addmul_1": 1000}
-    # A ladder doubling: u*v and v^2 - 2, each folded.  The first, from the
-    # odd index 1, also multiplies v^2 by R and folds that: one mul, one sub_n.
+    # A ladder doubling: u*v and v^2 - 2, each folded.  The walk from index
+    # 0 doubles to 0, steps +1 (R*u + v and D*u + v: two mul, two add, two
+    # sub_n folds, and a halving rshift each; 2 and 2 are even, so no add_n),
+    # and doubles from the odd index 1, which also multiplies v^2 by R and
+    # folds that: one mul, one sub_n.
     counts.clear()
     native.uv_ladder(5, 1, 1 << 1000, 4096)
-    assert counts == {"mul_n": 1000, "sqr": 1000, "sub_n": 2 * 1000 + 1, "mul": 1}
+    assert counts == {"mul_n": 1001, "sqr": 1001, "sub_n": 2 * 1001 + 3, "mul": 3, "add": 2, "rshift": 2}
     # R = 2^64 + 2 = 1 mod 2^64 + 1 takes v to 1 - 2 = -1 at index 2, where
     # v^2 - 2 keeps it, and u to +-1: u*v multiplies 2^m (-1) on libgmp at
-    # every doubling, u = v = -1 among them.
+    # every doubling from index 2 on, u = v = -1 among them.
     counts.clear()
     N = (1 << 64) + 1
     with_minus_one = native.uv_ladder(N + 1, 1, 1 << 10, 64)
-    assert counts["mul_n"] == 10 and with_minus_one[1] == N - 1
+    assert counts["mul_n"] == 11 and with_minus_one[1] == N - 1
     pair = uv_mod(LucasParams(N + 1, 1), 1 << 10, N)  # below GMP_MIN_BITS: the int loop
     assert with_minus_one == (pair.u_bar, pair.v_bar)
 
@@ -378,9 +381,7 @@ def ladder_route(native, m):
 
 
 def ladder_indices(m, rng):
-    """1, 2, N - 1, N, N + 1, all-ones and random odd indices (halving bits).
-
-    Index 0 is `uv_mod`'s own answer, not a ladder's.
+    """0, 1, 2, N - 1, N, N + 1, all-ones and random odd indices (halving bits).
 
     The int route costs about 50 us an index bit at m = 2^12 and 140 us at
     2^13, so from 2^12 on the other indices stop at 256 bits, and at 2^13
@@ -388,7 +389,7 @@ def ladder_indices(m, rng):
     """
     N = (1 << m) + 1
     bits = m + 1 if m < 1 << 12 else 256
-    indices = [1, 2, (1 << bits) - 1, (1 << (bits // 2)) - 1]
+    indices = [0, 1, 2, (1 << bits) - 1, (1 << (bits // 2)) - 1]
     indices += [rng.getrandbits(bits) | 1 for _ in range(2)]
     return indices + ([N - 1, N, N + 1] if m < 1 << 13 else [])
 
@@ -422,7 +423,7 @@ def test_ladder_reduces_large_r_and_negative_d(monkeypatch):
 @needs_gmp
 def test_ladder_rejects_what_it_cannot_compute():
     native = _gmp.load()
-    for R, Q, n, m in ((7, 2, 5, 64), (7, 0, 5, 64), (7, 1, -1, 64), (7, 1, 0, 64), (7, 1, 5, 0),
+    for R, Q, n, m in ((7, 2, 5, 64), (7, 0, 5, 64), (7, 1, -1, 64), (7, 1, 5, 0),
                        (7, 1, 5, 65), (7, 1, 0, 4097)):
         with pytest.raises(ValueError):
             native.uv_ladder(R, Q, n, m)
@@ -520,9 +521,10 @@ def test_uv_mod_dispatch_by_modulus_form_size_and_q(monkeypatch):
     kernel.calls.clear()
 
     fermat = (1 << GMP_MIN_BITS) + 1
-    # Index 0 is uv_mod's own answer, on a modulus the kernel takes too.
-    assert uv_mod(STANDARD_PARAMS, 0, fermat) == LehmerPair(0, 0, 2)
-    assert kernel.calls == []
+    # Index 0 takes the kernel too, on a modulus it takes.
+    assert uv_mod(STANDARD_PARAMS, 0, fermat) == LehmerPair(0, -1, -1)
+    assert kernel.calls == [("uv", GMP_MIN_BITS, 1)]
+    kernel.calls.clear()
     int_route = [
         (STANDARD_PARAMS, (1 << (GMP_MIN_BITS - 1)) + 1),   # below the lower bound
         (ALTERNATE_PARAMS, (1 << (GMP_MAX_BITS + 1)) + 1),  # above the upper bound

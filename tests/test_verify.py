@@ -124,7 +124,7 @@ def test_rank_searches_each_modulus_once(monkeypatch):
 
 
 def test_congruence_suite_matches_per_prime_reports():
-    # Up to 50 the suite's start tables hold 2, 4 and 8 pairs; up to 5 the suite is empty.
+    # Up to 50 the suite's start tables hold 1, 2, 4 and 8 pairs; up to 5 the suite is empty.
     for p_max in [*range(51), 3000]:
         expected = []
         for params in (P7, ALTERNATE_PARAMS):
