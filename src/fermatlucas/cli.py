@@ -21,9 +21,9 @@ from . import verify
 from .lucas import (EXACT_INDEX_CAP, LucasParams, STANDARD_PARAMS, _check_exact_index, _check_modulus,
                     iter_pairs, uv_mod)
 from .primality import (
-    MAX_FERMAT_INDEX,
     PROVEN_SEED,
     InconclusiveError,
+    fermat_exponent,
     fermat_llt,
     fermat_number,
     mersenne_llt,
@@ -76,8 +76,8 @@ def _cmd_test(args) -> tuple[dict, dict]:
 def _cmd_table(args) -> tuple[dict, dict]:
     """Rows listed mod N take one `uv_mod` walk each; every other table steps `iter_pairs` from 0."""
     params, modulus, fermat = args.params, args.modulus, args.modulus_fermat
-    if fermat is not None and not 1 <= fermat <= MAX_FERMAT_INDEX:
-        fermat_number(fermat)  # refuses the index; F_n itself is built only for a table that uses it
+    if fermat is not None:
+        fermat_exponent(fermat)  # refuses the index; F_n itself is built only for a table that uses it
     if args.max is None and args.indices is None:  # argparse refuses both
         raise ValueError("give one of --max / --indices")
     if args.max is not None and args.max < 0:

@@ -21,14 +21,13 @@ from functools import reduce
 from itertools import accumulate, islice, repeat
 from typing import Iterator, NamedTuple, Sequence
 
-from .native import native_kernel
+from .native import _uv_ladder, native_kernel
 from .quadratic import (
     ONE,
     SQRT,
     ZERO,
     QuadInt,
     fermat_form_exponent,
-    fermat_mod,
     is_perfect_square,
     qadd,
     qmul,
@@ -90,10 +89,6 @@ class LehmerPair(NamedTuple):
     index: int
     u_bar: int
     v_bar: int
-
-
-#: The exact pair at index 0 for every (R, Q): the int ladder's default start table.
-_LADDER_START = (LehmerPair(0, 0, 2),)
 
 
 def _check_exact_index(max_index: int) -> None:
@@ -159,31 +154,6 @@ def iter_pairs(params: LucasParams, modulus: int | None = None) -> Iterator[Lehm
         k += 1
 
 
-# The int ladder reduces mod 2^m + 1 by `_FermatFold` when N has more than
-# FOLD_MIN_BITS bits, and by `%` otherwise; testing the bit length first
-# costs the congruence suite's small primes one int comparison a walk.
-# Per index bit, `%` / fold in µs, best of 15 interleaved walks to (N - 1)/2
-# and to one random odd m-bit index (2-vCPU VM, Python 3.11, two passes):
-#
-#     m      to (N - 1)/2            random index
-#     256    0.88 / 1.37 (0.64x)    1.17 / 1.87 (0.63x)
-#     384    1.35 / 1.46 (0.92x)    1.73 / 2.09 (0.83x)
-#     512    2.57 / 1.96 (1.31x)    2.88 / 2.63 (1.10x)
-#
-# A second pass read 0.71x, 0.84x, 1.27x.  Walks to (F_n - 1)/2 read 0.25-0.67x
-# at F_3..F_8 and 2.0-3.3x at F_10..F_12: `%` takes F_n up to n = 8, the fold n >= 9.
-FOLD_MIN_BITS = 512
-
-
-class _FermatFold(NamedTuple):
-    """2^m + 1 on the right of `%`: `x % _FermatFold(m)` folds instead of dividing."""
-
-    m: int
-
-    def __rmod__(self, x: int) -> int:
-        return fermat_mod(x, self.m)
-
-
 def _check_modulus(params: LucasParams, N: int) -> None:
     """Refuse a modulus `uv_mod` cannot take: even, below 3, or sharing a factor with Q."""
     if N < 3 or N % 2 == 0:
@@ -201,8 +171,8 @@ def uv_mod(params: LucasParams, n: int, N: int) -> LehmerPair:
 
     For N = 2^m + 1 and Q = +-1 the ladder runs on libgmp when
     `native.native_kernel(m, 1)` takes that modulus; everything else takes
-    the int loop here, which is also the ladder's oracle in the tests and
-    `verify.traces`.  Both walk every bit of n to the same canonical residues.
+    the int loop `native._uv_ladder`, which is also the ladder's oracle in
+    the tests and `verify.traces`.  Both walk every bit of n to the same canonical residues.
     """
     _check_modulus(params, N)
     if n < 0:
@@ -212,35 +182,6 @@ def uv_mod(params: LucasParams, n: int, N: int) -> LehmerPair:
     if native is not None:
         return LehmerPair(n, *native.uv_ladder(params.R, params.Q, n, m))
     return LehmerPair(n, *_uv_ladder(params, n, N))
-
-
-def _uv_ladder(
-    params: LucasParams, n: int, N: int, start: Sequence[LehmerPair] = _LADDER_START
-) -> tuple[int, int]:
-    """`uv_mod`'s int loop, unchecked: (u_bar(n), v_bar(n)) mod odd N coprime to Q, n >= 0.
-
-    `x % M` reduces mod N: M is `_FermatFold(m)` for N = 2^m + 1 above FOLD_MIN_BITS, else N.
-    `start` holds the exact pairs at indices 0..2^t - 1, t >= 0, as
-    `lehmer_pairs_exact(params, 2^t - 1)` returns them; the walk starts at
-    the index k of n's top t bits (k = 0 for t = 0) and doubles over the
-    rest.  A caller that walks to many indices builds the table once and
-    walks t fewer bits each time.
-    """
-    R, Q, D = params.R, params.Q, params.D
-    M = N if N.bit_length() <= FOLD_MIN_BITS or (m := fermat_form_exponent(N)) is None else _FermatFold(m)
-    t = len(start).bit_length() - 1
-    k = n >> max(n.bit_length() - t, 0)
-    _, u, v = start[k]
-    u, v, qk, k_odd = u % M, v % M, pow(Q, k, N), k & 1  # the pair, Q^k and k's parity
-    for bit in bin(n)[2 + t:]:
-        u, v = u * v % M, ((R * v * v if k_odd else v * v) - 2 * qk) % M
-        qk, k_odd = qk * qk % M, False
-        if bit == "1":
-            u, v = (R * u + v) % M, (D * u + v) % M
-            u = (u + N if u & 1 else u) >> 1
-            v = (v + N if v & 1 else v) >> 1
-            qk, k_odd = qk * Q, True  # reduced with the next square; +-1 stays +-1
-    return u, v
 
 
 def s_from_v(k: int, N: int) -> int:

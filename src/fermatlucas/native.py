@@ -1,13 +1,17 @@
-"""The rule that sends arithmetic mod 2^m +- 1 to the system's libgmp.
+"""The kernels for arithmetic mod 2^m +- 1, and the rule that picks libgmp.
 
-`primality.square_chain` and `lucas.uv_mod` both ask `native_kernel(m, sign)`,
-so squaring chains and fast doubling change kernels at the same modulus size.
-This module holds the whole rule, the size bounds and the shape (`takes`),
-and imports neither caller; `_gmp` (and with it ctypes) is imported only
-when a modulus the rule sends to libgmp first asks.
+`square_chain` and `lucas.uv_mod` both ask `native_kernel(m, sign)`, so
+squaring chains and fast doubling change kernels at the same modulus size.
+This module holds the rule, its size bounds and shape (`takes`), and the int
+loops that run where it says None, and imports only `quadratic`; `_gmp` (and
+with it ctypes) is imported only when a modulus sent to libgmp first asks.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple, Sequence
+
+from .quadratic import fermat_form_exponent, fermat_mod, mersenne_mod
 
 # The two moduli the paper uses (`takes`) with GMP_MIN_BITS <= m <=
 # GMP_MAX_BITS run on libgmp when it loads; other 2^m +- 1 run on Python
@@ -43,3 +47,80 @@ def native_kernel(bits: int, sign: int):
     from . import _gmp  # imported with the first modulus sent there, not with this module
 
     return _gmp.load()
+
+
+def square_chain(x: int, steps: int, c: int, m: int, sign: int) -> int:
+    """Return x after `steps` rounds of x = x*x - c mod 2^m + sign, sign = +-1.
+
+    The one loop behind every squaring-chain test: the reduction is
+    `fermat_mod` for sign = +1 and `mersenne_mod` for sign = -1, so no step
+    divides.  `native_kernel(m, sign)` picks libgmp or the int loop here;
+    both return the same canonical residue.
+    """
+    if sign not in (1, -1):
+        raise ValueError(f"sign must be +-1, got {sign}")
+    native = native_kernel(m, sign)
+    if native is not None:
+        return native.square_chain(x, steps, c, m, sign)
+    reduce = fermat_mod if sign > 0 else mersenne_mod
+    for _ in range(steps):
+        x = reduce(x * x - c, m)
+    return x
+
+
+# The int ladder reduces mod 2^m + 1 by `_FermatFold` when N has more than
+# FOLD_MIN_BITS bits, and by `%` otherwise; testing the bit length first
+# costs the congruence suite's small primes one int comparison a walk.
+# Per index bit, `%` / fold in µs, best of 15 interleaved walks to (N - 1)/2
+# and to one random odd m-bit index (2-vCPU VM, Python 3.11, two passes):
+#
+#     m      to (N - 1)/2            random index
+#     256    0.88 / 1.37 (0.64x)    1.17 / 1.87 (0.63x)
+#     384    1.35 / 1.46 (0.92x)    1.73 / 2.09 (0.83x)
+#     512    2.57 / 1.96 (1.31x)    2.88 / 2.63 (1.10x)
+#
+# A second pass read 0.71x, 0.84x, 1.27x.  Walks to (F_n - 1)/2 read 0.25-0.67x
+# at F_3..F_8 and 2.0-3.3x at F_10..F_12: `%` takes F_n up to n = 8, the fold n >= 9.
+FOLD_MIN_BITS = 512
+
+
+class _FermatFold(NamedTuple):
+    """2^m + 1 on the right of `%`: `x % _FermatFold(m)` folds instead of dividing."""
+
+    m: int
+
+    def __rmod__(self, x: int) -> int:
+        return fermat_mod(x, self.m)
+
+
+#: The exact (index, u_bar, v_bar) at index 0 for every (R, Q): the int ladder's default start table.
+_LADDER_START = ((0, 0, 2),)
+
+
+def _uv_ladder(
+    params, n: int, N: int, start: Sequence[tuple[int, int, int]] = _LADDER_START
+) -> tuple[int, int]:
+    """`lucas.uv_mod`'s int loop, unchecked: (u_bar(n), v_bar(n)) mod odd N coprime to Q, n >= 0.
+
+    `x % M` reduces mod N: M is `_FermatFold(m)` for N = 2^m + 1 above FOLD_MIN_BITS, else N.
+    `start` holds the exact pairs at indices 0..2^t - 1, t >= 0, as
+    `lucas.lehmer_pairs_exact(params, 2^t - 1)` returns them; the walk starts at
+    the index k of n's top t bits (k = 0 for t = 0) and doubles over the
+    rest.  A caller that walks to many indices builds the table once and
+    walks t fewer bits each time.
+    """
+    R, Q, D = params.R, params.Q, params.D
+    M = N if N.bit_length() <= FOLD_MIN_BITS or (m := fermat_form_exponent(N)) is None else _FermatFold(m)
+    t = len(start).bit_length() - 1
+    k = n >> max(n.bit_length() - t, 0)
+    _, u, v = start[k]
+    u, v, qk, k_odd = u % M, v % M, pow(Q, k, N), k & 1  # the pair, Q^k and k's parity
+    for bit in bin(n)[2 + t:]:
+        u, v = u * v % M, ((R * v * v if k_odd else v * v) - 2 * qk) % M
+        qk, k_odd = qk * qk % M, False
+        if bit == "1":
+            u, v = (R * u + v) % M, (D * u + v) % M
+            u = (u + N if u & 1 else u) >> 1
+            v = (v + N if v & 1 else v) >> 1
+            qk, k_odd = qk * Q, True  # reduced with the next square; +-1 stays +-1
+    return u, v

@@ -13,9 +13,9 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Sequence
 
-from .lucas import _LADDER_START, STANDARD_PARAMS, LehmerPair, LucasParams, _uv_ladder, uv_mod
-from .native import native_kernel
-from .quadratic import fermat_form_exponent, fermat_mod, mersenne_mod
+from .lucas import STANDARD_PARAMS, LehmerPair, LucasParams, uv_mod
+from .native import _LADDER_START, _uv_ladder, square_chain
+from .quadratic import fermat_form_exponent, fermat_mod
 from .symbols import jacobi, symbol_triple
 
 # Full traces are only kept for small indices; 2^n - 1 residues of 2^n bits
@@ -36,13 +36,18 @@ class InconclusiveError(Exception):
     """The rank certificate neither proved nor refuted primality."""
 
 
-def fermat_number(n: int) -> int:
-    """F_n = 2^(2^n) + 1 for an index 1 <= n <= MAX_FERMAT_INDEX."""
+def fermat_exponent(n: int) -> int:
+    """e = 2^n, so F_n = 2^e + 1, for 1 <= n <= MAX_FERMAT_INDEX: the one index check, building no F_n."""
     if n < 1:
         raise ValueError(f"Fermat index must be >= 1, got {n}")
     if n > MAX_FERMAT_INDEX:
         raise ValueError(f"Fermat index must be <= {MAX_FERMAT_INDEX}, got {n}")
-    return (1 << (1 << n)) + 1
+    return 1 << n
+
+
+def fermat_number(n: int) -> int:
+    """F_n = 2^(2^n) + 1 for an index 1 <= n <= MAX_FERMAT_INDEX."""
+    return (1 << fermat_exponent(n)) + 1
 
 
 class SSequenceTrace(NamedTuple):
@@ -96,30 +101,6 @@ class CongruenceReport(NamedTuple):
         return all(c.passed for c in self.checks)
 
 
-def chain_kernel(bits: int, sign: int) -> str:
-    """The kernel `square_chain` uses mod 2^bits + sign: "gmp" (libgmp) or "int"."""
-    return "int" if native_kernel(bits, sign) is None else "gmp"
-
-
-def square_chain(x: int, steps: int, c: int, m: int, sign: int) -> int:
-    """Return x after `steps` rounds of x = x*x - c mod 2^m + sign, sign = +-1.
-
-    The one loop behind every squaring-chain test here: the reduction is
-    `fermat_mod` for sign = +1 and `mersenne_mod` for sign = -1, so no step
-    divides.  `chain_kernel(m, sign)` picks libgmp or this module's int loop;
-    both return the same canonical residue.
-    """
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +-1, got {sign}")
-    native = native_kernel(m, sign)
-    if native is not None:
-        return native.square_chain(x, steps, c, m, sign)
-    reduce = fermat_mod if sign > 0 else mersenne_mod
-    for _ in range(steps):
-        x = reduce(x * x - c, m)
-    return x
-
-
 def s_sequence(n: int, keep_trace: bool = False, seed: int = PROVEN_SEED) -> SSequenceTrace:
     """Run S_0 = seed, S_i = S_{i-1}^2 - 2 for 2^n - 2 steps mod F_n.
 
@@ -129,8 +110,8 @@ def s_sequence(n: int, keep_trace: bool = False, seed: int = PROVEN_SEED) -> SSe
     """
     if keep_trace and n > TRACE_INDEX_LIMIT:
         raise ValueError(f"tracing is limited to n <= {TRACE_INDEX_LIMIT}, got {n}")
-    e = 1 << n  # F_n = 2^e + 1
-    s = seed % fermat_number(n)
+    e = fermat_exponent(n)
+    s = fermat_mod(seed, e)
     if not keep_trace:
         return SSequenceTrace(n, seed, square_chain(s, e - 2, 2, e, 1))
     trace = [s]
@@ -162,9 +143,9 @@ def pepin(n: int) -> Verdict:
     (F_n - 1)/2 = 2^(2^n - 1), so the power is 2^n - 1 squarings of 3 on
     the fold kernel; the tests check it against pow().
     """
-    F = fermat_number(n)
-    r = square_chain(3, (1 << n) - 1, 0, 1 << n, 1)
-    if r == F - 1:
+    e = fermat_exponent(n)
+    r = square_chain(3, e - 1, 0, e, 1)
+    if r == 1 << e:
         return Verdict("prime", "pepin")
     return Verdict("composite", "pepin", witness=r)
 
@@ -376,7 +357,7 @@ def _congruence_rows(
     """The rows of `lehmer_congruence_checks` at an odd prime p not dividing QRD, unchecked.
 
     `triple` is (eps, sig, tau) at p and `start` the ladder's start table
-    (see `lucas._uv_ladder`).  Each row is a plain `ResidueCheck` tuple
+    (see `native._uv_ladder`).  Each row is a plain `ResidueCheck` tuple
     (name, index, expected % p, actual, passed); this is the one place each
     congruence is decided.
     """

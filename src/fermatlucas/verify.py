@@ -17,17 +17,18 @@ from .lucas import (
     STANDARD_PARAMS,
     _ring_powers,
     _sum_identity_sides,
-    _uv_ladder,
     alternate_params_pair,
     iter_uv_exact,
     lehmer_pairs_exact,
     s_from_v,
 )
+from .native import _uv_ladder
 from .primality import (
     _congruence_rows,
     _u_zeros,
     appendix_residues,
     certify_via_rank,
+    fermat_exponent,
     fermat_number,
     rank_of_apparition,
     s_sequence,
@@ -202,7 +203,7 @@ def traces(*, max_n: int = 8) -> Iterator[Check]:
     """Chain traces against plain `%` and the v-side bridge; final residues to max_n on the int ladder."""
     if max_n < 1:  # no final residue would be checked
         raise ValueError(f"max_n must be >= 1, got {max_n}")
-    fermat_number(max_n)  # refuse an index out of range before any chain runs
+    fermat_exponent(max_n)  # refuse an index out of range before any chain runs
     for n in (1, 2, 3, 4):
         F = fermat_number(n)
         trace = s_sequence(n, keep_trace=True).residues

@@ -4,16 +4,13 @@ import random
 
 import pytest
 
-from fermatlucas import lucas, verify
+from fermatlucas import native, verify
 from fermatlucas.lucas import (
     ALTERNATE_PARAMS,
     EXACT_INDEX_CAP,
-    FOLD_MIN_BITS,
     LehmerPair,
     LucasParams,
     STANDARD_PARAMS,
-    _LADDER_START,
-    _uv_ladder,
     alternate_params_pair,
     iter_pairs,
     iter_uv_exact,
@@ -22,6 +19,7 @@ from fermatlucas.lucas import (
     sum_identity_holds,
     uv_mod,
 )
+from fermatlucas.native import FOLD_MIN_BITS, _LADDER_START, _uv_ladder
 from fermatlucas.quadratic import QuadInt, fermat_mod
 
 from golden_data import EXACT_ROWS
@@ -367,7 +365,7 @@ def test_ladder_folds_only_fermat_moduli_above_the_bound(monkeypatch, params):
         calls.append(m)
         return fermat_mod(x, m)
 
-    monkeypatch.setattr(lucas, "fermat_mod", counted)
+    monkeypatch.setattr(native, "fermat_mod", counted)
     for m, folds in ((256, False), (512, True)):
         N = (1 << m) + 1
         assert (N.bit_length() > FOLD_MIN_BITS) == folds

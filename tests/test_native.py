@@ -27,14 +27,12 @@ from fermatlucas.lucas import (
     iter_pairs,
     uv_mod,
 )
-from fermatlucas.native import GMP_MAX_BITS, GMP_MIN_BITS
+from fermatlucas.native import GMP_MAX_BITS, GMP_MIN_BITS, native_kernel, square_chain
 from fermatlucas.primality import (
-    chain_kernel,
     fermat_llt,
     is_prime,
     mersenne_llt,
     pepin,
-    square_chain,
 )
 from fermatlucas.quadratic import fermat_mod, is_perfect_square, mersenne_mod
 
@@ -434,9 +432,9 @@ def test_failed_loader_gives_the_same_verdicts(monkeypatch):
     F12 = (1 << 4096) + 1
     with_gmp = (fermat_llt(12), pepin(12), mersenne_llt(4253),
                 uv_mod(STANDARD_PARAMS, (1 << 4095) - 1, F12))
-    assert chain_kernel(1 << 12, 1) == "gmp"
+    assert native_kernel(1 << 12, 1) is _gmp.load()
     monkeypatch.setattr(_gmp, "load", lambda: None)
-    assert chain_kernel(1 << 12, 1) == "int"
+    assert native_kernel(1 << 12, 1) is None
     assert (fermat_llt(12), pepin(12), mersenne_llt(4253),
             uv_mod(STANDARD_PARAMS, (1 << 4095) - 1, F12)) == with_gmp
     assert with_gmp[0].witness is not None and with_gmp[2].classification == "prime"
@@ -480,13 +478,13 @@ def test_dispatch_by_modulus_size(monkeypatch):
     monkeypatch.setattr(_gmp, "load", lambda: kernel)
     # Both bounds are multiples of 64: libgmp takes 2^m + 1 there and
     # 2^m - 1 one bit inside them.
-    assert chain_kernel(GMP_MIN_BITS, 1) == chain_kernel(GMP_MAX_BITS, 1) == "gmp"
-    assert chain_kernel(GMP_MIN_BITS + 1, -1) == chain_kernel(GMP_MAX_BITS - 1, -1) == "gmp"
-    assert chain_kernel(GMP_MIN_BITS - 1, -1) == chain_kernel(GMP_MAX_BITS + 1, -1) == "int"
-    assert chain_kernel(GMP_MIN_BITS - 64, 1) == chain_kernel(GMP_MAX_BITS + 64, 1) == "int"
+    assert native_kernel(GMP_MIN_BITS, 1) is native_kernel(GMP_MAX_BITS, 1) is kernel
+    assert native_kernel(GMP_MIN_BITS + 1, -1) is native_kernel(GMP_MAX_BITS - 1, -1) is kernel
+    assert native_kernel(GMP_MIN_BITS - 1, -1) is native_kernel(GMP_MAX_BITS + 1, -1) is None
+    assert native_kernel(GMP_MIN_BITS - 64, 1) is native_kernel(GMP_MAX_BITS + 64, 1) is None
     # The other shapes inside the bounds.
-    assert chain_kernel(GMP_MIN_BITS + 1, 1) == chain_kernel(GMP_MIN_BITS, -1) == "int"
-    assert chain_kernel(GMP_MAX_BITS - 1, 1) == chain_kernel(GMP_MAX_BITS, -1) == "int"
+    assert native_kernel(GMP_MIN_BITS + 1, 1) is native_kernel(GMP_MIN_BITS, -1) is None
+    assert native_kernel(GMP_MAX_BITS - 1, 1) is native_kernel(GMP_MAX_BITS, -1) is None
 
     below, unaligned = GMP_MIN_BITS - 1, GMP_MIN_BITS + 1
     assert square_chain(5, 3, 2, below, 1) == int_chain(5, 3, 2, below, 1)
@@ -507,7 +505,7 @@ def test_dispatch_by_modulus_size(monkeypatch):
     assert len(kernel.calls) == 2
 
     monkeypatch.setattr(_gmp, "load", lambda: None)
-    assert chain_kernel(GMP_MIN_BITS, 1) == chain_kernel(GMP_MIN_BITS + 1, -1) == "int"
+    assert native_kernel(GMP_MIN_BITS, 1) is native_kernel(GMP_MIN_BITS + 1, -1) is None
 
 
 def test_uv_mod_dispatch_by_modulus_form_size_and_q(monkeypatch):
@@ -550,7 +548,7 @@ def test_short_chains_never_import_the_native_module():
     code = (
         "import contextlib, io, sys\n"
         "from fermatlucas import cli\n"
-        "from fermatlucas.primality import square_chain\n"
+        "from fermatlucas.native import square_chain\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    cli.main(['test', 'fermat', '{n}'])\n"
         f"    cli.main(['test', 'mersenne', '{q}'])\n"

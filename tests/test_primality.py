@@ -22,6 +22,7 @@ from fermatlucas.primality import (
     TRACE_INDEX_LIMIT,
     appendix_residues,
     certify_via_rank,
+    fermat_exponent,
     fermat_llt,
     fermat_number,
     is_prime,
@@ -55,6 +56,11 @@ def test_fermat_number():
     assert fermat_number(4) == 65537
     with pytest.raises(ValueError, match="^Fermat index must be >= 1, got 0$"):
         fermat_number(0)
+    # fermat_exponent states the index rule once and builds no F_n.
+    assert [fermat_exponent(n) for n in (1, 2, 3, 4, MAX_FERMAT_INDEX)] == [2, 4, 8, 16, 1 << 32]
+    for n, bound in ((0, ">= 1"), (-1, ">= 1"), (MAX_FERMAT_INDEX + 1, "<= 32")):
+        with pytest.raises(ValueError, match=f"^Fermat index must be {bound}, got {n}$"):
+            fermat_exponent(n)
 
 
 def test_fermat_index_cap():
@@ -140,6 +146,22 @@ def test_oracles_agree_small():
         verdict = pepin(n)
         assert (verdict.witness if verdict.witness is not None else F - 1) == r, n
         assert verdict.classification == fermat_llt(n).classification, n
+
+
+def test_chains_build_no_fermat_number(monkeypatch):
+    # The chains check the index with fermat_exponent and reduce by folding,
+    # so they give the same results with fermat_number unusable.
+    seeds = (5, 6, -3, 1 << 70)
+    expected = ([fermat_llt(n) for n in range(1, 13)], [pepin(n) for n in range(1, 13)],
+                [s_sequence(n, keep_trace=True, seed=s) for n in range(1, 7) for s in seeds])
+    assert all(t.residues[0] == s % fermat_number(t.n) for t, s in zip(expected[2], seeds * 6))
+
+    def refused(n):
+        raise AssertionError(f"F_{n} was built")
+
+    monkeypatch.setattr(primality, "fermat_number", refused)
+    assert ([fermat_llt(n) for n in range(1, 13)], [pepin(n) for n in range(1, 13)],
+            [s_sequence(n, keep_trace=True, seed=s) for n in range(1, 7) for s in seeds]) == expected
 
 
 def test_s_sequence_final_against_percent():

@@ -1,7 +1,9 @@
+import subprocess
 import sys
 
 import pytest
 
+from conftest import cli_env
 from fermatlucas import _gmp, primality, symbols, verify
 from fermatlucas.lucas import ALTERNATE_PARAMS, LehmerPair, iter_uv_exact, sum_identity_holds
 from fermatlucas.lucas import STANDARD_PARAMS as P7
@@ -186,6 +188,20 @@ def test_suite_refuses_its_bounds_before_its_first_check(suite, bounds):
     # first check is written, so every refusal comes before the first yield.
     with pytest.raises(ValueError):
         next(iter(getattr(verify, suite)(**bounds)))
+
+
+def test_traces_refuse_max_n_without_building_f_n():
+    # F_32 alone takes 512 MiB: a range check that built it would raise
+    # MemoryError under this limit before the first check.
+    code = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))\n"
+        "from fermatlucas import verify\n"
+        "print(next(verify.traces(max_n=32)))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=cli_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "Check(name='trace_special_vs_generic_F1', passed=True, detail=None)\n"
 
 
 def test_prime_sieve_matches_trial_division():
