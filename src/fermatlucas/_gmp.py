@@ -8,8 +8,10 @@ the paper uses (`native.takes`).  A chain step is two foreign calls, one
 it tests), or an `mpn_addmul_1` mod 2^m - 1 with 64 not dividing m (the
 Mersenne oracle, m prime).  Both folds are shift-and-folds, as in
 `quadratic.fermat_mod` and `quadratic.mersenne_mod`, so no step divides,
-and the results are the same canonical residues.  Carries and borrows
-that stop in the low limbs are settled in Python.
+and the results are the same canonical residues.  Carries and borrows that
+stop in the low limbs are settled in Python.  Each limb operand is passed
+as the ctypes array that holds it, a high half as a view of it
+(`_Ring.view`); sizes are c_long, limbs c_uint64 and shift counts c_uint.
 
 libgmp is opened only by its ELF soname, `libgmp.so.10`, the library the
 tests compare against the int route; a system without it runs on Python
@@ -53,17 +55,18 @@ def load() -> GmpKernel | None:
 class GmpKernel:
     """Squaring chains and the Lucas doubling ladder on the mpn functions of one libgmp.
 
-    Both run on one core.  A `_Ring` per computation holds its limb arrays
-    and builds its folds.
+    Both run on one core.  A `_Ring` per computation builds its limb arrays
+    and its folds.
     """
 
     def __init__(self, lib):
         # Every argument is a ctypes instance built once per computation
-        # (pointers c_void_p, sizes c_long as mp_size_t, limbs c_uint64), so
-        # the functions have a restype and no argtypes: ctypes passes each
-        # argument as it is, with no conversion.  With the GIL kept too, a
-        # call costs about 0.37 us against 0.47 us with argtypes on CDLL
-        # (timeit on a one-limb mpn_add_n, 2-vCPU VM, Python 3.11).
+        # (arrays, c_long sizes as mp_size_t, c_uint64 limbs, c_uint shift
+        # counts), so the functions have a restype and no argtypes: ctypes
+        # passes each as it is, an array by its address.  With the GIL kept
+        # too, a one-limb mpn_sub_n or mpn_add_n call takes about 245 ns,
+        # against 292-297 ns with c_void_p addresses (best of 15 timeit
+        # batches of 20,000, 2-vCPU VM, Python 3.11.7) and more with argtypes.
         def bind(name, restype=ctypes.c_uint64):
             fn = lib["__gmpn_" + name]
             fn.restype = restype
@@ -93,15 +96,14 @@ class GmpKernel:
         if sign < 0:  # each step squares one array into the other and folds it there
             sqr, nml = self._sqr, ctypes.c_long(ring.ml)
             a, b = ring.array(2 * ring.ml, x % N), ring.array(2 * ring.ml)
-            pa, pb = ring.ptr(a), ring.ptr(b)
             fold_a, fold_b = ring.mersenne_folder(a, c), ring.mersenne_folder(b, c)
             for _ in range(steps >> 1):
-                sqr(pb, pa, nml)
+                sqr(b, a, nml)
                 fold_b()
-                sqr(pa, pb, nml)
+                sqr(a, b, nml)
                 fold_a()
             if steps & 1:
-                sqr(pb, pa, nml)
+                sqr(b, a, nml)
                 fold_b()
                 a = b
             return ring.get(a, ring.ml) % N
@@ -134,7 +136,6 @@ class GmpKernel:
         z = ring.array(2 * pl)
         w = ring.array(max(2 * ml, pl + len(r)))
         y = ring.array(max(2 * ml, pl + len(d)))
-        pu, pv, pr, pd, pn, pz, pw, py = map(ring.ptr, (u, v, r, d, n_limbs, z, w, y))
         npl, nrl, ndl, nwl, nyl = map(ctypes.c_long, (pl, len(r), len(d), pl + len(r), pl + len(d)))
         one = ctypes.c_uint(1)
         fold_uv = ring.folder(u, z)
@@ -144,26 +145,26 @@ class GmpKernel:
         add_n, rshift = self._add_n, self._rshift
         k_odd = False
         for bit in bin(n)[2:]:
-            mul_n(pz, pu, pv, npl)
+            mul_n(z, u, v, npl)
             fold_uv()
             if k_odd:  # Q^k = Q; R*v^2 needs the square folded first
                 square_v()
-                mul(pw, pv, npl, pr, nrl)
+                mul(w, v, npl, r, nrl)
                 fold_rv()
             else:
                 square_v2()
             k_odd = bit == "1"
             if k_odd:  # (R*u + v, D*u + v) / 2; both sums are taken before either fold
-                mul(pw, pu, npl, pr, nrl)
-                add(pw, pw, nwl, pv, npl)
-                mul(py, pu, npl, pd, ndl)
-                add(py, py, nyl, pv, npl)
+                mul(w, u, npl, r, nrl)
+                add(w, w, nwl, v, npl)
+                mul(y, u, npl, d, ndl)
+                add(y, y, nyl, v, npl)
                 fold_ru()
                 fold_du()
-                for x, px in ((u, pu), (v, pv)):  # x/2 mod N: x >> 1, or (x + N) >> 1 for odd x
+                for x in (u, v):  # x/2 mod N: x >> 1, or (x + N) >> 1 for odd x
                     if x[0] & 1:  # x + N <= 2^(m+1) + 1 fits in the pl = m/64 + 1 limbs
-                        add_n(px, px, pn, npl)
-                    rshift(px, px, npl, one)
+                        add_n(x, x, n_limbs, npl)
+                    rshift(x, x, npl, one)
         return ring.get(u), ring.get(v)
 
 
@@ -199,20 +200,10 @@ class _Ring:
         self.ml = -(-m // LIMB_BITS)
         self.t = LIMB_BITS * self.ml - m  # the bits above 2^m in the top limb, 0 for 2^m + 1
         self.pl = self.q + 1
-        self._arrays = []
-
-    def ptr(self, a, offset: int = 0):
-        """The address of limb `offset` of the array a, as a c_void_p argument."""
-        return ctypes.c_void_p(ctypes.addressof(a) + 8 * offset)
 
     def array(self, limbs: int, value: int = 0):
-        """A fresh array of `limbs` limbs holding 0 <= value < 2^(64 * limbs).
-
-        The ring keeps every array it makes, so the addresses its folds
-        hold stay valid while any fold or the ring is alive.
-        """
+        """A fresh array of `limbs` limbs holding 0 <= value < 2^(64 * limbs)."""
         a = (ctypes.c_uint64 * limbs)()
-        self._arrays.append(a)
         if value:
             self.put(a, value)
         return a
@@ -220,6 +211,10 @@ class _Ring:
     def constant(self, value: int):
         """A fresh array of as few limbs as hold value >= 0, and at least one."""
         return self.array(max(1, -(-value.bit_length() // LIMB_BITS)), value)
+
+    def view(self, a, k: int):
+        """Limbs k.. of the array a, as an array on a's memory that keeps a alive."""
+        return (ctypes.c_uint64 * (len(a) - k)).from_buffer(a, 8 * k)
 
     def get(self, a, limbs: int | None = None) -> int:
         """The value of the first `limbs` limbs of a (all of them by default)."""
@@ -248,9 +243,8 @@ class _Ring:
         canonical unless that limb carries or borrows.
         """
         q, N, nml = self.q, self.N, ctypes.c_long(self.ml)
-        ptr, get, put = self.ptr, self.get, self.put
+        get, put, hi = self.get, self.put, self.view(src, q)
         sqr, sub_n = self.kernel._sqr, self.kernel._sub_n
-        pd, pz, ph = ptr(dst), ptr(src), ptr(src, q)
         hi_top = 2 * q if len(src) > 2 * q else 0  # set only when hi >= 2^m
 
         def fold(steps=1):
@@ -260,13 +254,13 @@ class _Ring:
                     if dst[q]:  # 2^m = -1 is outside the limbs squared; its square is 1
                         put(dst, (1 - c) % N)
                         continue
-                    sqr(pz, pd, nml)
+                    sqr(src, dst, nml)
                 elif hi_top and src[hi_top]:
                     put(dst, (get(src) - c) % N)
                     continue
                 else:
                     dst[q] = 0
-                delta = sub_n(pd, pz, ph, nml) - c
+                delta = sub_n(dst, src, hi, nml) - c
                 if delta:
                     low = dst[0] + delta
                     if 0 <= low <= MAX_LIMB:
@@ -291,11 +285,11 @@ class _Ring:
         """
         ml, t, N = self.ml, self.t, self.N
         addmul_1, get, put = self.kernel._addmul_1, self.get, self.put
-        pz, ph, nml, scale = self.ptr(z), self.ptr(z, ml), ctypes.c_long(ml), ctypes.c_uint64(1 << t)
+        hi, nml, scale = self.view(z, ml), ctypes.c_long(ml), ctypes.c_uint64(1 << t)
         low_end = 1 << 2 * LIMB_BITS if ml > 1 else 0  # one limb: every delta goes to Python ints
 
         def fold():
-            delta = (addmul_1(pz, ph, nml, scale) << t) - c
+            delta = (addmul_1(z, hi, nml, scale) << t) - c
             low = z[0] + (z[1] << LIMB_BITS) + delta
             if 0 <= low < low_end:
                 z[0] = low & MAX_LIMB

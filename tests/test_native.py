@@ -9,6 +9,7 @@ the dispatch tests use a stand-in kernel and run everywhere.
 import collections
 import copy
 import ctypes
+import gc
 import itertools
 import random
 import subprocess
@@ -268,12 +269,30 @@ def test_ladder_on_limb_edges(m, monkeypatch):
             assert ladder(params, n) == oracle(params, n), n
 
 
+@needs_gmp
+@pytest.mark.parametrize("k", range(4))
+def test_view_shares_and_keeps_its_array(k):
+    ring = _gmp._Ring(_gmp.load(), 64, 1)
+    a = ring.array(4, random.Random(k).getrandbits(256))
+    view = ring.view(a, k)
+    assert len(view) == 4 - k
+    a[k] = 7  # a store into a reads back through the view
+    assert view[0] == 7
+    view[-1] = 9  # and a store through the view reads back in a
+    assert a[3] == 9
+    value = ring.get(a)
+    del a
+    gc.collect()
+    assert ring.get(view) == value >> 64 * k  # the view keeps the memory of a alive
+
+
 def counting(native):
     """A copy of the kernel whose libgmp calls are counted, by function name.
 
-    It also checks that every argument is a ctypes pointer, size, limb or
-    shift count.  The functions have no argtypes, so a Python int would be
-    passed as a C int, silently cut to 32 bits.
+    It also checks that every argument is a ctypes array (a limb operand, or
+    a view of one), size, limb or shift count: no raw address is passed.
+    The functions have no argtypes, so a Python int would be passed as a C
+    int, silently cut to 32 bits.
     """
     counts = collections.Counter()
     counted = copy.copy(native)
@@ -282,7 +301,7 @@ def counting(native):
             def call(*args, fn=fn, name=name):
                 counts[name.lstrip("_")] += 1
                 for arg in args:
-                    assert isinstance(arg, (ctypes.c_void_p, ctypes.c_long, ctypes.c_uint64,
+                    assert isinstance(arg, (ctypes.Array, ctypes.c_long, ctypes.c_uint64,
                                             ctypes.c_uint)), (name, arg)
                 return fn(*args)
             setattr(counted, name, call)
