@@ -111,23 +111,23 @@ class GmpKernel:
         ring.folder(x, ring.array(2 * ring.ml), c, square=True)(steps)
         return ring.get(x)
 
-    def uv_ladder(self, R: int, Q: int, n: int, m: int) -> tuple[int, int]:
-        """(u_bar(n), v_bar(n)) mod N = 2^m + 1 for the parameters (R, Q), Q = +-1, n >= 0.
+    def uv_ladder(self, params, n: int, m: int) -> tuple[int, int]:
+        """(u_bar(n), v_bar(n)) mod N = 2^m + 1 for `params` (R, Q), Q = +-1, n >= 0.
 
         The binary fast doubling of `lucas.uv_mod` over every bit of n from
         index 0, (u, v) = (0, 2), folded after every product: from index k,
         u <- u*v and v <- c*v^2 - 2*Q^k with c = R for odd k, 1 for even k;
-        a 1 bit then halves (R*u + v, D*u + v), D = R - 4Q, by a shift.  R
+        a 1 bit then halves (R*u + v, D*u + v), D = `params.D`, by a shift.  R
         and D are held reduced mod N, so every product and sum stays inside
         the fold's bound, and one `mpn_mul` multiplies by either whatever its
         size.  Returns canonical residues, or ValueError unless `takes(m, 1)`;
         the caller keeps m within what libgmp can allocate.
         """
         ring = _Ring(self, m, 1)
-        if Q not in (1, -1) or n < 0:
+        if (Q := params.Q) not in (1, -1) or n < 0:
             raise ValueError(f"need Q = +-1 and n >= 0, got Q = {Q}, n = {n}")
         N, ml, pl = ring.N, ring.ml, ring.pl
-        R, D = R % N, (R - 4 * Q) % N
+        R, D = params.R % N, params.D % N
         u, v, n_limbs = (ring.array(pl, value) for value in (0, 2, N))
         r, d = ring.constant(R), ring.constant(D)
         # u*v (over all pl limbs, so 2^m = -1 needs no case of its own) and

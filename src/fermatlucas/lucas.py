@@ -21,13 +21,12 @@ from functools import reduce
 from itertools import accumulate, islice, repeat
 from typing import Iterator, NamedTuple, Sequence
 
-from .native import _uv_ladder, native_kernel
+from .native import uv_ladder
 from .quadratic import (
     ONE,
     SQRT,
     ZERO,
     QuadInt,
-    fermat_form_exponent,
     is_perfect_square,
     qadd,
     qmul,
@@ -168,20 +167,12 @@ def uv_mod(params: LucasParams, n: int, N: int) -> LehmerPair:
     N must be odd (halving is a shift of x or x + N) and coprime to Q.  From
     index 0, doubling takes u(2k) = u(k)*v(k) and v(2k) = c*v(k)^2 - 2*Q^k,
     c = R for odd k and 1 for even k, and a +1 step halves (R*u + v, D*u + v).
-
-    For N = 2^m + 1 and Q = +-1 the ladder runs on libgmp when
-    `native.native_kernel(m, 1)` takes that modulus; everything else takes
-    the int loop `native._uv_ladder`, which is also the ladder's oracle in
-    the tests and `verify.traces`.  Both walk every bit of n to the same canonical residues.
+    `native.uv_ladder` picks the kernel, libgmp or the int loop.
     """
     _check_modulus(params, N)
     if n < 0:
         raise ValueError(f"index must be >= 0, got {n}")
-    m = fermat_form_exponent(N)
-    native = native_kernel(m, 1) if m is not None and abs(params.Q) == 1 else None
-    if native is not None:
-        return LehmerPair(n, *native.uv_ladder(params.R, params.Q, n, m))
-    return LehmerPair(n, *_uv_ladder(params, n, N))
+    return LehmerPair(n, *uv_ladder(params, n, N))
 
 
 def s_from_v(k: int, N: int) -> int:
@@ -221,6 +212,8 @@ def sum_identity_holds(
     Un, Vn are U_n, V_n and Xmn is U_{mn} or V_{mn}; a caller holding one
     exact table checks every (m, n) without re-stepping the recurrence.
     """
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
     u_side, v_side = _sum_identity_sides(params, m, _ring_powers(params, Un, m), _ring_powers(params, Vn, m))
     return qscale(1 << (m - 1), Xmn) == (u_side if odd_side else v_side)
 

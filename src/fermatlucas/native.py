@@ -1,7 +1,7 @@
 """The kernels for arithmetic mod 2^m +- 1, and the rule that picks libgmp.
 
-`square_chain` and `lucas.uv_mod` both ask `native_kernel(m, sign)`, so
-squaring chains and fast doubling change kernels at the same modulus size.
+`square_chain` and `uv_ladder` are the two that ask `native_kernel(m, sign)`,
+so squaring chains and fast doubling change kernels at the same modulus size.
 This module holds the rule, its size bounds and shape (`takes`), and the int
 loops that run where it says None, and imports only `quadratic`; `_gmp` (and
 with it ctypes) is imported only when a modulus sent to libgmp first asks.
@@ -68,6 +68,21 @@ def square_chain(x: int, steps: int, c: int, m: int, sign: int) -> int:
     return x
 
 
+def uv_ladder(params, n: int, N: int) -> tuple[int, int]:
+    """`lucas.uv_mod`'s route: (u_bar(n), v_bar(n)) mod odd N coprime to Q, n >= 0, unchecked.
+
+    For N = 2^m + 1 and Q = +-1 the ladder runs on libgmp when
+    `native_kernel(m, 1)` takes that modulus; everything else takes the int
+    loop `_uv_ladder`, which is also the ladder's oracle in the tests and
+    `verify.traces`.  Both walk every bit of n to the same canonical residues.
+    """
+    m = fermat_form_exponent(N)
+    native = native_kernel(m, 1) if m is not None and abs(params.Q) == 1 else None
+    if native is not None:
+        return native.uv_ladder(params, n, m)
+    return _uv_ladder(params, n, N)
+
+
 # The int ladder reduces mod 2^m + 1 by `_FermatFold` when N has more than
 # FOLD_MIN_BITS bits, and by `%` otherwise; testing the bit length first
 # costs the congruence suite's small primes one int comparison a walk.
@@ -100,7 +115,7 @@ _LADDER_START = ((0, 0, 2),)
 def _uv_ladder(
     params, n: int, N: int, start: Sequence[tuple[int, int, int]] = _LADDER_START
 ) -> tuple[int, int]:
-    """`lucas.uv_mod`'s int loop, unchecked: (u_bar(n), v_bar(n)) mod odd N coprime to Q, n >= 0.
+    """`uv_ladder`'s int loop, unchecked: (u_bar(n), v_bar(n)) mod odd N coprime to Q, n >= 0.
 
     `x % M` reduces mod N: M is `_FermatFold(m)` for N = 2^m + 1 above FOLD_MIN_BITS, else N.
     `start` holds the exact pairs at indices 0..2^t - 1, t >= 0, as

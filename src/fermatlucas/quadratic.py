@@ -52,6 +52,8 @@ def fermat_mod(x: int, m: int) -> int:
     folds suffice for any product of canonical residues; no division is
     performed.
     """
+    if m < 1:  # 2^0 + 1 = 2 folds x to -x and back, forever
+        raise ValueError(f"m must be >= 1, got {m}")
     top = 1 << m
     mask = top - 1
     while x < 0 or x > top:
@@ -64,6 +66,8 @@ def mersenne_mod(x: int, q: int) -> int:
 
     As in `fermat_mod`, Python's >> floors, so a negative x needs no division.
     """
+    if q < 1:  # 2^0 - 1 = 0: the fold would never move x
+        raise ValueError(f"q must be >= 1, got {q}")
     M = (1 << q) - 1
     while x < 0 or x > M:
         x = (x & M) + (x >> q)

@@ -1,4 +1,6 @@
+import contextlib
 import os
+import signal
 import sys
 from pathlib import Path
 
@@ -16,3 +18,18 @@ def cli_env() -> dict:
     env = os.environ.copy()
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
     return env
+
+
+@contextlib.contextmanager
+def deadline(seconds: int):
+    """Raise TimeoutError inside the block after `seconds`, so a hang fails the test instead of stalling it."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)

@@ -210,6 +210,15 @@ def test_sum_identity_examples():
     assert not sum_identity_holds(P7, 2, U1, V1, ring[3][2], odd_side=False)
 
 
+def test_sum_identity_refuses_m_below_one():
+    # The identities are stated for m >= 1: at m = 0 the odd side is an empty sum.
+    _, U1, V1 = list(iter_uv_exact(P7, 1))[1]
+    for m in (0, -1):
+        for odd_side in (True, False):
+            with pytest.raises(ValueError, match=f"m must be >= 1, got {m}"):
+                sum_identity_holds(P7, m, U1, V1, V1, odd_side=odd_side)
+
+
 def test_sum_identity_cap():
     # One exact ring table to index m*n serves the sum identities; over the
     # cap the suite refuses before checking anything.

@@ -18,17 +18,18 @@ import types
 
 import pytest
 
-from conftest import cli_env
+from conftest import cli_env, deadline
 from fermatlucas import _gmp
 from fermatlucas.lucas import (
     ALTERNATE_PARAMS,
     STANDARD_PARAMS,
     LehmerPair,
     LucasParams,
+    _Params,
     iter_pairs,
     uv_mod,
 )
-from fermatlucas.native import GMP_MAX_BITS, GMP_MIN_BITS, native_kernel, square_chain
+from fermatlucas.native import GMP_MAX_BITS, GMP_MIN_BITS, native_kernel, square_chain, uv_ladder
 from fermatlucas.primality import (
     fermat_llt,
     is_prime,
@@ -327,14 +328,14 @@ def test_foreign_calls_per_step():
     # and doubles from the odd index 1, which also multiplies v^2 by R and
     # folds that: one mul, one sub_n.
     counts.clear()
-    native.uv_ladder(5, 1, 1 << 1000, 4096)
+    native.uv_ladder(LucasParams(5, 1), 1 << 1000, 4096)
     assert counts == {"mul_n": 1001, "sqr": 1001, "sub_n": 2 * 1001 + 3, "mul": 3, "add": 2, "rshift": 2}
     # R = 2^64 + 2 = 1 mod 2^64 + 1 takes v to 1 - 2 = -1 at index 2, where
     # v^2 - 2 keeps it, and u to +-1: u*v multiplies 2^m (-1) on libgmp at
     # every doubling from index 2 on, u = v = -1 among them.
     counts.clear()
     N = (1 << 64) + 1
-    with_minus_one = native.uv_ladder(N + 1, 1, 1 << 10, 64)
+    with_minus_one = native.uv_ladder(LucasParams(N + 1, 1), 1 << 10, 64)
     assert counts["mul_n"] == 11 and with_minus_one[1] == N - 1
     pair = uv_mod(LucasParams(N + 1, 1), 1 << 10, N)  # below GMP_MIN_BITS: the int loop
     assert with_minus_one == (pair.u_bar, pair.v_bar)
@@ -391,9 +392,9 @@ def ladder_route(native, m):
         return pair.u_bar % N, pair.v_bar % N
 
     if takes(m, 1):
-        return (lambda params, n: native.uv_ladder(params.R, params.Q, n, m)), int_loop
+        return (lambda params, n: native.uv_ladder(params, n, m)), int_loop
     with pytest.raises(ValueError):
-        native.uv_ladder(7, 1, 5, m)
+        native.uv_ladder(STANDARD_PARAMS, 5, m)
     return int_loop, wide
 
 
@@ -440,10 +441,11 @@ def test_ladder_reduces_large_r_and_negative_d(monkeypatch):
 @needs_gmp
 def test_ladder_rejects_what_it_cannot_compute():
     native = _gmp.load()
-    for R, Q, n, m in ((7, 2, 5, 64), (7, 0, 5, 64), (7, 1, -1, 64), (7, 1, 5, 0),
-                       (7, 1, 5, 65), (7, 1, 0, 4097)):
+    # LucasParams refuses Q = 0 itself; the unchecked tuple it extends does not.
+    for params, n, m in ((LucasParams(7, 2), 5, 64), (_Params(7, 0), 5, 64), (STANDARD_PARAMS, -1, 64),
+                         (STANDARD_PARAMS, 5, 0), (STANDARD_PARAMS, 5, 65), (STANDARD_PARAMS, 0, 4097)):
         with pytest.raises(ValueError):
-            native.uv_ladder(R, Q, n, m)
+            native.uv_ladder(params, n, m)
 
 
 @needs_gmp
@@ -487,8 +489,8 @@ class RecordingKernel:
         self.calls.append((m, sign))
         return -1
 
-    def uv_ladder(self, R, Q, n, m):
-        self.calls.append(("uv", m, Q))
+    def uv_ladder(self, params, n, m):
+        self.calls.append(("uv", m, params.Q))
         return -1, -1
 
 
@@ -556,6 +558,43 @@ def test_uv_mod_dispatch_by_modulus_form_size_and_q(monkeypatch):
             expected = next(itertools.islice(iter_pairs(params, N), n, None))
             assert uv_mod(params, n, N) == expected
     assert kernel.calls == []
+
+
+def test_uv_ladder_routes_by_modulus_form_size_and_q(monkeypatch):
+    # The route `uv_mod` calls, called without `uv_mod`'s checks: the kernel
+    # gets the parameters themselves and m, at every index, 0 included.
+    kernel = RecordingKernel()
+    monkeypatch.setattr(_gmp, "load", lambda: kernel)
+    for m in (GMP_MIN_BITS, GMP_MAX_BITS):
+        for params in (STANDARD_PARAMS, ALTERNATE_PARAMS):
+            for n in (0, 5):
+                assert uv_ladder(params, n, (1 << m) + 1) == (-1, -1)
+    assert kernel.calls == [("uv", m, Q) for m in (GMP_MIN_BITS, GMP_MAX_BITS) for Q in (1, 1, -1, -1)]
+    kernel.calls.clear()
+
+    fermat = (1 << GMP_MIN_BITS) + 1
+    for params, N in [
+        (STANDARD_PARAMS, (1 << (GMP_MIN_BITS - 1)) + 1),   # below the lower bound
+        (ALTERNATE_PARAMS, (1 << (GMP_MAX_BITS + 1)) + 1),  # above the upper bound
+        (STANDARD_PARAMS, (1 << (GMP_MIN_BITS + 1)) + 1),   # 2^m + 1 with 64 not dividing m
+        (STANDARD_PARAMS, (1 << GMP_MIN_BITS) - 1),         # not 2^m + 1
+        (STANDARD_PARAMS, fermat + 2),
+        (LucasParams(7, 3), fermat),                        # |Q| != 1
+        (LucasParams(5, -2), fermat),
+    ]:
+        for n in (0, 5, 6):
+            assert uv_ladder(params, n, N) == next(itertools.islice(iter_pairs(params, N), n, None))[1:]
+    assert kernel.calls == []
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_chain_refuses_an_exponent_below_one(sign):
+    # Mod 2^0 + sign neither fold moves toward a residue, so the int loop
+    # refuses at its first step instead of running forever; no step, no fold.
+    for m in (0, -1):
+        with deadline(5), pytest.raises(ValueError, match=f"must be >= 1, got {m}"):
+            square_chain(5, 1, 2, m, sign)
+    assert square_chain(5, 0, 2, 0, sign) == 5
 
 
 def test_short_chains_never_import_the_native_module():

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from conftest import deadline
 from fermatlucas.quadratic import (
     QuadInt,
     balanced_residue,
@@ -124,6 +125,16 @@ def test_mersenne_mod_matches_division():
         for _ in range(300):
             x = rng.getrandbits(2 * q + 6)
             assert mersenne_mod(x, q) == x % M
+
+
+@pytest.mark.parametrize("fold", [fermat_mod, mersenne_mod])
+def test_folds_refuse_exponents_below_one(fold):
+    # 2^0 + 1 = 2 and 2^0 - 1 = 0 are no moduli to fold by: the Fermat fold
+    # maps x to -x and back, and the Mersenne fold never moves x.
+    for x in (5, -5, 1 << 70, 0, 1):
+        for m in (0, -1):
+            with deadline(5), pytest.raises(ValueError, match=f"must be >= 1, got {m}"):
+                fold(x, m)
 
 
 @pytest.mark.parametrize("m, sign", [(63, 1), (65, 1), (127, 1), (4097, 1), (64, -1), (128, -1), (4096, -1)])
