@@ -17,8 +17,7 @@ Fast doubling (`uv_mod`) handles indices like 2^16384 mod N.
 from __future__ import annotations
 
 import math
-from functools import reduce
-from itertools import accumulate, islice, repeat
+from itertools import islice
 from typing import Iterator, NamedTuple, Sequence
 
 from .native import uv_ladder
@@ -186,22 +185,16 @@ def s_from_v(k: int, N: int) -> int:
     return uv_mod(STANDARD_PARAMS, 1 << (k + 1), N).v_bar
 
 
-def _ring_powers(params: LucasParams, x: QuadInt, k_max: int) -> list[QuadInt]:
-    """[x^0, x^1, ..., x^k_max] in Z[sqrt(R)]."""
-    return list(accumulate(repeat(x, k_max), lambda p, y: qmul(params.R, p, y), initial=ONE))
-
-
-def _sum_identity_sides(
-    params: LucasParams, m: int, u_pows: Sequence[QuadInt], v_pows: Sequence[QuadInt]
+def _sum_identity_step(
+    params: LucasParams, u: QuadInt, v: QuadInt, Un: QuadInt, Vn: QuadInt
 ) -> tuple[QuadInt, QuadInt]:
-    """The binomial sums equal to 2^(m-1) U_{mn} (odd k) and 2^(m-1) V_{mn} (even k).
+    """(v + u sqrt(D)) * (V_n + U_n sqrt(D)) over Z[sqrt(R)], as its sqrt(D) and rational parts.
 
-    Term k is C(m, k) D^(k//2) U_n^k V_n^(m-k); u_pows and v_pows are
-    `_ring_powers` of U_n and V_n to m or further, so one pair serves every m.
+    From (u, v) = (0, 1), m steps give (V_n + U_n sqrt(D))^m, whose parts are the binomial sums
+    over odd and even k of C(m, k) D^(k//2) U_n^k V_n^(m-k): 2^(m-1) U_{mn} and 2^(m-1) V_{mn}.
     """
-    R, D = params.R, params.D
-    terms = [qscale(math.comb(m, k) * D ** (k // 2), qmul(R, u_pows[k], v_pows[m - k])) for k in range(m + 1)]
-    return reduce(qadd, terms[1::2]), reduce(qadd, terms[::2])
+    R = params.R
+    return qadd(qmul(R, v, Un), qmul(R, u, Vn)), qadd(qmul(R, v, Vn), qscale(params.D, qmul(R, u, Un)))
 
 
 def sum_identity_holds(
@@ -214,7 +207,9 @@ def sum_identity_holds(
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    u_side, v_side = _sum_identity_sides(params, m, _ring_powers(params, Un, m), _ring_powers(params, Vn, m))
+    u_side, v_side = ZERO, ONE
+    for _ in range(m):
+        u_side, v_side = _sum_identity_step(params, u_side, v_side, Un, Vn)
     return qscale(1 << (m - 1), Xmn) == (u_side if odd_side else v_side)
 
 

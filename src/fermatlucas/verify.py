@@ -15,8 +15,7 @@ from .lucas import (
     ALTERNATE_PARAMS,
     EXACT_INDEX_CAP,
     STANDARD_PARAMS,
-    _ring_powers,
-    _sum_identity_sides,
+    _sum_identity_step,
     alternate_params_pair,
     iter_uv_exact,
     lehmer_pairs_exact,
@@ -87,10 +86,11 @@ def identities(*, m_max: int = 9, n_max: int = 9) -> Iterator[Check]:
         bad = [n for n in range(201) if (2 * abs(params.Q) ** n) % math.gcd(pairs[n].u_bar, pairs[n].v_bar) != 0]
         yield _check(f"gcd_divides_2Qn_{label}", not bad, f"n {bad[:5]}")
 
-    powers = {n: [_ring_powers(STANDARD_PARAMS, x, m_max) for x in ring[n][1:]] for n in range(1, n_max + 1)}
+    # One running power (V_n + U_n sqrt(D))^m per n, as (u_side, v_side), from m = 1.
+    sides = {n: ring[n][1:] for n in range(1, n_max + 1)}
     for m in range(2, m_max + 1):
         for n in range(1, n_max + 1):
-            u_side, v_side = _sum_identity_sides(STANDARD_PARAMS, m, *powers[n])
+            u_side, v_side = sides[n] = _sum_identity_step(STANDARD_PARAMS, *sides[n], *ring[n][1:])
             _, Umn, Vmn = ring[m * n]
             yield _check(f"sum_identity_u_m{m}_n{n}", qscale(1 << (m - 1), Umn) == u_side)
             yield _check(f"sum_identity_v_m{m}_n{n}", qscale(1 << (m - 1), Vmn) == v_side)

@@ -11,6 +11,7 @@ from fermatlucas.lucas import (
     LehmerPair,
     LucasParams,
     STANDARD_PARAMS,
+    _sum_identity_step,
     alternate_params_pair,
     iter_pairs,
     iter_uv_exact,
@@ -20,7 +21,7 @@ from fermatlucas.lucas import (
     uv_mod,
 )
 from fermatlucas.native import FOLD_MIN_BITS, _LADDER_START, _uv_ladder
-from fermatlucas.quadratic import QuadInt, fermat_mod
+from fermatlucas.quadratic import ONE, ZERO, QuadInt, fermat_mod, qadd, qmul, qscale
 
 from golden_data import EXACT_ROWS
 
@@ -217,6 +218,32 @@ def test_sum_identity_refuses_m_below_one():
         for odd_side in (True, False):
             with pytest.raises(ValueError, match=f"m must be >= 1, got {m}"):
                 sum_identity_holds(P7, m, U1, V1, V1, odd_side=odd_side)
+
+
+def binomial_sides(params, m, U, V):
+    """The sums written term by term: C(m, k) D^(k//2) U^k V^(m-k) over odd k and over even k."""
+    R, D = params.R, params.D
+    sides = [ZERO, ZERO]  # odd k, even k
+    for k in range(m + 1):
+        term = ONE
+        for x in [U] * k + [V] * (m - k):
+            term = qmul(R, term, x)
+        sides[k % 2 == 0] = qadd(sides[k % 2 == 0], qscale(math.comb(m, k) * D ** (k // 2), term))
+    return tuple(sides)
+
+
+@pytest.mark.parametrize("params", [P7, P3, LucasParams(5, 2), LucasParams(2, -3)], ids=lambda p: f"R{p.R}_Q{p.Q}")
+def test_sum_identity_step_matches_the_binomial_sums(params):
+    # Random ring values, not sequence values, so the step is checked as ring
+    # algebra; the suite and `sum_identity_holds` both take the step, so
+    # comparing them with each other checks neither.
+    rng = random.Random(params.R)
+    for _ in range(20):
+        U, V = (QuadInt(rng.randrange(-10**6, 10**6), rng.randrange(-10**6, 10**6)) for _ in range(2))
+        u_side, v_side = ZERO, ONE
+        for m in range(1, 13):
+            u_side, v_side = _sum_identity_step(params, u_side, v_side, U, V)
+            assert (u_side, v_side) == binomial_sides(params, m, U, V), (m, U, V)
 
 
 def test_sum_identity_cap():

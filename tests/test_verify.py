@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from conftest import cli_env
+from conftest import cli_env, deadline
 from fermatlucas import _gmp, primality, symbols, verify
 from fermatlucas.lucas import ALTERNATE_PARAMS, LehmerPair, iter_uv_exact, sum_identity_holds
 from fermatlucas.lucas import STANDARD_PARAMS as P7
@@ -28,6 +28,15 @@ def test_identity_table_matches_per_pair_checks():
             expected.append((f"sum_identity_v_m{m}_n{n}", sum_identity_holds(P7, m, Un, Vn, Vmn, False)))
     assert all(holds for _, holds in expected)
     assert sum_identity_checks(verify.identities(m_max=8, n_max=8)) == expected
+
+
+def test_identities_at_m_max_2000_finish_in_seconds():
+    # m * n = 10000 is inside the exact-index cap, so the suite must finish
+    # here: each (m, n) costs one step of a running ring power.
+    with deadline(20):
+        checks = list(verify.identities(m_max=2000, n_max=5))
+    assert len(checks) == 10 + 2 * 1999 * 5
+    assert all(c.passed for c in checks)
 
 
 def test_corrupted_table_entry_fails_sum_identities(monkeypatch):
