@@ -223,13 +223,17 @@ def test_sum_identity_refuses_m_below_one():
 def binomial_sides(params, m, U, V):
     """The sums written term by term: C(m, k) D^(k//2) U^k V^(m-k) over odd k and over even k."""
     R, D = params.R, params.D
-    sides = [ZERO, ZERO]  # odd k, even k
+    odd, even = ZERO, ZERO
     for k in range(m + 1):
         term = ONE
         for x in [U] * k + [V] * (m - k):
             term = qmul(R, term, x)
-        sides[k % 2 == 0] = qadd(sides[k % 2 == 0], qscale(math.comb(m, k) * D ** (k // 2), term))
-    return tuple(sides)
+        term = qscale(math.comb(m, k) * D ** (k // 2), term)
+        if k % 2:
+            odd = qadd(odd, term)
+        else:
+            even = qadd(even, term)
+    return odd, even
 
 
 @pytest.mark.parametrize("params", [P7, P3, LucasParams(5, 2), LucasParams(2, -3)], ids=lambda p: f"R{p.R}_Q{p.Q}")
