@@ -53,19 +53,15 @@ def _indices_arg(text: str) -> tuple[int, ...]:
 
 
 def _cmd_test(args) -> tuple[dict, dict]:
-    if args.kind != "fermat" and (args.seed is not None or args.experimental):
-        raise ValueError("--seed/--experimental only apply to the fermat test")
-    seed = args.seed if args.seed is not None else PROVEN_SEED
-    if args.kind == "fermat":
-        verdict = fermat_llt(args.index, seed=seed, experimental=args.experimental)
-    elif args.kind == "mersenne":
-        verdict = mersenne_llt(args.index)
-    else:
-        verdict = pepin(args.index)
     inputs = {"kind": args.kind, "index": args.index}
     if args.kind == "fermat":
-        inputs["seed"] = seed
-        inputs["experimental"] = args.experimental
+        seed = args.seed if args.seed is not None else PROVEN_SEED
+        inputs.update(seed=seed, experimental=args.experimental)
+        verdict = fermat_llt(args.index, seed=seed, experimental=args.experimental)
+    elif args.seed is not None or args.experimental:
+        raise ValueError("--seed/--experimental only apply to the fermat test")
+    else:
+        verdict = (mersenne_llt if args.kind == "mersenne" else pepin)(args.index)
     return inputs, verdict._asdict()
 
 
@@ -300,8 +296,8 @@ def _human_lines(record: dict):
             heads, flag = ("i", "U_i", "V_i"), "_radical"
             cell = lambda value, radical: str(value) + (tag if radical else "")
         else:
-            modulus = inputs["modulus"]
-            heads, flag, cell = ("i", f"u_bar mod {modulus}", f"v_bar mod {modulus}"), "_balanced", _fmt_residue
+            mod = f" mod {inputs['modulus']}"  # one decimal conversion: quadratic in F_n's digits
+            heads, flag, cell = ("i", "u_bar" + mod, "v_bar" + mod), "_balanced", _fmt_residue
         # Every row sets the column widths, so the cell strings are held; nothing else is.
         cells = [(str(row["i"]), cell(row["u"], row["u" + flag]), cell(row["v"], row["v" + flag]))
                  for row in result["rows"]]

@@ -16,7 +16,7 @@ from typing import NamedTuple, Sequence
 from .lucas import STANDARD_PARAMS, LehmerPair, LucasParams, uv_mod
 from .native import _LADDER_START, _uv_ladder, square_chain
 from .quadratic import fermat_form_exponent, fermat_mod
-from .symbols import jacobi, symbol_triple
+from .symbols import symbol_triple
 
 # Full traces are only kept for small indices; 2^n - 1 residues of 2^n bits
 # each get out of hand quickly.
@@ -78,6 +78,13 @@ class Verdict(NamedTuple):
         return self.classification == "prime"
 
 
+def _verdict(method: str, residue: int, target: int, proven: bool = True) -> Verdict:
+    """Prime when a chain's last residue equals its target; else composite, that residue the witness."""
+    if residue == target:
+        return Verdict("prime", method, proven=proven)
+    return Verdict("composite", method, witness=residue, proven=proven)
+
+
 class ResidueCheck(NamedTuple):
     """One residue compared with its expected value; a tuple, cheap to build."""
 
@@ -130,11 +137,7 @@ def fermat_llt(n: int, seed: int = PROVEN_SEED, experimental: bool = False) -> V
         raise ValueError(
             f"seed {seed} has no correctness proof; pass experimental=True to run it anyway"
         )
-    proven = seed == PROVEN_SEED
-    final = s_sequence(n, seed=seed).final
-    if final == 0:
-        return Verdict("prime", "llt-fermat", proven=proven)
-    return Verdict("composite", "llt-fermat", witness=final, proven=proven)
+    return _verdict("llt-fermat", s_sequence(n, seed=seed).final, 0, proven=seed == PROVEN_SEED)
 
 
 def pepin(n: int) -> Verdict:
@@ -144,10 +147,7 @@ def pepin(n: int) -> Verdict:
     the fold kernel; the tests check it against pow().
     """
     e = fermat_exponent(n)
-    r = square_chain(3, e - 1, 0, e, 1)
-    if r == 1 << e:
-        return Verdict("prime", "pepin")
-    return Verdict("composite", "pepin", witness=r)
+    return _verdict("pepin", square_chain(3, e - 1, 0, e, 1), 1 << e)
 
 
 def mersenne_llt(q: int) -> Verdict:
@@ -160,10 +160,7 @@ def mersenne_llt(q: int) -> Verdict:
         raise ValueError(f"Mersenne exponent must be <= 2^{MAX_FERMAT_INDEX}, got {q}")
     if q < 3 or not is_prime(q):
         raise ValueError(f"exponent must be an odd prime, got {q}")
-    s = square_chain(4, q - 2, 2, q, -1)
-    if s == 0:
-        return Verdict("prime", "llt-mersenne")
-    return Verdict("composite", "llt-mersenne", witness=s)
+    return _verdict("llt-mersenne", square_chain(4, q - 2, 2, q, -1), 0)
 
 
 def trial_division(N: int) -> int | None:
@@ -290,7 +287,7 @@ def certify_via_rank(
     """
     if N < 3:
         raise ValueError(f"N must be >= 3, got {N}")
-    if math.gcd(N, 2 * params.Q * params.R * params.D) != 1:
+    if N % 2 == 0 or 0 in (triple := symbol_triple(params, N)):  # (a/N) = 0 iff gcd(a, N) > 1
         raise ValueError(f"N = {N} shares a factor with 2*Q*R*D")
     if factors is None:
         if fermat_form_exponent(N) is None:
@@ -309,7 +306,7 @@ def certify_via_rank(
 
     u_top = uv_mod(params, N - 1, N).u_bar
     if u_top != 0:
-        if jacobi(params.R, N) * jacobi(params.D, N) == 1:
+        if triple.sigma * triple.epsilon == 1:
             return Verdict("composite", "rank-certificate", witness=u_top)
         raise InconclusiveError(
             f"u_bar(N-1) = {u_top} != 0 but sigma*epsilon != +1: no conclusion for N = {N}"
@@ -344,9 +341,9 @@ def lehmer_congruence_checks(params: LucasParams, p: int) -> CongruenceReport:
     """
     if p < 3 or not is_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
-    if (params.Q * params.R * params.D) % p == 0:
-        raise ValueError(f"p = {p} divides QRD")
     triple = symbol_triple(params, p)
+    if 0 in triple:  # p is prime, so (a/p) = 0 exactly when p divides a
+        raise ValueError(f"p = {p} divides QRD")
     rows = _congruence_rows(params, p, triple)
     return CongruenceReport(p, params, *triple, tuple(map(ResidueCheck._make, rows)))
 

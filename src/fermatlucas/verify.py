@@ -145,13 +145,12 @@ def congruences(*, p_max: int = 2000) -> Iterator[Check]:
     t = min(p_max.bit_length() // 2, EXACT_INDEX_CAP.bit_length() - 1)
     for params in (STANDARD_PARAMS, ALTERNATE_PARAMS):
         label = f"R{params.R}_Q{params.Q}"
-        qrd = params.Q * params.R * params.D
         start = lehmer_pairs_exact(params, (1 << t) - 1)
         d, r, q = (jacobi_period(a) for a in (params.D, params.R, params.Q))
         for p in _odd_primes(flags):
-            if qrd % p == 0:
-                continue
             triple = d[p % len(d)], r[p % len(r)], q[p % len(q)]
+            if 0 in triple:  # p divides QRD
+                continue
             rows = _congruence_rows(params, p, triple, start)  # sieved, so prime by construction
             failed = [name for name, _, _, _, passed in rows if not passed]
             yield _check(f"congruences_{label}_p{p}", not failed, ", ".join(failed))
@@ -192,11 +191,10 @@ def rank() -> Iterator[Check]:
     bad = [(k, n) for k in range(1, 61) for n in range(k, 61, k) if pairs[n].u_bar % pairs[k].u_bar != 0]
     yield _check("u_divides_u_at_multiples", not bad, f"first {bad[:3]}")
 
-    for N, name in ((17, "certify_17"), (257, "certify_257"), (65537, "certify_65537")):
-        verdict = certify_via_rank(STANDARD_PARAMS, N)
-        yield _check(name, verdict.classification == "prime")
-    f5 = certify_via_rank(STANDARD_PARAMS, (1 << 32) + 1)
-    yield _check("certify_F5_composite", f5.classification == "composite")
+    for N, name, expected in ((17, "certify_17", "prime"), (257, "certify_257", "prime"),
+                              (65537, "certify_65537", "prime"),
+                              ((1 << 32) + 1, "certify_F5_composite", "composite")):
+        yield _check(name, certify_via_rank(STANDARD_PARAMS, N).classification == expected)
 
 
 def traces(*, max_n: int = 8) -> Iterator[Check]:

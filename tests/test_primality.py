@@ -410,6 +410,16 @@ def test_certify_via_rank_errors():
         certify_via_rank(P7, 37, factors=(2, 3))
 
 
+@pytest.mark.parametrize(
+    "params, N", [(P7, 16), (P7, 9), (P7, 49), (LucasParams(5, 3), 9)],
+    ids=["even", "D=3", "R=7", "Q=3"],
+)
+def test_certify_via_rank_refuses_each_factor_of_2qrd(params, N):
+    # N is refused when it is even or shares a factor with D, R or Q.
+    with pytest.raises(ValueError, match=r"shares a factor with 2\*Q\*R\*D"):
+        certify_via_rank(params, N)
+
+
 def test_congruence_checks_examples():
     r17 = lehmer_congruence_checks(P7, 17)
     assert r17.ok
@@ -432,6 +442,15 @@ def test_congruence_checks_errors():
         lehmer_congruence_checks(P7, 7)  # divides QRD
     with pytest.raises(ValueError):
         lehmer_congruence_checks(P7, 2)
+
+
+@pytest.mark.parametrize(
+    "params, p", [(P7, 3), (P7, 7), (LucasParams(5, 3), 3)],
+    ids=["D=3", "R=7", "Q=3"],
+)
+def test_congruence_checks_refuse_each_factor_of_qrd(params, p):
+    with pytest.raises(ValueError, match="divides QRD"):
+        lehmer_congruence_checks(params, p)
 
 
 @pytest.mark.parametrize("params", [P7, ALTERNATE_PARAMS], ids=["R7Q1", "R3Qm1"])

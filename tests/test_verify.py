@@ -157,8 +157,7 @@ def test_congruence_suite_reads_its_symbols_from_one_period(monkeypatch):
         calls.append((a, n))
         return jacobi(a, n)
 
-    for module in (symbols, primality):
-        monkeypatch.setattr(module, "jacobi", counted)
+    monkeypatch.setattr(symbols, "jacobi", counted)  # `primality` calls it only through symbol_triple
     counts = []
     for p_max in (3000, 20000):
         calls.clear()
