@@ -5,7 +5,8 @@
 2. v_bar at indices 2, 4, 8, 16, ... reproduces the squaring chain.
 3. The multiplication-sum identities hold verbatim in Z[sqrt(7)].
 4. The (3, -1) sequence is the (7, 1) sequence with u/v swapped at odd index.
-5. The residues at the nine indices flanking F_n repeat one fixed pattern.
+5. The residues at the nine indices flanking a prime F_n repeat one pattern,
+   -X(k) at F_n - 1 + k, which congruences 3 and 4 force at n = 1..4.
 """
 
 from fermatlucas import (

@@ -13,9 +13,9 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Sequence
 
-from .lucas import STANDARD_PARAMS, LehmerPair, LucasParams, uv_mod
+from .lucas import STANDARD_PARAMS, LehmerPair, LucasParams, lehmer_pairs_exact, uv_mod
 from .native import _LADDER_START, _uv_ladder, square_chain
-from .quadratic import fermat_form_exponent, fermat_mod
+from .quadratic import fermat_mod
 from .symbols import symbol_triple
 
 # Full traces are only kept for small indices; 2^n - 1 residues of 2^n bits
@@ -273,48 +273,44 @@ def rank_of_apparition(params: LucasParams, m: int, cap: int = RANK_SEARCH_CAP) 
 def certify_via_rank(
     params: LucasParams, N: int, factors: tuple[int, ...] | None = None
 ) -> Verdict:
-    """Primality certificate from the rank of apparition, N - 1 branch.
+    """Primality certificate from the rank of apparition, its branch read from sigma*epsilon.
 
-    N is prime if u_bar(N-1) == 0 and u_bar((N-1)/q) != 0 mod N for every
-    distinct prime q | N - 1: the rank is then exactly N - 1, which forces
-    primality.  `factors` lists those primes, each checked by `is_prime` (a
-    ValueError from MR_EXACT_BOUND up); omitted, it is inferred only when
-    N - 1 is a power of two (the Fermat case).
-
-    A nonzero u_bar(N-1) refutes primality only when sigma*epsilon = +1
-    (otherwise a prime N need not have rank dividing N - 1); failing that,
-    or when some (N-1)/q check collapses, InconclusiveError is raised.
+    With (eps, sig, tau) the symbols over N, top = N - sig*eps: N - 1 for F_n
+    with (7, 1), N + 1 = 2^q for M_q with (6, 1).  At a prime N, u_bar(top) == 0
+    mod N (congruence 3 of `lehmer_congruence_checks`), so a nonzero u_bar(top)
+    proves N composite.  If u_bar(top) == 0 and u_bar(top/q) != 0 for each
+    distinct prime q | top, N has rank exactly top, which no composite N prime
+    to 2QRD has (Lehmer, Ann. of Math. 31, 1930), so N is prime.  `factors`
+    lists those q, each checked by `is_prime` (a ValueError from MR_EXACT_BOUND
+    up); omitted, it is (2,) when top is a power of two.  A collapsed top/q
+    check raises InconclusiveError.
     """
     if N < 3:
         raise ValueError(f"N must be >= 3, got {N}")
     if N % 2 == 0 or 0 in (triple := symbol_triple(params, N)):  # (a/N) = 0 iff gcd(a, N) > 1
         raise ValueError(f"N = {N} shares a factor with 2*Q*R*D")
-    if factors is None:
-        if fermat_form_exponent(N) is None:
-            raise ValueError("N - 1 is not a power of two; supply its distinct prime factors")
-        factors = (2,)
-    remaining = N - 1
-    for q in set(factors):
-        if q < 2 or (N - 1) % q != 0:
-            raise ValueError(f"{q} is not a divisor of N - 1")
+    top = N - triple.sigma * triple.epsilon
+    if factors is None and top & (top - 1):
+        raise ValueError(f"N - sigma*epsilon = {top} is not a power of two; supply its distinct prime factors")
+    primes = sorted(set((2,) if factors is None else factors))
+    remaining = top
+    for q in primes:
+        if q < 2 or top % q != 0:
+            raise ValueError(f"{q} is not a divisor of N - sigma*epsilon = {top}")
         if not is_prime(q):
-            raise ValueError(f"{q} is not prime; the certificate needs the prime factors of N - 1")
+            raise ValueError(f"{q} is not prime; the certificate needs the prime factors of N - sigma*epsilon")
         while remaining % q == 0:
             remaining //= q
     if remaining != 1:
-        raise ValueError("supplied factors do not cover N - 1 completely")
+        raise ValueError(f"supplied factors do not cover N - sigma*epsilon = {top} completely")
 
-    u_top = uv_mod(params, N - 1, N).u_bar
+    u_top = uv_mod(params, top, N).u_bar
     if u_top != 0:
-        if triple.sigma * triple.epsilon == 1:
-            return Verdict("composite", "rank-certificate", witness=u_top)
-        raise InconclusiveError(
-            f"u_bar(N-1) = {u_top} != 0 but sigma*epsilon != +1: no conclusion for N = {N}"
-        )
-    for q in sorted(set(factors)):
-        if uv_mod(params, (N - 1) // q, N).u_bar == 0:
+        return Verdict("composite", "rank-certificate", witness=u_top)
+    for q in primes:
+        if uv_mod(params, top // q, N).u_bar == 0:
             raise InconclusiveError(
-                f"u_bar((N-1)/{q}) == 0 mod {N}: rank is a proper divisor candidate, no conclusion"
+                f"u_bar({top}/{q}) == 0 mod {N}: rank is a proper divisor candidate, no conclusion"
             )
     return Verdict("prime", "rank-certificate")
 
@@ -381,24 +377,27 @@ def _congruence_rows(
     )
 
 
-# Observed residue pattern at the nine indices flanking F_n (offsets -5..+3),
-# for the (7, 1) parameters.  Empirical for n in {2, 3, 4}; not a theorem.
-FLANK_OFFSETS = tuple(range(-5, 4))
-FLANK_U_RESIDUES = (5, 6, 1, 1, 0, -1, -1, -6, -5)
-FLANK_V_RESIDUES = (-23, -4, -5, -1, -2, -1, -5, -4, -23)
-
-
 def appendix_residues(params: LucasParams, n: int) -> tuple[ResidueCheck, ...]:
-    """Check the 18 flanking congruences of the pair around F_n, n in {2,3,4}."""
+    """Check the 18 flanking congruences of the pair around F_n, n in 1..4.
+
+    Over F_n, (7, 1) has sig = eps = -1 (`fermat_symbols_closed_form`), so at
+    a prime F_n congruences 3 and 4 give u_bar(F_n - 1) == 0, v_bar(F_n - 1)
+    == -2, and so alpha^(F_n-1) == beta^(F_n-1) == -1.  F_n - 1 is even, so
+    X(F_n - 1 + k) == -X(k) for X = u_bar, v_bar and any integer k, where
+    Q = 1 gives u_bar(-k) = -u_bar(k) and v_bar(-k) = v_bar(k).  Here k =
+    -4..4 (offsets -5..+3), read from the exact pairs at 0..4.
+    """
     if params != STANDARD_PARAMS:
         raise ValueError("the flanking pattern is stated only for parameters (7, 1)")
-    if n not in (2, 3, 4):
-        raise ValueError(f"the pattern is asserted only for n in {{2, 3, 4}}, got {n}")
+    if n not in (1, 2, 3, 4):
+        raise ValueError(f"the pattern needs F_n prime and prime to QRD, n in 1..4, got {n}")
     F = fermat_number(n)
+    pairs = lehmer_pairs_exact(params, 4)
     checks = []
-    for off, eu, ev in zip(FLANK_OFFSETS, FLANK_U_RESIDUES, FLANK_V_RESIDUES):
-        pair = uv_mod(params, F + off, F)
-        for side, expected, actual in (("u", eu, pair.u_bar), ("v", ev, pair.v_bar)):
-            checks.append(ResidueCheck(f"{side}_at_F{n}{off:+d}", F + off, expected % F, actual,
+    for k in range(-4, 5):
+        exact, pair = pairs[abs(k)], uv_mod(params, F - 1 + k, F)
+        u_sign = 1 if k < 0 else -1
+        for side, expected, actual in (("u", u_sign * exact.u_bar, pair.u_bar), ("v", -exact.v_bar, pair.v_bar)):
+            checks.append(ResidueCheck(f"{side}_at_F{n}{k - 1:+d}", F - 1 + k, expected % F, actual,
                                        (actual - expected) % F == 0))
     return tuple(checks)

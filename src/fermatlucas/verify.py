@@ -157,7 +157,7 @@ def congruences(*, p_max: int = 2000) -> Iterator[Check]:
 
 
 def appendix(*, n: int | None = None) -> Iterator[Check]:
-    """The 18 flanking residues around F_n; n = None checks n = 2, 3 and 4."""
+    """The 18 flanking residues around a prime F_n, n in 1..4; n = None checks n = 2, 3 and 4."""
     for k in (n,) if n is not None else (2, 3, 4):
         for c in appendix_residues(STANDARD_PARAMS, k):
             yield _check(c.name, c.passed, f"expected {c.expected}, got {c.actual}")

@@ -420,6 +420,13 @@ def test_verify_appendix_single_n():
     assert rec["result"]["failed"] == 0
 
 
+def test_verify_appendix_at_n_1():
+    # F_1 = 5 is prime and prime to QRD, so the derived pattern holds there too.
+    proc = run_cli("verify", "appendix", "--n", "1")
+    assert proc.returncode == 0, proc.stderr
+    assert [c["name"] for c in record_of(proc)["result"]["checks"]][:2] == ["u_at_F1-5", "v_at_F1-5"]
+
+
 def test_rank_command():
     rec = record_of(run_cli("rank", "17"))
     assert rec["result"]["omega"] == 16

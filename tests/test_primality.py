@@ -34,7 +34,7 @@ from fermatlucas.primality import (
     trial_division,
     _u_zeros,
 )
-from fermatlucas.symbols import jacobi
+from fermatlucas.symbols import jacobi, symbol_triple
 
 from golden_data import TRACES
 
@@ -316,27 +316,56 @@ def test_certify_via_rank_composite():
     assert verdict.classification == pepin(5).classification
 
 
+# D = 2, so (D/M_q) = +1 and (R/M_q) = (3/M_q) = -1 for every odd prime q:
+# the certificate takes its N + 1 branch with N + 1 = 2^q, as the LLT's class.
+P6 = LucasParams(6, 1)
+
+
+def test_certify_via_rank_n_plus_1_branch_agrees_with_mersenne_llt():
+    for q in range(3, 1300, 2):
+        if is_prime(q):
+            N = (1 << q) - 1
+            triple = symbol_triple(P6, N)
+            assert triple.sigma * triple.epsilon == -1, q
+            assert certify_via_rank(P6, N).classification == mersenne_llt(q).classification, q
+
+
+def test_certify_via_rank_proves_m2203_as_the_mersenne_chain_does():
+    # uv_mod mod 2^q - 1 always walks the int ladder, while from 1536 bits the
+    # chain runs libgmp's Mersenne fold when libgmp loads: two kernels agree.
+    assert certify_via_rank(P6, (1 << 2203) - 1).classification == "prime"
+    assert mersenne_llt(2203).classification == "prime"
+
+
+def test_certify_via_rank_refutes_a_composite_at_sigma_epsilon_minus_1():
+    # M_11 = 23 * 89: u_bar(M_11 + 1) = u_bar(2^11) != 0 mod M_11 refutes it.
+    N = (1 << 11) - 1
+    verdict = certify_via_rank(P6, N)
+    assert verdict.classification == "composite" == mersenne_llt(11).classification
+    assert verdict.witness == uv_mod(P6, N + 1, N).u_bar != 0
+
+
 def test_certify_via_rank_supplied_factors():
-    # Each outcome of the N - 1 branch with the factors of N - 1 supplied.
+    # Each outcome with the factors of N - sigma*eps supplied.
     # The rank of 41 is 40 = 2^3 * 5 and that of 43 is 42 = 2 * 3 * 7.
     assert certify_via_rank(P7, 41, factors=(2, 5)).classification == "prime"
     assert certify_via_rank(P7, 43, factors=(2, 3, 7)).classification == "prime"
     # 25 - 1 = 2^3 * 3 and sigma*eps = +1 over 25, so u_bar(24) != 0 refutes it.
     verdict = certify_via_rank(P7, 25, factors=(2, 3))
     assert verdict.classification == "composite" and verdict.witness
-    # u_bar(12) = 1 mod 13, but sigma*eps = -1 over 13: a prime need not
-    # have rank dividing N - 1, so nothing follows.
-    with pytest.raises(InconclusiveError):
-        certify_via_rank(P7, 13, factors=(2, 3))
+    # sigma*eps = -1 over 13, and the rank of 13 is 13 + 1 = 14 = 2 * 7.
+    assert certify_via_rank(P7, 13, factors=(2, 7)).classification == "prime"
 
 
 @pytest.mark.parametrize("N", [551, 1807, 2071])
 def test_certify_via_rank_rejects_composite_factor(N):
     # Lehmer pseudoprimes with u_bar(N-1) == 0: taking q = N - 1 as the only
-    # "prime" factor used to certify them as prime.
+    # "prime" factor used to certify them as prime.  sigma*eps = -1 over 2071,
+    # so there the lone "factor" is N + 1.
     assert not is_prime(N) and uv_mod(P7, N - 1, N).u_bar == 0
+    triple = symbol_triple(P7, N)
     with pytest.raises(ValueError, match="not prime"):
-        certify_via_rank(P7, N, factors=(N - 1,))
+        certify_via_rank(P7, N, factors=(N - triple.sigma * triple.epsilon,))
 
 
 def test_certify_via_rank_with_a_20_digit_factor_is_fast():
@@ -363,7 +392,7 @@ def test_certify_via_rank_rejects_a_strong_pseudoprime_factor(monkeypatch):
 def test_certify_via_rank_refuses_factors_above_the_exact_bound(monkeypatch):
     q = 3317044064679887385962123  # the least prime above MR_EXACT_BOUND
     with pytest.raises(ValueError, match="cannot be proven"):
-        certify_via_rank(P7, 2 * q + 1, factors=(2, q))
+        certify_via_rank(P7, 4 * q - 1, factors=(2, q))  # sigma*eps = -1, so N + 1 = 4q
     # The bound itself is a strong pseudoprime to all 13 bases, so it must be
     # refused, not tested: with a larger bound, Miller-Rabin calls it prime.
     with pytest.raises(ValueError, match="cannot be proven"):
@@ -392,18 +421,18 @@ def test_certify_via_rank_errors():
     with pytest.raises(ValueError):
         certify_via_rank(P7, 21)  # shares factor with QRD
     with pytest.raises(ValueError):
-        certify_via_rank(P7, 13)  # N-1 not a power of two, no factors given
+        certify_via_rank(P7, 13)  # N + 1 = 14 not a power of two, no factors given
     with pytest.raises(ValueError):
         certify_via_rank(P7, 13, factors=(2,))  # incomplete factor list
     with pytest.raises(ValueError, match="N must be >= 3"):
         certify_via_rank(P7, 2)
     with pytest.raises(ValueError, match="5 is not a divisor"):
-        certify_via_rank(P7, 13, factors=(2, 3, 5))
-    # u_bar(N-1) != 0 with sigma*eps = -1 gives no conclusion, for the prime
-    # 11 and for 55 = 5 * 11 (u_bar(54) = 24 mod 55) alike.
-    for N, factors in ((11, (2, 5)), (55, (2, 3))):
-        with pytest.raises(InconclusiveError, match="sigma\\*epsilon"):
-            certify_via_rank(P7, N, factors=factors)
+        certify_via_rank(P7, 13, factors=(2, 7, 5))
+    # sigma*eps = -1 over 11 and 55 = 5 * 11, so both read u_bar(N + 1): it
+    # vanishes mod the prime 11, and u_bar(56) = 5 mod 55 refutes 55.
+    assert certify_via_rank(P7, 11, factors=(2, 3)).classification == "prime"
+    verdict = certify_via_rank(P7, 55, factors=(2, 7))
+    assert (verdict.classification, verdict.witness) == ("composite", 5)
     # For the prime 37, u_bar(36/2) = 0: the rank is a proper divisor of N - 1.
     assert uv_mod(P7, 18, 37).u_bar == 0
     with pytest.raises(InconclusiveError, match="proper divisor"):
@@ -523,6 +552,31 @@ def test_appendix_residues_errors():
         appendix_residues(P7, 5)
     with pytest.raises(ValueError):
         appendix_residues(ALTERNATE_PARAMS, 3)
+
+
+# The residues at offsets -5..+3 from F_n that `appendix_residues` once held as
+# constants, observed at n = 2, 3 and 4: the oracle for the derived values.
+FLANK_U_RESIDUES = (5, 6, 1, 1, 0, -1, -1, -6, -5)
+FLANK_V_RESIDUES = (-23, -4, -5, -1, -2, -1, -5, -4, -23)
+
+
+def test_appendix_residues_equal_the_observed_table():
+    for n in (1, 2, 3, 4):
+        F = fermat_number(n)
+        checks = appendix_residues(P7, n)
+        assert all(c.passed for c in checks), n
+        assert [c.index - F for c in checks] == [off for off in range(-5, 4) for _ in "uv"]
+        assert [c.expected for c in checks[0::2]] == [x % F for x in FLANK_U_RESIDUES]
+        assert [c.expected for c in checks[1::2]] == [x % F for x in FLANK_V_RESIDUES]
+
+
+def test_flank_pattern_fails_where_f_n_is_composite():
+    # The derivation needs F_n prime; at n = 5..8 not one of the 18 residues holds.
+    for n in range(5, 9):
+        F = fermat_number(n)
+        pairs = [uv_mod(P7, F + off, F) for off in range(-5, 4)]
+        assert not any((p.u_bar - eu) % F == 0 or (p.v_bar - ev) % F == 0
+                       for p, eu, ev in zip(pairs, FLANK_U_RESIDUES, FLANK_V_RESIDUES)), n
 
 
 def test_gcd_step_at_the_half_index():

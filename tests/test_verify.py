@@ -189,7 +189,7 @@ def test_wrong_ladder_residue_fails_exactly_that_prime(monkeypatch):
     ("identities", {"m_max": 1}), ("identities", {"n_max": 0}), ("identities", {"m_max": 101, "n_max": 101}),
     ("traces", {"max_n": 0}), ("traces", {"max_n": 33}),
     ("congruences", {"p_max": sys.maxsize + 1}),
-    ("appendix", {"n": 5}),
+    ("appendix", {"n": 5}), ("appendix", {"n": 0}),
 ])
 def test_suite_refuses_its_bounds_before_its_first_check(suite, bounds):
     # A record streamed check by check can exit 2 cleanly only before its
