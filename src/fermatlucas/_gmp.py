@@ -9,9 +9,10 @@ it tests), or an `mpn_addmul_1` mod 2^m - 1 with 64 not dividing m (the
 Mersenne oracle, m prime).  Both folds are shift-and-folds, as in
 `quadratic.fermat_mod` and `quadratic.mersenne_mod`, so no step divides,
 and the results are the same canonical residues.  Carries and borrows that
-stop in the low limbs are settled in Python.  Each limb operand is passed
-as the ctypes array that holds it, a high half as a view of it
-(`_Ring.view`); sizes are c_long, limbs c_uint64 and shift counts c_uint.
+stop in the low limbs are settled in Python, and each fold has one fallback
+to Python ints for the rest.  Each limb operand is passed as the ctypes
+array that holds it, a high half as a view of it (`_Ring.view`); sizes are
+c_long, limbs c_uint64 and shift counts c_uint.
 
 libgmp is opened only by its ELF soname, `libgmp.so.10`, the library the
 tests compare against the int route; a system without it runs on Python
@@ -171,11 +172,11 @@ class GmpKernel:
 class _Ring:
     """Residues mod N = 2^m + sign in arrays of 64-bit limbs, for the moduli `takes` names.
 
-    Mod 2^m + 1, a residue array has pl = m // 64 + 1 limbs, and the
-    operands of a product are its low ml = m/64 limbs.  That leaves out one
-    residue, 2^m (-1): it is stored in limb q = m/64, set to 1 and the rest
-    0.  A chain's fold steps it itself, and a product that may meet it
-    multiplies all pl limbs.  `folder` builds the fold.
+    Mod 2^m + 1, a residue array has pl = ml + 1 limbs, ml = m/64, and the
+    operands of a product are its low ml limbs.  That leaves out one
+    residue, 2^m (-1): it is stored in limb ml, set to 1 and the rest 0.  A
+    chain's fold steps it itself, and a product that may meet it multiplies
+    all pl limbs.  `folder` builds the fold.
 
     Mod 2^m - 1, a chain keeps a redundant residue: any value below 2^(64L)
     in the L = ml = ceil(m / 64) low limbs of a 2L-limb array, made
@@ -185,10 +186,11 @@ class _Ring:
     sign*hi*2^(k-m), as 2^m == -sign; k is m for 2^m + 1, and 64L for
     2^m - 1.  What the fold adds or takes off the low limbs (a carry or
     borrow it returns, and -c) is settled in Python while it stays inside
-    them; otherwise the fold finishes on Python ints: for |c| >= 2^64, for
-    low limbs below c (as 0 and 1 give with c = 2), with a single limb, and
-    otherwise rarely (about once in 2^64 folds mod 2^m + 1; see
-    `mersenne_folder` for 2^m - 1).
+    them.  Otherwise each fold has one fallback, which stores (z - c) % N
+    from Python ints: for low limbs below c (as 0 and 1 give with c = 2),
+    mod 2^m + 1 for |c| >= 2^64, mod 2^m - 1 with a single limb, and
+    otherwise rarely (about once in 2^64 folds; `folder` and
+    `mersenne_folder` say when).
     """
 
     def __init__(self, kernel: GmpKernel, m: int, sign: int):
@@ -196,10 +198,9 @@ class _Ring:
             raise ValueError(f"libgmp does not take 2^m + sign for m = {m}, sign = {sign}")
         self.kernel = kernel
         self.N = (1 << m) + sign
-        self.q = m // LIMB_BITS
         self.ml = -(-m // LIMB_BITS)
         self.t = LIMB_BITS * self.ml - m  # the bits above 2^m in the top limb, 0 for 2^m + 1
-        self.pl = self.q + 1
+        self.pl = self.ml + 1
 
     def array(self, limbs: int, value: int = 0):
         """A fresh array of `limbs` limbs holding 0 <= value < 2^(64 * limbs)."""
@@ -231,42 +232,39 @@ class _Ring:
 
         src has at least 2*ml limbs, and the fold overwrites it.  With
         `square`, each time first squares dst into src, so fold(k) is k steps
-        of a chain; it then steps 2^m (-1) to 1 - c itself.  The fold needs
-        z in [0, 2^m * N], and returns a canonical residue.
-        Why one correction is enough: hi = z >> m <= N, and hi = N only with
-        lo = 0, so lo - hi lies in [-N, 2^m), and adding N to a negative
-        difference lands in [0, 2^m].  hi >= 2^m sets limb 2m/64, which only
-        the top of the bound reaches; that rare z is folded on Python ints.
-        Below it hi < 2^m, so on a borrow `mpn_sub_n` over the ml limbs
-        leaves W = lo - hi + 2^m in [1, 2^m), and W + 1 is the residue.  The
-        +1 and the -c go to the low limb together, which keeps the result
-        canonical unless that limb carries or borrows.
+        of a chain.  The fold needs z in [0, 2^m * N], and returns a
+        canonical residue.  While hi = z >> m < 2^m, `mpn_sub_n` over the ml
+        limbs leaves dst = lo - hi + b*2^m with borrow b, and as 2^m == -1,
+        dst + b - c is the residue, in [0, 2^m) when b - c neither carries
+        nor borrows out of limb 0.  Two cases are folded on Python ints:
+        - 2^m (-1), outside the limbs squared: its square is 1;
+        - whatever the limbs cannot settle, that carry or borrow, or hi >=
+          2^m (limb 2m/64 set, which only the top of the bound reaches):
+          dst <- (z - c) % N, read from src.
         """
-        q, N, nml = self.q, self.N, ctypes.c_long(self.ml)
-        get, put, hi = self.get, self.put, self.view(src, q)
+        ml, N, nml = self.ml, self.N, ctypes.c_long(self.ml)
+        get, put, hi = self.get, self.put, self.view(src, ml)
         sqr, sub_n = self.kernel._sqr, self.kernel._sub_n
-        hi_top = 2 * q if len(src) > 2 * q else 0  # set only when hi >= 2^m
+        zl = 2 * ml if square else len(src)  # a square writes 2*ml limbs; src's others may be stale
+        hi_top = 2 * ml if zl > 2 * ml else 0  # limb 2m/64, set only when hi >= 2^m
 
         def fold(steps=1):
             while steps:  # cheaper than range() for the ladder's single folds
                 steps -= 1
                 if square:
-                    if dst[q]:  # 2^m = -1 is outside the limbs squared; its square is 1
+                    if dst[ml]:  # 2^m = -1
                         put(dst, (1 - c) % N)
                         continue
                     sqr(src, dst, nml)
-                elif hi_top and src[hi_top]:
-                    put(dst, (get(src) - c) % N)
-                    continue
                 else:
-                    dst[q] = 0
+                    dst[ml] = 0
                 delta = sub_n(dst, src, hi, nml) - c
-                if delta:
+                if delta or hi_top:  # at delta 0, only a product at the top needs a test
                     low = dst[0] + delta
-                    if 0 <= low <= MAX_LIMB:
+                    if 0 <= low <= MAX_LIMB and not (hi_top and src[hi_top]):
                         dst[0] = low
-                    else:  # the residue is dst's ml limbs + delta, up to a multiple of N
-                        put(dst, (get(dst, q) + delta) % N)
+                    else:
+                        put(dst, (get(src, zl) - c) % N)
 
         return fold
 

@@ -198,6 +198,18 @@ def test_fold_on_edge_operands(sign):
                 assert folded(native, m, sign, z) == z % N, (m, z)
         for c in (1, N - 1, 1 << 64, (1 << 64) - 1, -(1 << 64)):
             assert folded(native, m, sign, 0, c) == -c % N, (m, c)
+        if m < 64:
+            continue
+        # A seeded sweep over the bound, through the common path and the
+        # fallback together: z of every size and within 2^m of the top (hi >=
+        # 2^m for 2^m + 1), limb 0 near 0 or 2^64 - 1, and c near 0 or +-2^64.
+        rng = random.Random(m)
+        for _ in range(300):
+            low = rng.choice((rng.randrange(4), _gmp.MAX_LIMB - rng.randrange(4)))
+            rest = (top - low) >> 64  # the largest z >> 64 with z <= top
+            rest = rng.choice((rng.randint(0, rest >> rng.randrange(2 * m)), rest - rng.randint(0, rest >> m)))
+            z, c = rest << 64 | low, rng.choice((*range(-3, 4), 1 << 64, -(1 << 64)))
+            assert folded(native, m, sign, z, c) == (z - c) % N, (m, z, c)
 
 
 @needs_gmp
@@ -230,6 +242,35 @@ def test_mersenne_fold_carries_into_limb_2(monkeypatch):
     for z, c in (((1 << 128) - 1 | _gmp.MAX_LIMB << 64 * 67, 0), (1 << 128, 1)):
         assert folded(native, 2113, -1, z, c) == (z - c) % ((1 << 2113) - 1)
     assert len(puts) == 2
+
+
+@needs_gmp
+def test_fermat_fold_has_one_python_fallback(monkeypatch):
+    # The F_12 chains, LLT (c = 2) and Pepin (c = 0), settle every fold on
+    # the limbs: their one store is the start.
+    native, puts = _gmp.load(), []
+    put = _gmp._Ring.put
+    monkeypatch.setattr(_gmp._Ring, "put", lambda ring, a, value: puts.append(value) or put(ring, a, value))
+    for x, steps, c in ((5, 4094, 2), (3, 4095, 0)):
+        puts.clear()
+        assert native.square_chain(x, steps, c, 4096, 1) == int_chain(x, steps, c, 4096, 1)
+        assert puts == [x]
+    # What the limbs cannot settle takes one store more, the fallback's: the
+    # top of the bound, z = 2^m * N (with c = 1, b - c = 0 leaves limb 0 as
+    # it is), a borrow below limb 0 and a carry out of it.  `folded` stores
+    # dst's stale residue, and z unless it is 0.
+    N = (1 << 4096) + 1
+    for z, c in ((N << 4096, 1), (0, 2), (_gmp.MAX_LIMB, -1)):
+        puts.clear()
+        assert folded(native, 4096, 1, z, c) == (z - c) % N
+        assert len(puts) == 2 + (z > 0), (z, c)
+    # A square fold reads only the 2*ml limbs it writes: the ladder squares
+    # into the z its products use, which keeps limb 2m/64 of the last one.
+    ring = _gmp._Ring(native, 4096, 1)
+    for x in (0, 5):  # the fallback (a borrow) and the common path
+        dst, src = ring.array(ring.pl, x), ring.array(2 * ring.pl, 1 << 2 * 4096)
+        ring.folder(dst, src, 2, square=True)()
+        assert ring.get(dst) == (x * x - 2) % N, x
 
 
 @needs_gmp
