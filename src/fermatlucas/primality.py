@@ -11,7 +11,7 @@ classical Mersenne squaring chain).
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .lucas import STANDARD_PARAMS, LehmerPair, LucasParams, lehmer_pairs_exact, uv_mod
 from .native import _LADDER_START, _uv_ladder, square_chain
@@ -340,41 +340,41 @@ def lehmer_congruence_checks(params: LucasParams, p: int) -> CongruenceReport:
     triple = symbol_triple(params, p)
     if 0 in triple:  # p is prime, so (a/p) = 0 exactly when p divides a
         raise ValueError(f"p = {p} divides QRD")
-    rows = _congruence_rows(params, p, triple)
+    [(_, rows)] = _congruence_rows(params, [(p, triple)])
     return CongruenceReport(p, params, *triple, tuple(map(ResidueCheck._make, rows)))
 
 
 def _congruence_rows(
-    params: LucasParams, p: int, triple: tuple[int, int, int], start: Sequence[LehmerPair] = _LADDER_START
-) -> tuple[tuple, ...]:
-    """The rows of `lehmer_congruence_checks` at an odd prime p not dividing QRD, unchecked.
+    params: LucasParams, primes: Iterable[tuple[int, tuple]], start: Sequence[LehmerPair] = _LADDER_START
+) -> Iterator[tuple[int, tuple[tuple, ...]]]:
+    """(p, the rows of `lehmer_congruence_checks` at p) per odd prime p not dividing QRD, unchecked.
 
-    `triple` is (eps, sig, tau) at p and `start` the ladder's start table
-    (see `native._uv_ladder`).  Each row is a plain `ResidueCheck` tuple
-    (name, index, expected % p, actual, passed); this is the one place each
-    congruence is decided.
+    `primes` yields (p, (eps, sig, tau)) and `start` is the ladder's start
+    table (see `native._uv_ladder`), both for one parameter set.  Each row is
+    a plain `ResidueCheck` tuple (name, index, expected % p, actual, passed);
+    this is the one place each congruence is decided.
     """
     R, Q, D = params.R, params.Q, params.D
-    eps, sig, tau = triple
-    se = sig * eps
-    idx, half = p - se, (p - se) // 2
-    u, v = _uv_ladder(params, half, p, start)
-    u_idx = u * v % p
-    v_idx = ((R if half % 2 else 1) * v * v - 2 * pow(Q, half, p)) % p
-    if se == 1:
-        u_p, v_p, inv = R * u_idx + v_idx, D * u_idx + v_idx, (p + 1) // 2
-    else:
-        u_p, v_p, inv = R * u_idx - v_idx, v_idx - D * u_idx, pow(2 * Q, -1, p)
-    u_p, v_p = u_p * inv % p, v_p * inv % p
-    v_expected = 2 * sig * Q ** ((1 - se) // 2)
-    name, x = ("v_vanishes_at_half", v) if sig == -tau else ("u_vanishes_at_half", u)
-    return (
-        ("u_at_p", p, eps % p, u_p, (u_p - eps) % p == 0),
-        ("v_at_p", p, sig % p, v_p, (v_p - sig) % p == 0),
-        ("u_vanishes", idx, 0, u_idx, u_idx == 0),
-        ("v_at_even_index", idx, v_expected % p, v_idx, (v_idx - v_expected) % p == 0),
-        (name, half, 0, x, x == 0),
-    )
+    for p, (eps, sig, tau) in primes:
+        se = sig * eps
+        idx, half = p - se, (p - se) // 2
+        u, v = _uv_ladder(params, half, p, start)
+        u_idx = u * v % p
+        v_idx = ((R if half % 2 else 1) * v * v - 2 * pow(Q, half, p)) % p
+        if se == 1:
+            u_p, v_p, inv = R * u_idx + v_idx, D * u_idx + v_idx, (p + 1) // 2
+        else:
+            u_p, v_p, inv = R * u_idx - v_idx, v_idx - D * u_idx, pow(2 * Q, -1, p)
+        u_p, v_p = u_p * inv % p, v_p * inv % p
+        v_expected = 2 * sig * Q ** ((1 - se) // 2)
+        name, x = ("v_vanishes_at_half", v) if sig == -tau else ("u_vanishes_at_half", u)
+        yield p, (
+            ("u_at_p", p, eps % p, u_p, (u_p - eps) % p == 0),
+            ("v_at_p", p, sig % p, v_p, (v_p - sig) % p == 0),
+            ("u_vanishes", idx, 0, u_idx, u_idx == 0),
+            ("v_at_even_index", idx, v_expected % p, v_idx, (v_idx - v_expected) % p == 0),
+            (name, half, 0, x, x == 0),
+        )
 
 
 def appendix_residues(params: LucasParams, n: int) -> tuple[ResidueCheck, ...]:

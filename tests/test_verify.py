@@ -135,8 +135,11 @@ def test_rank_searches_each_modulus_once(monkeypatch):
 
 
 def test_congruence_suite_matches_per_prime_reports():
-    # Up to 50 the suite's start tables hold 1, 2, 4 and 8 pairs; up to 5 the suite is empty.
-    for p_max in [*range(51), 3000]:
+    # Up to 50 the suite's start tables hold 4, 8, 16 and 32 pairs, so each
+    # walk reads its pair from the table; up to 5 the suite is empty.  At 3000
+    # (256 pairs) and 2^16 (1024 pairs, the height's cap) the walks double
+    # over up to 3 and 6 bits.
+    for p_max in [*range(51), 3000, 1 << 16]:
         expected = []
         for params in (P7, ALTERNATE_PARAMS):
             qrd = params.Q * params.R * params.D
