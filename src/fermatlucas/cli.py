@@ -14,7 +14,7 @@ import json
 import os
 import sys
 import time
-from functools import cache
+from functools import cache, partial
 from itertools import islice
 
 from . import verify
@@ -107,7 +107,7 @@ def _cmd_table(args) -> tuple[dict, dict]:
     if wanted is not None and modulus is not None:  # an index like 2^8191 cannot be stepped to
         pairs = (uv_mod(params, i, modulus) for i in sorted(wanted))
     else:
-        pairs = islice(iter_pairs(params, modulus), last + 1)
+        pairs = islice(iter_pairs(params, modulus) if modulus is not None else _decimal_pairs(params), last + 1)
         if wanted is not None:
             pairs = (p for p in pairs if p.index in wanted)
     if modulus is None:
@@ -117,6 +117,18 @@ def _cmd_table(args) -> tuple[dict, dict]:
         rows = ({"i": p.index, "u": p.u_bar, "u_balanced": balanced_residue(p.u_bar, modulus),
                  "v": p.v_bar, "v_balanced": balanced_residue(p.v_bar, modulus)} for p in pairs)
     return inputs, {"rows": rows}
+
+
+def _decimal_pairs(params: LucasParams):
+    """`iter_pairs(params)` in decimal, which `str` prints in time linear in its digits (an int: quadratic)."""
+    import contextvars
+    import decimal
+    # Each step runs in a scope whose context keeps every digit and traps `Inexact` and `Rounded`, also
+    # when the writer pulls rows after the handler returned: a row is exact or raises.
+    scope = contextvars.copy_context()
+    scope.run(decimal.setcontext, decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
+                                                  traps=[decimal.Inexact, decimal.Rounded]))
+    return iter(partial(scope.run, next, iter_pairs(params, one=decimal.Decimal(1))), None)
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +249,7 @@ _BATCH = 256
 
 
 def _write_json(record: dict, t0: float) -> None:
-    """Write `json.dumps(record, sort_keys=True)` plus `timing_ms`, encoding the items a batch at a time.
+    """Write `json.dumps(record, sort_keys=True)` plus `timing_ms`, each item from its template, a batch per write.
 
     The first batch is taken before the first byte is written, so a refusal,
     which comes before the first item, leaves stdout empty.  Records are trees: no check for cycles.
@@ -248,7 +260,7 @@ def _write_json(record: dict, t0: float) -> None:
     if key is None:
         write(head + encode(result))
     else:
-        text = lambda batch: ", ".join(map(_check_json, batch)) if key == "checks" else encode(batch)[1:-1]
+        text = lambda batch: ", ".join(map(_check_json if key == "checks" else _row_json, batch))
         items = iter(result.pop(key))
         batch = list(islice(items, _BATCH))
         write(f"{head}{{{encode(key)}: [{text(batch)}")
@@ -263,6 +275,16 @@ def _check_json(check: dict, quote=json.encoder.encode_basestring_ascii) -> str:
     """A check record's `json.dumps(check, sort_keys=True)`, from one template in half the encoder's time."""
     detail = f'"detail": {quote(check["detail"])}, ' if "detail" in check else ""
     return f'{{{detail}"name": {quote(check["name"])}, "pass": {"true" if check["pass"] else "false"}}}'
+
+
+def _row_json(row: dict) -> str:
+    """A table row's `json.dumps(row, sort_keys=True)`, from one template: `json` cannot encode a `Decimal`."""
+    # `_cmd_table` builds each row's keys in sorted order; ints and integral `Decimal`s print their digits
+    # (`!s` takes `Decimal.__str__`, a third faster than `format`).
+    (_, i), (_, u), (u_key, u_flag), (_, v), (v_key, v_flag) = row.items()
+    if u_flag.__class__ is bool:  # an exact row's radical tags (a mod row's are balanced residues)
+        u_flag, v_flag = ("false", "true")[u_flag], ("false", "true")[v_flag]
+    return f'{{"i": {i}, "u": {u!s}, "{u_key}": {u_flag}, "v": {v!s}, "{v_key}": {v_flag}}}'
 
 
 def _exit_code(record: dict) -> int:

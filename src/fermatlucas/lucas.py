@@ -118,7 +118,7 @@ def lehmer_pairs_exact(params: LucasParams, max_index: int) -> list[LehmerPair]:
     return list(islice(iter_pairs(params), max_index + 1))
 
 
-def iter_pairs(params: LucasParams, modulus: int | None = None) -> Iterator[LehmerPair]:
+def iter_pairs(params: LucasParams, modulus: int | None = None, one=1) -> Iterator[LehmerPair]:
     """Yield the normalized pair at 0, 1, 2, ... by first-order stepping.
 
     The radical never appears: stepping k -> k+1 multiplies by R on the side
@@ -128,11 +128,12 @@ def iter_pairs(params: LucasParams, modulus: int | None = None) -> Iterator[Lehm
         v_bar(k+1) = (1 if k even else R) * v_bar(k) - Q * v_bar(k-1)
 
     Works for any modulus >= 2 (or exactly when modulus is None), two
-    multiplications per step.
+    multiplications per step.  Exact pairs take the number type of `one`: ints,
+    or from `Decimal(1)` decimals (exact under a context that cannot round).
     """
-    R, Q = params.R, params.Q
-    up, vp = 0, 2  # index 0
-    u, v = 1, 1    # index 1
+    R, Q = params.R * one, params.Q * one
+    up, vp = 0 * one, 2 * one  # index 0
+    u, v = one, one            # index 1
     if modulus is not None:
         if modulus < 2:
             raise ValueError(f"modulus must be >= 2, got {modulus}")

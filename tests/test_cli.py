@@ -272,6 +272,94 @@ def test_table_alternate_params():
     assert [r["v"] for r in rows] == [2, 1, 5, 6, 23, 29]
 
 
+def first_difference(a: str, b: str):
+    """None for equal texts, else where they part: pytest's own diff of two texts of megabytes takes minutes."""
+    if a == b:
+        return None
+    at = next((k for k, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+    return at, a[max(at - 40, 0):at + 40], b[max(at - 40, 0):at + 40]
+
+
+# Every sign of Q and D, u_bar(4) = 0 at (2, 1), and u_bar growing 15 bits per index at (10^9 + 7, 1).
+EXACT_PARAMS = [(7, 1), (3, -1), (2, 1), (3, 1), (5, 2), (2, -3), (11, 5), (1000000007, 1)]
+
+
+def _exact_table_record(R, Q, rows_flag, rows_value):
+    """The record of `table uv-exact` built from int pairs, as the CLI built it when it stepped ints."""
+    from itertools import islice
+
+    from fermatlucas.lucas import LucasParams, iter_pairs
+
+    wanted = None if rows_flag == "--max" else set(map(int, rows_value.split(",")))
+    last = int(rows_value) if wanted is None else max(wanted)
+    rows = [{"i": i, "u": u, "u_radical": i % 2 == 0, "v": v, "v_radical": i % 2 == 1}
+            for i, u, v in islice(iter_pairs(LucasParams(R, Q)), last + 1) if wanted is None or i in wanted]
+    indices = None if wanted is None else [int(i) for i in rows_value.split(",")]
+    inputs = {"which": "uv-exact", "params": {"R": R, "Q": Q}, "modulus": None,
+              "max": None if wanted else last, "indices": indices}
+    return {"command": "table", "inputs": inputs, "result": {"rows": rows}}
+
+
+@pytest.mark.parametrize("rows", [("--max", "0"), ("--max", "300"), ("--indices", "300,2,0,2,5,1,257,256")],
+                         ids=["max-0", "max-300", "indices"])
+@pytest.mark.parametrize("R, Q", EXACT_PARAMS, ids=[f"{R},{Q}" for R, Q in EXACT_PARAMS])
+def test_exact_table_bytes_equal_those_built_from_int_pairs(R, Q, rows, capsys, monkeypatch):
+    # Exact rows are stepped in decimal, which prints in time linear in the digits; the bytes are those
+    # of the int pairs, as JSON (against json.dumps) and under --human (against the same table on ints).
+    import decimal
+
+    from fermatlucas import cli
+
+    argv = ["table", "uv-exact", "--params", f"{R},{Q}", *rows]
+    assert cli.main(argv) == 0
+    head, _, timing = capsys.readouterr().out.rpartition(', "timing_ms": ')
+    assert first_difference(head + "}", json.dumps(_exact_table_record(R, Q, *rows), sort_keys=True)) is None
+    assert re.fullmatch(r"[0-9.]+}\n", timing)
+    assert cli.main(["--human", *argv]) == 0
+    human = capsys.readouterr().out
+    assert repr(decimal.getcontext()) == repr(decimal.Context())  # the exact one was current only in the steps
+    monkeypatch.setattr(cli, "_decimal_pairs", cli.iter_pairs)
+    assert cli.main(["--human", *argv]) == 0
+    assert first_difference(human, capsys.readouterr().out) is None
+
+
+@pytest.mark.parametrize("rows", [("--max", "10000"), ("--indices", "10000,3,9999")], ids=["max-cap", "indices-cap"])
+def test_exact_table_bytes_at_the_index_cap(rows, capsys):
+    from fermatlucas import cli
+
+    assert cli.main(["table", "uv-exact", *rows]) == 0
+    head, _, _ = capsys.readouterr().out.rpartition(', "timing_ms": ')
+    assert first_difference(head + "}", json.dumps(_exact_table_record(7, 1, *rows), sort_keys=True)) is None
+
+
+@pytest.mark.parametrize("human", [[], ["--human"]], ids=["json", "human"])
+@pytest.mark.parametrize("rounded_row", [80, 300], ids=["first-batch", "second-batch"])
+@pytest.mark.parametrize("limit", ["MAX_PREC", "MAX_EMAX"])
+def test_an_exact_table_raises_rather_than_print_a_rounded_row(limit, rounded_row, human, capsys, monkeypatch):
+    # With fewer digits (or a lower exponent limit) than row `rounded_row` needs, stepping to it raises
+    # Inexact; the rows written before it are exact, a whole first batch as JSON, and none under --human
+    # (its widths need every row).  Unpatched, both limits are decimal's largest.
+    import decimal
+    from itertools import islice
+
+    from fermatlucas import cli
+    from fermatlucas.lucas import STANDARD_PARAMS, iter_pairs
+
+    pairs = list(islice(iter_pairs(STANDARD_PARAMS), rounded_row + 1))
+    digits = max(len(str(abs(x))) for pair in pairs[:rounded_row] for x in pair[1:])
+    assert len(str(pairs[rounded_row].v_bar)) > digits
+    monkeypatch.setattr(decimal, limit, digits if limit == "MAX_PREC" else digits - 1)
+    with pytest.raises(decimal.Inexact):
+        cli.main([*human, "table", "uv-exact", "--max", "400"])
+    out = capsys.readouterr().out
+    if human or rounded_row < cli._BATCH:
+        assert not out, out[:200]
+    else:
+        expected = json.dumps(_exact_table_record(7, 1, "--max", "400"), sort_keys=True)
+        batch = out.removeprefix('{"command": "table", "inputs": ').count('{"i": ')
+        assert batch == cli._BATCH and expected.startswith(out)
+
+
 @pytest.mark.parametrize("suite", ["identities", "congruences", "appendix", "rank", "traces"])
 def test_verify_suites_pass(suite):
     proc = run_cli("verify", suite)
@@ -726,6 +814,32 @@ def test_check_records_are_the_bytes_json_dumps_writes(monkeypatch, capsys):
     assert re.fullmatch(r"[0-9.]+}\n", timing)
 
 
+@pytest.mark.parametrize("argv", [
+    ("uv-mod", "--modulus", "17", "--max", "600"),
+    ("uv-mod", "--params", "3,-1", "--modulus", "275808711546923307", "--max", "600"),
+    ("uv-mod", "--modulus-fermat", "4", "--indices", "2048,5,16384,32768,0,7,5"),
+], ids=["17", "large-N", "F4-indices"])
+def test_table_rows_are_the_bytes_json_dumps_writes(argv, capsys):
+    # Table rows are written from one template too: mod N, with negative balanced residues, over two batches.
+    from fermatlucas import cli
+    from fermatlucas.lucas import LucasParams, uv_mod
+    from fermatlucas.quadratic import balanced_residue
+
+    params = LucasParams(*map(int, argv[2].split(","))) if argv[1] == "--params" else LucasParams(7, 1)
+    modulus = int(argv[-3]) if argv[-4] == "--modulus" else 2**16 + 1
+    indices = sorted(set(map(int, argv[-1].split(",")))) if argv[-2] == "--indices" else range(int(argv[-1]) + 1)
+    rows = []
+    for i in indices:
+        _, u, v = uv_mod(params, i, modulus)
+        rows.append({"i": i, "u": u, "u_balanced": balanced_residue(u, modulus),
+                     "v": v, "v_balanced": balanced_residue(v, modulus)})
+    assert any(row["u_balanced"] < 0 or row["v_balanced"] < 0 for row in rows)
+    assert cli.main(["table", *argv]) == 0
+    head, _, _ = capsys.readouterr().out.rpartition(', "timing_ms": ')
+    record = json.loads(head + "}")
+    assert first_difference(head + "}", json.dumps({**record, "result": {"rows": rows}}, sort_keys=True)) is None
+
+
 def test_closed_stdout_exits_2_quietly():
     # A reader that stops early (`| head -c 10`) must not read as "composite".
     for human, head in (([], b'{"command"'), (["--human"], b"   i |    ")):
@@ -773,6 +887,17 @@ def test_no_state_leaks_between_calls(capsys):
     fresh = record(argv)
     assert reused == fresh
     assert fresh["inputs"]["params"] == {"R": 7, "Q": 1} and alternate != fresh
+
+
+def test_only_an_exact_table_imports_decimal():
+    # A fresh interpreter: importing the CLI and running any other command leaves `decimal` out.
+    code = ("import sys; before = set(sys.modules); from fermatlucas import cli; "
+            "[cli.main(argv.split()) for argv in ('test fermat 3', 'table uv-mod --modulus 17 --max 3', "
+            "'verify identities --m-max 3 --n-max 3')]; other = set(sys.modules) - before; "
+            "cli.main('table uv-exact --max 3'.split()); print('decimal' in other, 'decimal' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=cli_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False True"
 
 
 def test_cli_import_loads_no_inspect_dataclasses_or_ctypes():

@@ -334,6 +334,22 @@ def test_iter_pairs_exact_matches_ring_path():
             assert next(stepped) == ((i, U.b, V.a) if i % 2 == 0 else (i, U.a, V.b))
 
 
+@pytest.mark.parametrize("params", [P7, P3, LucasParams(2, 1), LucasParams(2, -3), LucasParams(1000000007, 1)],
+                         ids=["7,1", "3,-1", "2,1", "2,-3", "1000000007,1"])
+def test_iter_pairs_steps_in_the_number_type_of_one(params):
+    # Library callers get ints; from Decimal(1), under a context that cannot round, the same values in decimal.
+    import decimal
+
+    ints = list(itertools.islice(iter_pairs(params), 301))
+    assert lehmer_pairs_exact(params, 300) == ints
+    assert all(type(x) is int for pair in ints for x in pair)
+    exact = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=[decimal.Inexact, decimal.Rounded])
+    with decimal.localcontext(exact):
+        decimals = list(itertools.islice(iter_pairs(params, one=decimal.Decimal(1)), 301))
+    assert all(type(x) is decimal.Decimal for pair in decimals for x in pair[1:])
+    assert [(i, str(u), str(v)) for i, u, v in decimals] == [(i, str(u), str(v)) for i, u, v in ints]
+
+
 def test_iter_pairs_modular():
     it = iter_pairs(P7, modulus=17)
     seq = [next(it) for _ in range(25)]
