@@ -7,12 +7,13 @@ the paper uses (`native.takes`).  A chain step is two foreign calls, one
 `mpn_sqr` and one fold: an `mpn_sub_n` mod 2^m + 1 with 64 | m (every F_n
 it tests), or an `mpn_addmul_1` mod 2^m - 1 with 64 not dividing m (the
 Mersenne oracle, m prime).  Both folds are shift-and-folds, as in
-`quadratic.fermat_mod` and `quadratic.mersenne_mod`, so no step divides,
-and the results are the same canonical residues.  Carries and borrows that
-stop in the low limbs are settled in Python, and each fold has one fallback
-to Python ints for the rest.  Each limb operand is passed as the ctypes
-array that holds it, a high half as a view of it (`_Ring.view`); sizes are
-c_long, limbs c_uint64 and shift counts c_uint.
+`quadratic.fermat_mod` and `quadratic.mersenne_mod`, so no step divides;
+built to one contract (`_Ring`), each runs a chain's steps itself and
+leaves the same canonical residues.  Carries and borrows that stop in the
+low limbs are settled in Python, and each fold has one fallback to Python
+ints for the rest.  Each limb operand is passed as the ctypes array that
+holds it, a high half as a view of it (`_Ring.view`); sizes are c_long,
+limbs c_uint64 and shift counts c_uint.
 
 libgmp is opened only by its ELF soname, `libgmp.so.10`, the library the
 tests compare against the int route; a system without it runs on Python
@@ -93,23 +94,8 @@ class GmpKernel:
         ring = _Ring(self, m, sign)
         if steps <= 0:
             return x
-        N = ring.N
-        if sign < 0:  # each step squares one array into the other and folds it there
-            sqr, nml = self._sqr, ctypes.c_long(ring.ml)
-            a, b = ring.array(2 * ring.ml, x % N), ring.array(2 * ring.ml)
-            fold_a, fold_b = ring.mersenne_folder(a, c), ring.mersenne_folder(b, c)
-            for _ in range(steps >> 1):
-                sqr(b, a, nml)
-                fold_b()
-                sqr(a, b, nml)
-                fold_a()
-            if steps & 1:
-                sqr(b, a, nml)
-                fold_b()
-                a = b
-            return ring.get(a, ring.ml) % N
-        x = ring.array(ring.pl, x % N)
-        ring.folder(x, ring.array(2 * ring.ml), c, square=True)(steps)
+        x = ring.array(2 * ring.ml, x % ring.N)
+        (ring.folder if sign > 0 else ring.mersenne_folder)(x, ring.array(2 * ring.ml), c, square=True)(steps)
         return ring.get(x)
 
     def uv_ladder(self, params, n: int, m: int) -> tuple[int, int]:
@@ -172,15 +158,17 @@ class GmpKernel:
 class _Ring:
     """Residues mod N = 2^m + sign in arrays of 64-bit limbs, for the moduli `takes` names.
 
-    Mod 2^m + 1, a residue array has pl = ml + 1 limbs, ml = m/64, and the
-    operands of a product are its low ml limbs.  That leaves out one
+    `folder` (2^m + 1) and `mersenne_folder` (2^m - 1) build the folds to one
+    contract: from (dst, src, c=0, square=False), fold(steps=1) takes z - c
+    mod N for the z in src `steps` times, with `square` each time first
+    squaring the last residue, and leaves the canonical residue in dst.  A
+    chain of either sign is one fold(steps) on a register of 2*ml limbs.
+
+    Mod 2^m + 1, a residue array has pl = ml + 1 limbs or more, ml = m/64,
+    and the operands of a product are its low ml limbs.  That leaves out one
     residue, 2^m (-1): it is stored in limb ml, set to 1 and the rest 0.  A
     chain's fold steps it itself, and a product that may meet it multiplies
-    all pl limbs.  `folder` builds the fold.
-
-    Mod 2^m - 1, a chain keeps a redundant residue: any value below 2^(64L)
-    in the L = ml = ceil(m / 64) low limbs of a 2L-limb array, made
-    canonical once, at the end.  `mersenne_folder` builds the fold.
+    all pl limbs.  Mod 2^m - 1, L = ml = ceil(m / 64) limbs hold a residue.
 
     Both folds split z = hi*2^k + lo, 0 <= lo < 2^k, and take z == lo -
     sign*hi*2^(k-m), as 2^m == -sign; k is m for 2^m + 1, and 64L for
@@ -268,33 +256,43 @@ class _Ring:
 
         return fold
 
-    def mersenne_folder(self, z, c: int):
-        """fold() mod 2^m - 1: the low L = ml limbs of z <- z - c mod N, not canonical.
+    def mersenne_folder(self, dst, src, c: int = 0, square: bool = False):
+        """fold(steps=1) mod 2^m - 1, to `folder`'s contract, on dst and src of 2L limbs, L = ml.
 
-        z has 2L limbs, and its value is any z in [0, 2^(128L)); the fold
-        leaves a value in [0, 2^(64L)), and the high L limbs are scratch.
-        2^(64L) == 2^t with t = 64L - m, so z == lo + hi*2^t, and one
-        `mpn_addmul_1` adds hi*2^t onto lo.  The carry cy it returns is
-        another cy*2^(64L) == cy*2^t, and cy <= 2^t, so cy*2^t - c is below
-        2^126 for |c| < 2^64, and is settled on the two low limbs.  They
-        carry out in about 1 fold of 3*2^(128 - 2t) (1 in 12 at t = 63), and
-        limb 2 takes that carry or a borrow; the fold finishes on Python ints
-        only when limb 2 passes it on, about once in 2^64, or when L <= 2.
+        A fold takes any z in [0, 2^(128L)) to a value in [0, 2^(64L)) in the
+        low L limbs of its own array, whose high L limbs are scratch; a square
+        step squares the other array into it, so a chain alternates between
+        src and dst.  A call ends with dst <- z % N.  2^(64L) == 2^t with t =
+        64L - m, so z == lo + hi*2^t, and one `mpn_addmul_1` adds hi*2^t onto
+        lo.  The carry cy it returns is another cy*2^(64L) == cy*2^t, and cy
+        <= 2^t, so cy*2^t - c is below 2^126 for |c| < 2^64, and is settled
+        on the two low limbs.  They carry out in about 1 fold of 3*2^(128 -
+        2t) (1 in 12 at t = 63), and limb 2 takes that carry or a borrow; the
+        fold finishes on Python ints only when limb 2 passes it on, about once
+        in 2^64, or when L <= 2.
         """
         ml, t, N = self.ml, self.t, self.N
-        addmul_1, get, put = self.kernel._addmul_1, self.get, self.put
-        hi, nml, scale = self.view(z, ml), ctypes.c_long(ml), ctypes.c_uint64(1 << t)
+        addmul_1, sqr, get, put = self.kernel._addmul_1, self.kernel._sqr, self.get, self.put
+        nml, scale = ctypes.c_long(ml), ctypes.c_uint64(1 << t)
         low_end = 1 << 2 * LIMB_BITS if ml > 1 else 0  # one limb: every delta goes to Python ints
+        # Each fold works on (z, hi); a square step first swaps it with (w, w_hi), and squares w into z.
+        start = [(a, self.view(a, ml)) for a in ((dst, src) if square else (src, dst))]
 
-        def fold():
-            delta = (addmul_1(z, hi, nml, scale) << t) - c
-            low = z[0] + (z[1] << LIMB_BITS) + delta
-            if 0 <= low < low_end:
-                z[0] = low & MAX_LIMB
-                z[1] = low >> LIMB_BITS
-            elif ml > 2 and 0 <= (top := z[2] + (low >> 2 * LIMB_BITS)) <= MAX_LIMB:
-                z[0], z[1], z[2] = low & MAX_LIMB, (low >> LIMB_BITS) & MAX_LIMB, top
-            else:
-                put(z, (get(z, ml) + delta) % N)
+        def fold(steps=1):
+            (z, hi), (w, w_hi) = start
+            for _ in range(steps):
+                if square:
+                    z, hi, w, w_hi = w, w_hi, z, hi
+                    sqr(z, w, nml)
+                delta = (addmul_1(z, hi, nml, scale) << t) - c
+                low = z[0] + (z[1] << LIMB_BITS) + delta
+                if 0 <= low < low_end:
+                    z[0] = low & MAX_LIMB
+                    z[1] = low >> LIMB_BITS
+                elif ml > 2 and 0 <= (top := z[2] + (low >> 2 * LIMB_BITS)) <= MAX_LIMB:
+                    z[0], z[1], z[2] = low & MAX_LIMB, (low >> LIMB_BITS) & MAX_LIMB, top
+                else:
+                    put(z, (get(z, ml) + delta) % N)
+            put(dst, get(z, ml) % N)
 
         return fold

@@ -54,9 +54,9 @@ def identities(*, m_max: int = 9, n_max: int = 9) -> Iterator[Check]:
         raise ValueError(f"m_max must be >= 2, got {m_max}")
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    # One exact table serves every sum identity; building it first checks
-    # m_max*n_max against the exact-index cap before any other work.
-    ring = list(iter_uv_exact(STANDARD_PARAMS, m_max * n_max))
+    # One exact (7, 1) table serves the parity check and every sum identity; building
+    # it first checks m_max*n_max against the exact-index cap before any other work.
+    ring = list(iter_uv_exact(STANDARD_PARAMS, max(200, m_max * n_max)))
     tables = {}
     for params in (STANDARD_PARAMS, ALTERNATE_PARAMS):
         label = f"R{params.R}_Q{params.Q}"
@@ -64,7 +64,8 @@ def identities(*, m_max: int = 9, n_max: int = 9) -> Iterator[Check]:
 
         # Against the ring: zero components vanish, kept ones are the pair.
         bad = []
-        for i, u, v in iter_uv_exact(params, 200):
+        rows = ring[:201] if params is STANDARD_PARAMS else iter_uv_exact(params, 200)
+        for i, u, v in rows:
             if i % 2 == 0:
                 ok = u.a == 0 and v.b == 0 and v.a != 0 and (i == 0 or u.b != 0)
                 kept = (u.b, v.a)

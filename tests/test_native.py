@@ -153,16 +153,13 @@ def test_property_random_x_and_m():
 def folded(native, m, sign, z, c=0):
     """(z - c) mod 2^m + sign through one fold of the kernel, as a chain or the ladder makes it.
 
-    The fold mod 2^m - 1 leaves a redundant residue, which a chain makes
-    canonical with one `%` at its end; so does this.
+    Both folds take one contract, and leave the canonical residue in dst, a
+    register of 2*ml limbs as a chain's.
     """
     ring = _gmp._Ring(native, m, sign)
     src = ring.array(max(2 * ring.ml, -(-z.bit_length() // 64)), z)
-    if sign < 0:
-        ring.mersenne_folder(src, c)()
-        return ring.get(src, ring.ml) % ring.N
-    dst = ring.array(ring.pl, ring.N - 1)  # a stale residue, 2^m (its own top limb)
-    ring.folder(dst, src, c)()
+    dst = ring.array(2 * ring.ml, ring.N - 1)  # a stale residue, 2^m mod 2^m + 1 (its own top limb)
+    (ring.folder if sign > 0 else ring.mersenne_folder)(dst, src, c)()
     return ring.get(dst)
 
 
@@ -235,13 +232,41 @@ def test_mersenne_fold_carries_into_limb_2(monkeypatch):
     put = _gmp._Ring.put
     monkeypatch.setattr(_gmp._Ring, "put", lambda ring, a, value: puts.append(value) or put(ring, a, value))
     assert native.square_chain(4, 4000, 2, 2113, -1) == int_chain(4, 4000, 2, 2113, -1)
-    assert len(puts) < 5  # one of them stores the start
+    assert len(puts) < 5  # two of them store the start and the result
     # A carry out of limbs 0 and 1 (all ones, plus cy*2^t from hi's top limb)
-    # and a borrow from limb 2, through one fold each; `folded` stores z.
+    # and a borrow from limb 2, through one fold each; `folded` stores z and
+    # dst's stale residue, and the fold the canonical result.
     puts.clear()
     for z, c in (((1 << 128) - 1 | _gmp.MAX_LIMB << 64 * 67, 0), (1 << 128, 1)):
         assert folded(native, 2113, -1, z, c) == (z - c) % ((1 << 2113) - 1)
-    assert len(puts) == 2
+    assert len(puts) == 6
+
+
+@needs_gmp
+@pytest.mark.parametrize("q", (61, 127, 191, 2113))
+def test_mersenne_chain_ends_in_either_array(q):
+    # A chain squares each array into the other, so an odd step count ends in
+    # the scratch array and an even one in the register; the result is stored
+    # canonical in the register either way.  61, 127 and 191 fold on L = 1, 2
+    # and 3 limbs; 2113 has t = 63 bits above 2^q in the top limb.
+    native = _gmp.load()
+    N = (1 << q) - 1
+    for x in (4, N - 1, 1 << q):
+        for c in (2, 0, (1 << 64) + 5):
+            for steps in range(6):
+                assert native.square_chain(x, steps, c, q, -1) == int_chain(x, steps, c, q, -1), (x, c, steps)
+
+
+@needs_gmp
+def test_mersenne_chain_stores_only_its_start_and_result(monkeypatch):
+    # The LLT chain of M_2203 settles every fold on the limbs: its two stores
+    # are the start and the canonical result.
+    native, puts = _gmp.load(), []
+    put = _gmp._Ring.put
+    monkeypatch.setattr(_gmp._Ring, "put", lambda ring, a, value: puts.append(value) or put(ring, a, value))
+    residue = native.square_chain(4, 2000, 2, 2203, -1)
+    assert residue == int_chain(4, 2000, 2, 2203, -1)
+    assert puts == [4, residue]
 
 
 @needs_gmp

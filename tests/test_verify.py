@@ -41,20 +41,22 @@ def test_identities_at_m_max_2000_finish_in_seconds():
 
 def test_corrupted_table_entry_fails_sum_identities(monkeypatch):
     exact = verify.iter_uv_exact
-    j = 6  # U_j or V_j of the 8 x 8 sum-identity table gets one more sqrt(R)
+    j = 6  # U_j or V_j of the (7, 1) table gets one more sqrt(R)
     for side in "uv":
         def corrupted(params, max_index, side=side):
             for n, U, V in exact(params, max_index):
-                if max_index == 64 and n == j:
+                if params == P7 and n == j:
                     U, V = (QuadInt(U.a, U.b + 1), V) if side == "u" else (U, QuadInt(V.a, V.b + 1))
                 yield n, U, V
 
         monkeypatch.setattr(verify, "iter_uv_exact", corrupted)
         failed = {c.name for c in verify.identities(m_max=8, n_max=8) if not c.passed}
-        # It enters both sides as X_n at n = j, and its own side as X_{mn} at
-        # m*n = j; no other suite part reads it.
+        # It enters both sides as X_n at n = j, its own side as X_{mn} at
+        # m*n = j, and the (7, 1) parity check, which reads the same table;
+        # no other suite part reads it.
         expected = {f"sum_identity_{s}_m{m}_n{j}" for m in range(2, 9) for s in "uv"}
         expected |= {f"sum_identity_{side}_m{m}_n{j // m}" for m in range(2, 9) if j % m == 0}
+        expected.add("parity_structure_R7_Q1")
         assert failed == expected, side
 
 
