@@ -129,7 +129,7 @@ def _uv_ladder(
     t = len(start).bit_length() - 1
     k = n >> max(n.bit_length() - t, 0)
     _, u, v = start[k]
-    u, v, qk, k_odd = u % M, v % M, pow(Q, k, N), k & 1  # the pair, Q^k and k's parity
+    u, v, qk, k_odd = u % M, v % M, Q**k % M, k & 1  # the pair, Q^k (k < 2^t) and k's parity
     for bit in bin(n)[2 + t:]:
         u, v = u * v % M, ((R * v * v if k_odd else v * v) - 2 * qk) % M
         qk, k_odd = qk * qk % M, False

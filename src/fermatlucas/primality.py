@@ -355,16 +355,19 @@ def _congruence_rows(
     this is the one place each congruence is decided.
     """
     R, Q, D = params.R, params.Q, params.D
+    unit = Q * Q == 1  # then Q^h = Q^(h % 2) and 1/(2Q) = Q*(p + 1)/2, with no pow
     for p, (eps, sig, tau) in primes:
         se = sig * eps
         idx, half = p - se, (p - se) // 2
         u, v = _uv_ladder(params, half, p, start)
         u_idx = u * v % p
-        v_idx = ((R if half % 2 else 1) * v * v - 2 * pow(Q, half, p)) % p
+        q_half = (Q if half & 1 else 1) if unit else pow(Q, half, p)
+        v_idx = ((R if half & 1 else 1) * v * v - 2 * q_half) % p
         if se == 1:
             u_p, v_p, inv = R * u_idx + v_idx, D * u_idx + v_idx, (p + 1) // 2
         else:
-            u_p, v_p, inv = R * u_idx - v_idx, v_idx - D * u_idx, pow(2 * Q, -1, p)
+            inv = Q * (p + 1) // 2 if unit else pow(2 * Q, -1, p)
+            u_p, v_p = R * u_idx - v_idx, v_idx - D * u_idx
         u_p, v_p = u_p * inv % p, v_p * inv % p
         v_expected = 2 * sig * Q ** ((1 - se) // 2)
         name, x = ("v_vanishes_at_half", v) if sig == -tau else ("u_vanishes_at_half", u)

@@ -139,25 +139,27 @@ def congruences(*, p_max: int = 2000) -> Iterator[Check]:
     if p_max > sys.maxsize:  # past any index: refused by name, before the sieve
         raise ValueError(f"p_max must be <= {sys.maxsize}, got {p_max}")
     flags = _odd_prime_flags(p_max)
-    # Every walk starts from the exact pairs at its index's top t bits.  The suite
-    # in ms by t, best of 3-7 (2-CPU sandbox, Python 3.11.7), * at bitlen // 2:
+    # Every walk starts from the exact pairs at its index's top t bits.  The suite in ms
+    # by t, best of 5-15 round-robin calls (2-CPU sandbox, Python 3.11.7), * the rule's t:
     #     p_max     t = 7   8      9      10     11     12     13
-    #     20,000    23.2*   21.8   21.3   22.1   25.1
-    #     200,000           220    204*   198    217    233
-    #     10^6                     1010   987*   1016   1105   1318
+    #     20,000    20.7    19.3   18.8*  19.5   22.1   31.0   56.0
+    #     200,000   216     205    202    198*   202    221    306
+    #     10^6      1156    1106   1144   1154*  1084   1154   1506   (t = 8..11 swap places between runs)
     # This rule picks the best t or ties it at each; built after the sieve, which refuses a huge p_max.
     t = min(p_max.bit_length() // 2 + 2, 10)
     for params in (STANDARD_PARAMS, ALTERNATE_PARAMS):
-        label = f"R{params.R}_Q{params.Q}"
+        prefix = f"congruences_R{params.R}_Q{params.Q}_p"
         start = lehmer_pairs_exact(params, (1 << t) - 1)
         d, r, q = (jacobi_period(a) for a in (params.D, params.R, params.Q))
         nd, nr, nq = len(d), len(r), len(q)
         # Sieved, so prime by construction; a 0 in the triple means p divides QRD.
         primes = ((p, triple) for p in _odd_primes(flags)
                   if 0 not in (triple := (d[p % nd], r[p % nr], q[p % nq])))
-        for p, rows in _congruence_rows(params, primes, start):
-            failed = [name for name, _, _, _, passed in rows if not passed]
-            yield _check(f"congruences_{label}_p{p}", not failed, ", ".join(failed))
+        for p, (c1, c2, c3, c4, c5) in _congruence_rows(params, primes, start):
+            if c1[4] and c2[4] and c3[4] and c4[4] and c5[4]:  # each row's `passed`; a pass builds no list
+                yield Check(prefix + str(p), True)
+            else:
+                yield Check(prefix + str(p), False, ", ".join(c[0] for c in (c1, c2, c3, c4, c5) if not c[4]))
 
 
 def appendix(*, n: int | None = None) -> Iterator[Check]:

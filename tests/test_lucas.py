@@ -392,21 +392,25 @@ def test_uv_mod_agrees_with_stepping_for_non_unit_q(params):
             assert uv_mod(params, pair.index, N) == pair, (N, pair.index)
 
 
-# Odd moduli coprime to each Q below, and 2^m + 1 moduli: reduced by `%` up
-# to FOLD_MIN_BITS, by the fold above it (2^512 + 1 and 2^1024 + 1).
+# Odd moduli and 2^m + 1 moduli: reduced by `%` up to FOLD_MIN_BITS, by the
+# fold above it (2^512 + 1 and 2^1024 + 1).  A test takes those coprime to its Q.
 START_TABLE_MODULI = [3, 7, 15, 1001, 65535, (1 << 61) - 1] + [(1 << m) + 1 for m in (1, 2, 5, 16, 64, 512, 1024)]
 
 
-@pytest.mark.parametrize("params", [P7, P3, LucasParams(5, 2)], ids=["R7_Q1", "R3_Q-1", "R5_Q2"])
+@pytest.mark.parametrize("params", [P7, P3, LucasParams(5, 2), LucasParams(11, -3)],
+                         ids=["R7_Q1", "R3_Q-1", "R5_Q2", "R11_Q-3"])
 def test_ladder_from_exact_start_tables_matches_the_default_start(params):
     # The default start is the exact table of 2^0 entries.
     assert lehmer_pairs_exact(params, 0) == list(_LADDER_START)
     rng = random.Random(14)
     # An index below 2^t walks no bit from a table of 2^t pairs.
     indices = [*range(20), 255, 256, 257, (1 << 14) - 1, 1 << 14] + [rng.randrange(1 << 14) for _ in range(40)]
-    for t in range(9):
+    moduli = [N for N in START_TABLE_MODULI if math.gcd(N, params.Q) == 1]
+    # Up to t = 10, the tallest table `verify.congruences` builds.  The walk starts
+    # from Q^k mod N with k < 2^t; with Q = -3 those powers are not +-1.
+    for t in range(11):
         start = lehmer_pairs_exact(params, (1 << t) - 1)
-        for N in START_TABLE_MODULI:
+        for N in moduli:
             for n in indices:
                 assert _uv_ladder(params, n, N, start) == _uv_ladder(params, n, N), (t, N, n)
 

@@ -538,6 +538,21 @@ def test_one_walk_congruence_report_matches_three_walks(R, Q):
     assert signs == {1, -1}
 
 
+@pytest.mark.parametrize("params", [STANDARD_PARAMS, ALTERNATE_PARAMS], ids=["R7_Q1", "R3_Q-1"])
+def test_unit_q_congruence_report_matches_three_walks_at_large_p(params):
+    # For Q = +-1 the core reads Q^h from the parity of h = (p - se)/2 and takes
+    # 1/(2Q) as Q*(p + 1)/2, which must hold at any size of p, not only below 3000.
+    primes = [2**61 - 1] + [p for p in range(10**12 + 1, 10**12 + 400, 2) if is_prime(p)]
+    cases = set()
+    for p in primes:
+        r = lehmer_congruence_checks(params, p)
+        assert r.ok, p
+        assert (r.p, r.params, r.epsilon, r.sigma, r.tau, r.checks) == three_walk_report(params, p)
+        se = r.sigma * r.epsilon
+        cases.add((se, (p - se) // 2 % 2))
+    assert cases == {(1, 0), (1, 1), (-1, 0), (-1, 1)}  # both signs of se, with h even and odd
+
+
 def test_appendix_residues():
     for n in (2, 3, 4):
         checks = appendix_residues(P7, n)

@@ -190,6 +190,27 @@ def test_wrong_ladder_residue_fails_exactly_that_prime(monkeypatch):
         assert "u_vanishes" in check.detail and "v_at_even_index" not in check.detail
 
 
+@pytest.mark.parametrize("row", range(5))
+def test_any_one_failed_row_fails_its_prime(monkeypatch, row):
+    # The suite reads each of the five rows' `passed`: a prime fails on any one
+    # of them alone, and its detail names that row.
+    core, bad_p = verify._congruence_rows, 1009
+
+    def one_row_failed(params, primes, start):
+        for p, rows in core(params, primes, start):
+            if p == bad_p:
+                rows = tuple(r[:4] + (False,) if i == row else r for i, r in enumerate(rows))
+            yield p, rows
+
+    monkeypatch.setattr(verify, "_congruence_rows", one_row_failed)
+    failed = [c for c in verify.congruences(p_max=1100) if not c.passed]
+    assert failed == [
+        verify.Check(f"congruences_R{params.R}_Q{params.Q}_p{bad_p}", False,
+                     lehmer_congruence_checks(params, bad_p).checks[row].name)
+        for params in (P7, ALTERNATE_PARAMS)
+    ]
+
+
 @pytest.mark.parametrize("suite, bounds", [
     ("identities", {"m_max": 1}), ("identities", {"n_max": 0}), ("identities", {"m_max": 101, "n_max": 101}),
     ("traces", {"max_n": 0}), ("traces", {"max_n": 33}),
