@@ -154,12 +154,12 @@ def _cmd_verify(args) -> tuple[dict, dict]:
 
 
 def _check_records(suite: str, checks, result: dict):
-    """One record per check as it arrives; once the last is taken, `result` gets the counts."""
+    """The suite's check records, passed on as they arrive; once the last is taken, `result` gets the counts."""
     count = passed = 0
-    for name, ok, detail in checks:
+    for check in checks:
         count += 1
-        passed += ok
-        yield {"name": name, "pass": ok} if detail is None else {"name": name, "pass": ok, "detail": detail}
+        passed += check["pass"]
+        yield check
     if count == 0:
         raise ValueError(f"suite {suite!r} ran zero checks with these bounds")
     result.update(passed=passed, failed=count - passed)

@@ -1,7 +1,8 @@
 """Verification suites: the paper's claims checked over bounded ranges.
 
 Each suite takes keyword-only bounds, whose defaults are the CLI's, and yields
-`Check` records, refusing a bad bound before the first; the CLI renders them.
+the CLI's check records, refusing a bad bound before the first; the CLI writes
+them as they come.
 """
 
 from __future__ import annotations
@@ -9,7 +10,7 @@ from __future__ import annotations
 import math
 import sys
 from itertools import compress, count
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 from .lucas import (
     ALTERNATE_PARAMS,
@@ -35,19 +36,14 @@ from .quadratic import qscale
 from .symbols import jacobi_period
 
 
-class Check(NamedTuple):
-    """One named check; `detail` says what went wrong and is None on a pass."""
-
-    name: str
-    passed: bool
-    detail: str | None = None
-
-
-def _check(name: str, ok: bool, detail: str | None = None) -> Check:
-    return Check(name, bool(ok), detail if detail and not ok else None)
+def _check(name: str, ok: bool, detail: str | None = None) -> dict:
+    """One check record, `{"name", "pass"}`, plus `"detail"` (what went wrong) only on a failure that has one."""
+    if ok:
+        return {"name": name, "pass": True}
+    return {"name": name, "pass": False, "detail": detail} if detail else {"name": name, "pass": False}
 
 
-def identities(*, m_max: int = 9, n_max: int = 9) -> Iterator[Check]:
+def identities(*, m_max: int = 9, n_max: int = 9) -> Iterator[dict]:
     """Parity structure, doubling, gcd, sum identities and the parity swap."""
     # Below these bounds no sum identity would be checked.
     if m_max < 2:
@@ -134,7 +130,7 @@ def _odd_primes(flags: bytes) -> Iterator[int]:
     return compress(count(1, 2), flags)
 
 
-def congruences(*, p_max: int = 2000) -> Iterator[Check]:
+def congruences(*, p_max: int = 2000) -> Iterator[dict]:
     """The five classical congruences at every odd prime below p_max not dividing QRD."""
     if p_max > sys.maxsize:  # past any index: refused by name, before the sieve
         raise ValueError(f"p_max must be <= {sys.maxsize}, got {p_max}")
@@ -157,19 +153,19 @@ def congruences(*, p_max: int = 2000) -> Iterator[Check]:
                   if 0 not in (triple := (d[p % nd], r[p % nr], q[p % nq])))
         for p, (c1, c2, c3, c4, c5) in _congruence_rows(params, primes, start):
             if c1[4] and c2[4] and c3[4] and c4[4] and c5[4]:  # each row's `passed`; a pass builds no list
-                yield Check(prefix + str(p), True)
+                yield _check(prefix + str(p), True)
             else:
-                yield Check(prefix + str(p), False, ", ".join(c[0] for c in (c1, c2, c3, c4, c5) if not c[4]))
+                yield _check(prefix + str(p), False, ", ".join(c[0] for c in (c1, c2, c3, c4, c5) if not c[4]))
 
 
-def appendix(*, n: int | None = None) -> Iterator[Check]:
+def appendix(*, n: int | None = None) -> Iterator[dict]:
     """The 18 flanking residues around a prime F_n, n in 1..4; n = None checks n = 2, 3 and 4."""
     for k in (n,) if n is not None else (2, 3, 4):
         for c in appendix_residues(STANDARD_PARAMS, k):
             yield _check(c.name, c.passed, f"expected {c.expected}, got {c.actual}")
 
 
-def rank() -> Iterator[Check]:
+def rank() -> Iterator[dict]:
     """Rank examples, existence up to 500, divisibility, and certificates."""
     # One search per modulus answers every check below.  The largest omega
     # below 501 is 882 (m = 441), far under the default cap.
@@ -203,7 +199,7 @@ def rank() -> Iterator[Check]:
         yield _check(name, certify_via_rank(STANDARD_PARAMS, N).classification == expected)
 
 
-def traces(*, max_n: int = 8) -> Iterator[Check]:
+def traces(*, max_n: int = 8) -> Iterator[dict]:
     """Chain traces against plain `%` and the v-side bridge; final residues to max_n on the int ladder."""
     if max_n < 1:  # no final residue would be checked
         raise ValueError(f"max_n must be >= 1, got {max_n}")

@@ -453,7 +453,7 @@ def test_verify_record_lists_only_the_suite_bounds(suite, capsys, monkeypatch):
     # `verify rank` records {"suite": "rank"}; `verify congruences` adds p_max alone.
     from fermatlucas import cli
 
-    monkeypatch.setattr(cli.verify, suite, lambda **bounds: [cli.verify.Check("stub", True)])
+    monkeypatch.setattr(cli.verify, suite, lambda **bounds: [{"name": "stub", "pass": True}])
     assert cli.main(["verify", suite]) == 0
     inputs = json.loads(capsys.readouterr().out)["inputs"]
     assert set(inputs) == {"suite", *(flag[2:].replace("-", "_") for flag in SUITE_FLAGS[suite])}
@@ -483,8 +483,8 @@ def test_verify_failing_check_exits_1_with_its_detail(capsys, monkeypatch):
     from fermatlucas import cli
 
     def suite():
-        yield cli.verify.Check("holds", True)
-        yield cli.verify.Check("breaks", False, "got 3")
+        yield {"name": "holds", "pass": True}
+        yield {"name": "breaks", "pass": False, "detail": "got 3"}
 
     monkeypatch.setattr(cli.verify, "rank", suite)
     assert cli.main(["verify", "rank"]) == 1
@@ -653,9 +653,9 @@ def test_error_after_the_first_check_exits_2(exc, message, before, capsys, monke
     from fermatlucas import cli
 
     def suite():
-        yield cli.verify.Check("breaks", False, "got 3")
+        yield {"name": "breaks", "pass": False, "detail": "got 3"}
         for k in range(cli._BATCH if before == "second batch" else 0):
-            yield cli.verify.Check(f"holds_{k}", True)
+            yield {"name": f"holds_{k}", "pass": True}
         raise exc
 
     monkeypatch.setattr(cli.verify, "rank", suite)
@@ -785,29 +785,77 @@ def test_human_output_is_a_view_of_the_record(command, capsys):
 
 def test_check_records_are_the_bytes_json_dumps_writes(monkeypatch, capsys):
     # Check records are written from one template: its escaping and key order
-    # must give the bytes of one `json.dumps(record, sort_keys=True)`.
+    # must give the bytes of one `json.dumps(record, sort_keys=True)`, for stub
+    # records and for every record the suites yield, passing or forced to fail.
     from fermatlucas import cli, verify
+    from fermatlucas.lucas import LehmerPair
 
     details = ['a "quoted" detail', "back\\slash", "new\nline and\ttab", "σε ≡ −1, √7", ""]
-    checks = [verify.Check(f"check_{i}", True) if i % 3 else
-              verify.Check(f'check_{i} "σ"', False, details[i % 5]) for i in range(600)]  # over two batches
+    checks = [{"name": f"check_{i}", "pass": True} if i % 3 else
+              {"name": f'check_{i} "σ"', "pass": False, "detail": details[i % 5]} for i in range(600)]  # over two batches
+    passing = [*verify.identities(m_max=3, n_max=3), *verify.congruences(p_max=2000), *verify.appendix(),
+              *verify.rank(), *verify.traces(max_n=4)]
 
-    def suite(*, p_max):
-        return iter(checks)
+    # One forced failure per suite, as the failure tests force them: a detail where the
+    # failed check has one (congruences, appendix), none where it has none (traces), and
+    # each kind once where the suite has both (identities, rank).
+    pairs, rows, residues, ranks, certify = (verify.lehmer_pairs_exact, verify._congruence_rows,
+                                             verify.appendix_residues, verify.rank_of_apparition,
+                                             verify.certify_via_rank)
 
-    monkeypatch.setattr(verify, "congruences", suite)
+    def perturbed_pairs(params, max_index):
+        table = pairs(params, max_index)
+        table[151] = LehmerPair(151, table[151].u_bar, table[151].v_bar + table[151].u_bar)
+        return table
+
+    def failed_row(params, primes, start):
+        for p, (c1, *rest) in rows(params, primes, start):
+            yield p, ((*c1[:4], p != 1009), *rest)
+
+    def failed_residue(params, k):
+        first, *rest = residues(params, k)
+        return [first._replace(actual=first.actual + 1, passed=False), *rest]
+
+    def perturbed_omega(params, m, cap=10**6):
+        result = ranks(params, m, cap=cap)
+        return result._replace(omega=result.omega + 1) if m == 45 else result
+
+    forced = {}
+    for suite, bounds, stubs in [
+        ("identities", {"m_max": 2, "n_max": 2},
+         {"lehmer_pairs_exact": perturbed_pairs, "alternate_params_pair": lambda n, pairs7: None}),
+        ("congruences", {"p_max": 1100}, {"_congruence_rows": failed_row}),
+        ("appendix", {"n": 2}, {"appendix_residues": failed_residue}),
+        ("rank", {}, {"rank_of_apparition": perturbed_omega,
+                      "certify_via_rank": lambda params, N: certify(params, N)._replace(classification="composite")}),
+        ("traces", {"max_n": 1}, {"s_from_v": lambda k, F: -1}),
+    ]:
+        with monkeypatch.context() as m:
+            for name, stub in stubs.items():
+                m.setattr(verify, name, stub)
+            forced[suite] = list(getattr(verify, suite)(**bounds))
+    failed = {suite: {"detail" in r for r in out if not r["pass"]} for suite, out in forced.items()}
+    assert failed == {"identities": {True, False}, "congruences": {True}, "appendix": {True},
+                      "rank": {True, False}, "traces": {False}}
+
+    records = passing + [r for out in forced.values() for r in out]
+    for r in records:
+        assert cli._check_json(r) == json.dumps(r, sort_keys=True)
+        assert type(r["pass"]) is bool
+        assert set(r) <= {"name", "pass", "detail"}
+        assert "detail" not in r or not r["pass"] and r["detail"]
+
+    def stub(*, p_max):
+        return iter(checks + records)
+
+    monkeypatch.setattr(verify, "congruences", stub)
     assert cli.main(["verify", "congruences"]) == 1
     head, _, timing = capsys.readouterr().out.rpartition(', "timing_ms": ')
-    passed = sum(c.passed for c in checks)
+    passed = sum(c["pass"] for c in checks + records)
     expected = {
         "command": "verify",
         "inputs": {"suite": "congruences", "p_max": 2000},
-        "result": {
-            "checks": [{"name": c.name, "pass": c.passed, **({} if c.passed else {"detail": c.detail})}
-                       for c in checks],
-            "passed": passed,
-            "failed": len(checks) - passed,
-        },
+        "result": {"checks": checks + records, "passed": passed, "failed": len(checks + records) - passed},
     }
     assert head + "}" == json.dumps(expected, sort_keys=True)
     assert re.fullmatch(r"[0-9.]+}\n", timing)

@@ -12,7 +12,7 @@ from fermatlucas.quadratic import QuadInt
 
 
 def sum_identity_checks(checks):
-    return [(c.name, c.passed) for c in checks if c.name.startswith("sum_identity_")]
+    return [(c["name"], c["pass"]) for c in checks if c["name"].startswith("sum_identity_")]
 
 
 def test_identity_table_matches_per_pair_checks():
@@ -36,7 +36,7 @@ def test_identities_at_m_max_2000_finish_in_seconds():
     with deadline(20):
         checks = list(verify.identities(m_max=2000, n_max=5))
     assert len(checks) == 10 + 2 * 1999 * 5
-    assert all(c.passed for c in checks)
+    assert all(c["pass"] for c in checks)
 
 
 def test_corrupted_table_entry_fails_sum_identities(monkeypatch):
@@ -50,7 +50,7 @@ def test_corrupted_table_entry_fails_sum_identities(monkeypatch):
                 yield n, U, V
 
         monkeypatch.setattr(verify, "iter_uv_exact", corrupted)
-        failed = {c.name for c in verify.identities(m_max=8, n_max=8) if not c.passed}
+        failed = {c["name"] for c in verify.identities(m_max=8, n_max=8) if not c["pass"]}
         # It enters both sides as X_n at n = j, its own side as X_{mn} at
         # m*n = j, and the (7, 1) parity check, which reads the same table;
         # no other suite part reads it.
@@ -70,12 +70,12 @@ def test_perturbed_pair_fails_parity_structure(monkeypatch):
         return pairs
 
     monkeypatch.setattr(verify, "lehmer_pairs_exact", perturbed)
-    checks = {c.name: c for c in verify.identities(m_max=2, n_max=2)}
+    checks = {c["name"]: c for c in verify.identities(m_max=2, n_max=2)}
     # Of the other checks only the gcd one reads v_bar(151), and it cannot tell.
     for label in ("R7_Q1", "R3_Q-1"):
         check = checks[f"parity_structure_{label}"]
-        assert not check.passed and check.detail == "indices [151]"
-    assert [name for name, c in checks.items() if not c.passed] == [
+        assert not check["pass"] and check.get("detail") == "indices [151]"
+    assert [name for name, c in checks.items() if not c["pass"]] == [
         "parity_structure_R7_Q1", "parity_structure_R3_Q-1"]
 
 
@@ -87,11 +87,11 @@ def test_perturbed_omega_fails_the_divisibility_sweep(monkeypatch):
         return result._replace(omega=result.omega + 1) if m == 45 else result
 
     monkeypatch.setattr(verify, "rank_of_apparition", perturbed)
-    checks = {c.name: c for c in verify.rank()}
+    checks = {c["name"]: c for c in verify.rank()}
     # omega_45 divides u_bar's first zero index but omega_45 + 1 does not.
     check = checks["divisibility_iff_rank_divides"]
-    assert not check.passed and check.detail == f"first [(45, {omega_45})]"
-    assert [name for name, c in checks.items() if not c.passed] == ["divisibility_iff_rank_divides"]
+    assert not check["pass"] and check.get("detail") == f"first [(45, {omega_45})]"
+    assert [name for name, c in checks.items() if not c["pass"]] == ["divisibility_iff_rank_divides"]
 
 
 def test_missing_late_zero_fails_the_divisibility_sweep(monkeypatch):
@@ -102,9 +102,9 @@ def test_missing_late_zero_fails_the_divisibility_sweep(monkeypatch):
         return zeros[:-1] if m == 45 and not first else zeros
 
     monkeypatch.setattr(verify, "_u_zeros", perturbed)
-    check = next(c for c in verify.rank() if c.name == "divisibility_iff_rank_divides")
+    check = next(c for c in verify.rank() if c["name"] == "divisibility_iff_rank_divides")
     last = u_zeros(P7, 45, 2000)[-1]
-    assert not check.passed and check.detail == f"first [(45, {last})]"
+    assert not check["pass"] and check.get("detail") == f"first [(45, {last})]"
 
 
 def test_rank_without_omega_fails_both_sweeps(monkeypatch):
@@ -113,10 +113,10 @@ def test_rank_without_omega_fails_both_sweeps(monkeypatch):
         return result._replace(omega=None) if m == 9 else result
 
     monkeypatch.setattr(verify, "rank_of_apparition", no_omega_at_9)
-    checks = {c.name: c for c in verify.rank()}  # returned, not raised
-    assert checks["omega_exists_to_500"].detail == "missing [9]"
-    assert checks["divisibility_iff_rank_divides"].detail == "first [(9, 'no omega')]"
-    assert [name for name, c in checks.items() if not c.passed] == [
+    checks = {c["name"]: c for c in verify.rank()}  # returned, not raised
+    assert checks["omega_exists_to_500"].get("detail") == "missing [9]"
+    assert checks["divisibility_iff_rank_divides"].get("detail") == "first [(9, 'no omega')]"
+    assert [name for name, c in checks.items() if not c["pass"]] == [
         "omega_exists_to_500", "divisibility_iff_rank_divides"]
 
 
@@ -130,7 +130,7 @@ def test_rank_searches_each_modulus_once(monkeypatch):
     monkeypatch.setattr(verify, "rank_of_apparition", counted)
     checks = list(verify.rank())
     assert searched == list(range(2, 501))  # 499 searches, one per modulus
-    assert checks == [(name, True, None) for name in (
+    assert checks == [{"name": name, "pass": True} for name in (
         "omega_5_is_4", "omega_17_is_16", "omega_257_is_256", "omega_exists_to_500",
         "divisibility_iff_rank_divides", "u_divides_u_at_multiples",
         "certify_17", "certify_257", "certify_65537", "certify_F5_composite")]
@@ -148,7 +148,7 @@ def test_congruence_suite_matches_per_prime_reports():
             for p in range(3, p_max, 2):
                 if is_prime(p) and qrd % p:
                     assert lehmer_congruence_checks(params, p).ok, (params, p)
-                    expected.append(verify.Check(f"congruences_R{params.R}_Q{params.Q}_p{p}", True))
+                    expected.append({"name": f"congruences_R{params.R}_Q{params.Q}_p{p}", "pass": True})
         assert list(verify.congruences(p_max=p_max)) == expected, p_max
 
 
@@ -181,13 +181,13 @@ def test_wrong_ladder_residue_fails_exactly_that_prime(monkeypatch):
 
     monkeypatch.setattr(primality, "_uv_ladder", perturbed)
     checks = verify.congruences(p_max=3000)
-    failed = [c for c in checks if not c.passed]
-    assert [c.name for c in failed] == [f"congruences_R7_Q1_p{bad_p}", f"congruences_R3_Q-1_p{bad_p}"]
+    failed = [c for c in checks if not c["pass"]]
+    assert [c["name"] for c in failed] == [f"congruences_R7_Q1_p{bad_p}", f"congruences_R3_Q-1_p{bad_p}"]
     for check, params in zip(failed, (P7, ALTERNATE_PARAMS)):
         report = lehmer_congruence_checks(params, bad_p)
-        assert check.detail == ", ".join(c.name for c in report.checks if not c.passed)
+        assert check.get("detail") == ", ".join(c.name for c in report.checks if not c.passed)
         # A wrong u at (p - se)/2 reaches u_idx, u_p and v_p, never v_idx.
-        assert "u_vanishes" in check.detail and "v_at_even_index" not in check.detail
+        assert "u_vanishes" in check.get("detail") and "v_at_even_index" not in check.get("detail")
 
 
 @pytest.mark.parametrize("row", range(5))
@@ -203,10 +203,10 @@ def test_any_one_failed_row_fails_its_prime(monkeypatch, row):
             yield p, rows
 
     monkeypatch.setattr(verify, "_congruence_rows", one_row_failed)
-    failed = [c for c in verify.congruences(p_max=1100) if not c.passed]
+    failed = [c for c in verify.congruences(p_max=1100) if not c["pass"]]
     assert failed == [
-        verify.Check(f"congruences_R{params.R}_Q{params.Q}_p{bad_p}", False,
-                     lehmer_congruence_checks(params, bad_p).checks[row].name)
+        {"name": f"congruences_R{params.R}_Q{params.Q}_p{bad_p}", "pass": False,
+         "detail": lehmer_congruence_checks(params, bad_p).checks[row].name}
         for params in (P7, ALTERNATE_PARAMS)
     ]
 
@@ -235,7 +235,7 @@ def test_traces_refuse_max_n_without_building_f_n():
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=cli_env(), timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "Check(name='trace_special_vs_generic_F1', passed=True, detail=None)\n"
+    assert proc.stdout == "{'name': 'trace_special_vs_generic_F1', 'pass': True}\n"
 
 
 def test_prime_sieve_matches_trial_division():
@@ -255,4 +255,4 @@ def test_traces_check_the_libgmp_chain_against_the_int_ladder(monkeypatch):
                         lambda self, *args: tuple(x + 1 for x in ladder(self, *args)))
     checks = list(verify.traces(max_n=11))
     assert len(checks) == 19
-    assert [c.name for c in checks if not c.passed] == ["final_matches_v_route_F11"]
+    assert [c["name"] for c in checks if not c["pass"]] == ["final_matches_v_route_F11"]
