@@ -88,6 +88,15 @@ class LehmerPair(NamedTuple):
     u_bar: int
     v_bar: int
 
+    def __repr__(self) -> str:  # also `Verdict`'s and `SSequenceTrace`'s: their ints can be residues mod F_14
+        fields = []
+        for name, x in zip(self._fields, self):
+            try:
+                fields.append(f"{name}={x!r}")
+            except ValueError:  # past Python's int-to-str digit limit; hex is a valid literal too
+                fields.append(f"{name}={x:#x}")
+        return f"{type(self).__name__}({', '.join(fields)})"
+
 
 def _check_exact_index(max_index: int) -> None:
     if max_index < 0:

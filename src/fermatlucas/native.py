@@ -117,19 +117,29 @@ def _uv_ladder(
 ) -> tuple[int, int]:
     """`uv_ladder`'s int loop, unchecked: (u_bar(n), v_bar(n)) mod odd N coprime to Q, n >= 0.
 
-    `x % M` reduces mod N: M is `_FermatFold(m)` for N = 2^m + 1 above FOLD_MIN_BITS, else N.
-    `start` holds the exact pairs at indices 0..2^t - 1, t >= 0, as
-    `lucas.lehmer_pairs_exact(params, 2^t - 1)` returns them; the walk starts at
-    the index k of n's top t bits (k = 0 for t = 0) and doubles over the
-    rest.  A caller that walks to many indices builds the table once and
-    walks t fewer bits each time.
+    `x % M` reduces mod N: M is `_FermatFold(m)` for N = 2^m + 1 above FOLD_MIN_BITS, else N.  The walk
+    starts at the index k of n's top t bits in `start`, the exact pairs at 0..2^t - 1 (t >= 0) from
+    `lucas.lehmer_pairs_exact(params, 2^t - 1)`, so many walks share one table.  Doubling k subtracts
+    2Q^k, so Q = +-1 has a loop of its own with no Q^k (2Q at odd k, 2 at even k): one loop lost that gain.
     """
-    R, Q, D = params.R, params.Q, params.D
+    R, Q = params
+    D = R - 4 * Q
     M = N if N.bit_length() <= FOLD_MIN_BITS or (m := fermat_form_exponent(N)) is None else _FermatFold(m)
     t = len(start).bit_length() - 1
     k = n >> max(n.bit_length() - t, 0)
     _, u, v = start[k]
-    u, v, qk, k_odd = u % M, v % M, Q**k % M, k & 1  # the pair, Q^k (k < 2^t) and k's parity
+    u, v, k_odd = u % M, v % M, k & 1  # the pair at k and k's parity
+    if k == n:  # n < 2^t: the table holds the pair
+        return u, v
+    if Q * Q == 1:
+        for bit in bin(n)[2 + t:]:
+            u, v = u * v % M, (R * v * v - 2 * Q if k_odd else v * v - 2) % M
+            if k_odd := bit == "1":  # k <- 2k + 1
+                u, v = (R * u + v) % M, (D * u + v) % M
+                u = (u + N if u & 1 else u) >> 1
+                v = (v + N if v & 1 else v) >> 1
+        return u, v
+    qk = Q**k % M  # Q^k, k < 2^t
     for bit in bin(n)[2 + t:]:
         u, v = u * v % M, ((R * v * v if k_odd else v * v) - 2 * qk) % M
         qk, k_odd = qk * qk % M, False
@@ -137,5 +147,5 @@ def _uv_ladder(
             u, v = (R * u + v) % M, (D * u + v) % M
             u = (u + N if u & 1 else u) >> 1
             v = (v + N if v & 1 else v) >> 1
-            qk, k_odd = qk * Q, True  # reduced with the next square; +-1 stays +-1
+            qk, k_odd = qk * Q, True  # reduced with the next square
     return u, v

@@ -57,6 +57,7 @@ class SSequenceTrace(NamedTuple):
     seed: int
     final: int
     residues: tuple[int, ...] | None = None
+    __repr__ = LehmerPair.__repr__
 
 
 class RankResult(NamedTuple):
@@ -72,6 +73,7 @@ class Verdict(NamedTuple):
     method: str          # "llt-fermat" | "pepin" | "llt-mersenne" | "rank-certificate"
     witness: int | None = None
     proven: bool = True
+    __repr__ = LehmerPair.__repr__
 
     @property
     def is_prime(self) -> bool:
@@ -358,18 +360,17 @@ def _congruence_rows(
     unit = Q * Q == 1  # then Q^h = Q^(h % 2) and 1/(2Q) = Q*(p + 1)/2, with no pow
     for p, (eps, sig, tau) in primes:
         se = sig * eps
-        idx, half = p - se, (p - se) // 2
+        half = (idx := p - se) >> 1
         u, v = _uv_ladder(params, half, p, start)
         u_idx = u * v % p
         q_half = (Q if half & 1 else 1) if unit else pow(Q, half, p)
         v_idx = ((R if half & 1 else 1) * v * v - 2 * q_half) % p
         if se == 1:
-            u_p, v_p, inv = R * u_idx + v_idx, D * u_idx + v_idx, (p + 1) // 2
+            inv = (p + 1) >> 1
+            u_p, v_p, v_expected = (R * u_idx + v_idx) * inv % p, (D * u_idx + v_idx) * inv % p, 2 * sig
         else:
             inv = Q * (p + 1) // 2 if unit else pow(2 * Q, -1, p)
-            u_p, v_p = R * u_idx - v_idx, v_idx - D * u_idx
-        u_p, v_p = u_p * inv % p, v_p * inv % p
-        v_expected = 2 * sig * Q ** ((1 - se) // 2)
+            u_p, v_p, v_expected = (R * u_idx - v_idx) * inv % p, (v_idx - D * u_idx) * inv % p, 2 * sig * Q
         name, x = ("v_vanishes_at_half", v) if sig == -tau else ("u_vanishes_at_half", u)
         yield p, (
             ("u_at_p", p, eps % p, u_p, (u_p - eps) % p == 0),

@@ -136,11 +136,11 @@ def congruences(*, p_max: int = 2000) -> Iterator[dict]:
         raise ValueError(f"p_max must be <= {sys.maxsize}, got {p_max}")
     flags = _odd_prime_flags(p_max)
     # Every walk starts from the exact pairs at its index's top t bits.  The suite in ms
-    # by t, best of 5-15 round-robin calls (2-CPU sandbox, Python 3.11.7), * the rule's t:
+    # by t, best of 4-15 round-robin calls (2-CPU sandbox, Python 3.11.7), * the rule's t:
     #     p_max     t = 7   8      9      10     11     12     13
-    #     20,000    20.7    19.3   18.8*  19.5   22.1   31.0   56.0
-    #     200,000   216     205    202    198*   202    221    306
-    #     10^6      1156    1106   1144   1154*  1084   1154   1506   (t = 8..11 swap places between runs)
+    #     20,000    16.7    15.6   15.2*  15.5   17.7   25.9   48.9   (t = 9 and 10 swap places between runs)
+    #     200,000   185     185    170    170*   173    207    277
+    #     10^6      909     833    791    775*   787    900    1112
     # This rule picks the best t or ties it at each; built after the sieve, which refuses a huge p_max.
     t = min(p_max.bit_length() // 2 + 2, 10)
     for params in (STANDARD_PARAMS, ALTERNATE_PARAMS):

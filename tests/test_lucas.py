@@ -415,6 +415,22 @@ def test_ladder_from_exact_start_tables_matches_the_default_start(params):
                 assert _uv_ladder(params, n, N, start) == _uv_ladder(params, n, N), (t, N, n)
 
 
+@pytest.mark.parametrize("params", [P7, P3], ids=["R7_Q1", "R3_Q-1"])
+def test_unit_q_ladder_matches_stepped_pairs_at_every_start_height(params):
+    # The Q = +-1 loop against `iter_pairs`, not against the ladder itself: with Q = -1
+    # a doubling subtracts 2Q at odd k and 2 at even k, with Q = 1 both are 2.
+    rng = random.Random(48)
+    for N in START_TABLE_MODULI:
+        stepped = list(itertools.islice(iter_pairs(params, N), 1 << 12))
+        for t in range(11):
+            start, top = lehmer_pairs_exact(params, (1 << t) - 1), 1 << t
+            # Below 2^t the table holds the pair; from 2^t on the walk doubles over t + 1 bits or more.
+            indices = {0, top - 1, top, top + 1, 2 * top - 1, 2 * top, 4 * top - 1, rng.randrange(top)}
+            indices |= {rng.randrange(top, 1 << 12) for _ in range(6)}
+            for n in sorted(indices):
+                assert _uv_ladder(params, n, N, start) == stepped[n][1:], (t, N, n)
+
+
 @pytest.mark.parametrize("params", [P7, P3, LucasParams(5, 2)], ids=["R7_Q1", "R3_Q-1", "R5_Q2"])
 def test_ladder_folds_only_fermat_moduli_above_the_bound(monkeypatch, params):
     # 2^256 + 1 has FOLD_MIN_BITS bits or fewer and reduces by `%`; 2^512 + 1

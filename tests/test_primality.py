@@ -1,4 +1,5 @@
 import math
+import sys
 import time
 from itertools import islice
 
@@ -9,6 +10,7 @@ from fermatlucas import primality
 from fermatlucas.lucas import (
     ALTERNATE_PARAMS,
     STANDARD_PARAMS,
+    LehmerPair,
     LucasParams,
     iter_pairs,
     uv_mod,
@@ -19,7 +21,9 @@ from fermatlucas.primality import (
     InconclusiveError,
     MAX_FERMAT_INDEX,
     ResidueCheck,
+    SSequenceTrace,
     TRACE_INDEX_LIMIT,
+    Verdict,
     appendix_residues,
     certify_via_rank,
     fermat_exponent,
@@ -611,3 +615,31 @@ def test_gcd_step_at_the_half_index():
         assert math.gcd(math.gcd(pair.u_bar, pair.v_bar), F) == 1
         if n <= 4:
             assert pair.v_bar == 0 and pair.u_bar != 0
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit")
+def test_repr_writes_ints_past_the_digit_limit_in_hex():
+    # Residues mod F_14 have about 4933 digits, past Python's default limit of 4300,
+    # which only the CLI lifts; a library caller's repr must not raise on them.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    try:
+        F = fermat_number(14)
+        pair = uv_mod(STANDARD_PARAMS, (1 << 200) + 12345, F)
+        big = pair.v_bar
+        values = (pair, Verdict("composite", "llt-fermat", witness=big), SSequenceTrace(14, 5, big))
+        with pytest.raises(ValueError):
+            str(big)
+        for value in values:
+            text = repr(value)
+            assert f"={big:#x}" in text
+            assert eval(text, {type(value).__name__: type(value)}) == value  # hex is still a literal
+        # Everything else reads as NamedTuple's own repr.
+        assert repr(LehmerPair(3, 6, 18)) == "LehmerPair(index=3, u_bar=6, v_bar=18)"
+        assert repr(STANDARD_PARAMS) == "LucasParams(R=7, Q=1)"
+        assert repr(Verdict("prime", "pepin")) == "Verdict(classification='prime', method='pepin', witness=None, proven=True)"
+        assert repr(SSequenceTrace(3, 5, 0, (5, 23, 0))) == "SSequenceTrace(n=3, seed=5, final=0, residues=(5, 23, 0))"
+        small = Verdict("composite", "pepin", witness=-(10**4299), proven=False)
+        assert repr(small) == f"Verdict(classification='composite', method='pepin', witness={-(10**4299)}, proven=False)"
+    finally:
+        sys.set_int_max_str_digits(limit)
