@@ -29,9 +29,10 @@ INLINE_LIMIT = 4096
 
 # Every command in README's CLI block, the two heavy jobs of the benchmark,
 # uv-mod rows on F_12, whose fast doubling runs on libgmp (as from F_11 on),
-# the congruence, rank and identity suites at scale, in human form and with
-# zero checks, and libgmp paths the rows above leave out: chains mod 2^m - 1
-# with 64 not dividing m (M_4423 prime, M_4093 composite, M_1999, and M_2111
+# the congruence, rank and identity suites at scale (the congruences also
+# from the tallest start table, t = 10), in human form and with zero checks,
+# and libgmp paths the rows above leave out: chains mod 2^m - 1 with 64 not
+# dividing m (M_4423 prime, M_4093 composite, M_1999, and M_2111
 # and M_2113, where the fold multiplies the high part by 2^t with t = 1 and
 # t = 63), Pepin mod F_12, verify traces to F_12, a full uv_mod ladder
 # mod F_12 whose all-ones index halves at every bit, and each --human line
@@ -61,6 +62,7 @@ COMMANDS = (
     "table uv-mod --modulus-fermat 12 --indices 0,1,2,4095,65535,170141183460469231731687303715884105727 --params 3,-1",
     "table uv-mod --modulus-fermat 12 --indices 0,1,2,4095,65535,170141183460469231731687303715884105727 --params 18446744073709551629,1",
     "verify congruences --p-max 20000",
+    "verify congruences --p-max 200000",
     "--human verify congruences",
     "--human verify rank",
     "--human verify identities --m-max 9 --n-max 9",
