@@ -214,30 +214,36 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # Records legitimately carry multi-thousand-digit integers (e.g. the
-    # witness residue for F_14); lift the int-to-str conversion guard.
-    if hasattr(sys, "set_int_max_str_digits"):
+    # Records legitimately carry multi-thousand-digit integers (e.g. the witness
+    # residue for F_14): lift the int-to-str conversion guard for this call, and
+    # give the caller's limit back on every way out (Python 3.10 has none).
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
         sys.set_int_max_str_digits(0)
-    # The parser is built once per process; the handler is looked up per call.
-    args = build_parser().parse_args(argv)
-    handler = {"test": _cmd_test, "table": _cmd_table, "verify": _cmd_verify, "rank": _cmd_rank}[args.command]
-    t0 = time.perf_counter()
     try:
-        inputs, result = handler(args)
-        record = {"command": args.command, "inputs": inputs, "result": result}
-        if args.human:
-            lines = _human_lines(record)
-            while batch := list(islice(lines, _BATCH)):
-                sys.stdout.write("\n".join(batch) + "\n")
-        else:
-            _write_json(record, t0)
-    except (ValueError, InconclusiveError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except MemoryError:
-        print("error: out of memory", file=sys.stderr)
-        return 2
-    return _exit_code(record)
+        # The parser is built once per process; the handler is looked up per call.
+        args = build_parser().parse_args(argv)
+        handler = {"test": _cmd_test, "table": _cmd_table, "verify": _cmd_verify, "rank": _cmd_rank}[args.command]
+        t0 = time.perf_counter()
+        try:
+            inputs, result = handler(args)
+            record = {"command": args.command, "inputs": inputs, "result": result}
+            if args.human:
+                lines = _human_lines(record)
+                while batch := list(islice(lines, _BATCH)):
+                    sys.stdout.write("\n".join(batch) + "\n")
+            else:
+                _write_json(record, t0)
+        except (ValueError, InconclusiveError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except MemoryError:
+            print("error: out of memory", file=sys.stderr)
+            return 2
+        return _exit_code(record)
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 # The result key whose items a handler yields lazily.  It sorts first in its

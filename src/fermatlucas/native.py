@@ -121,31 +121,34 @@ def _uv_ladder(
     starts at the index k of n's top t bits in `start`, the exact pairs at 0..2^t - 1 (t >= 0) from
     `lucas.lehmer_pairs_exact(params, 2^t - 1)`, so many walks share one table.  Doubling k subtracts
     2Q^k, so Q = +-1 has a loop of its own with no Q^k (2Q at odd k, 2 at even k): one loop lost that gain.
+    A step to 2k + 1 halves R*u + v into u and takes v as that u less 2Q times the old u, which is
+    (D*u + v)/2 as D = R - 4Q: one halving, and no D.
     """
+    s = n.bit_length() - len(start).bit_length() + 1  # bitlen(n) - t: the bits the walk doubles over
+    if s <= 0:  # n < 2^t: the table holds the pair
+        _, u, v = start[n]
+        return u % N, v % N
     R, Q = params
-    D = R - 4 * Q
+    q2 = 2 * Q
     M = N if N.bit_length() <= FOLD_MIN_BITS or (m := fermat_form_exponent(N)) is None else _FermatFold(m)
-    t = len(start).bit_length() - 1
-    k = n >> max(n.bit_length() - t, 0)
+    k = n >> s
     _, u, v = start[k]
     u, v, k_odd = u % M, v % M, k & 1  # the pair at k and k's parity
-    if k == n:  # n < 2^t: the table holds the pair
-        return u, v
     if Q * Q == 1:
-        for bit in bin(n)[2 + t:]:
-            u, v = u * v % M, (R * v * v - 2 * Q if k_odd else v * v - 2) % M
+        for bit in bin(n)[-s:]:
+            u, v = u * v % M, (R * v * v - q2 if k_odd else v * v - 2) % M
             if k_odd := bit == "1":  # k <- 2k + 1
-                u, v = (R * u + v) % M, (D * u + v) % M
-                u = (u + N if u & 1 else u) >> 1
-                v = (v + N if v & 1 else v) >> 1
+                x = (R * u + v) % M
+                x = (x + N if x & 1 else x) >> 1
+                u, v = x, (x - q2 * u) % M
         return u, v
     qk = Q**k % M  # Q^k, k < 2^t
-    for bit in bin(n)[2 + t:]:
+    for bit in bin(n)[-s:]:
         u, v = u * v % M, ((R * v * v if k_odd else v * v) - 2 * qk) % M
         qk, k_odd = qk * qk % M, False
         if bit == "1":
-            u, v = (R * u + v) % M, (D * u + v) % M
-            u = (u + N if u & 1 else u) >> 1
-            v = (v + N if v & 1 else v) >> 1
+            x = (R * u + v) % M
+            x = (x + N if x & 1 else x) >> 1
+            u, v = x, (x - q2 * u) % M
             qk, k_odd = qk * Q, True  # reduced with the next square
     return u, v

@@ -372,11 +372,12 @@ def _congruence_rows(
             inv = Q * (p + 1) // 2 if unit else pow(2 * Q, -1, p)
             u_p, v_p, v_expected = (R * u_idx - v_idx) * inv % p, (v_idx - D * u_idx) * inv % p, 2 * sig * Q
         name, x = ("v_vanishes_at_half", v) if sig == -tau else ("u_vanishes_at_half", u)
+        eps_p, sig_p, v_expected = eps % p, sig % p, v_expected % p  # u_p, v_p and v_idx are reduced too
         yield p, (
-            ("u_at_p", p, eps % p, u_p, (u_p - eps) % p == 0),
-            ("v_at_p", p, sig % p, v_p, (v_p - sig) % p == 0),
+            ("u_at_p", p, eps_p, u_p, u_p == eps_p),
+            ("v_at_p", p, sig_p, v_p, v_p == sig_p),
             ("u_vanishes", idx, 0, u_idx, u_idx == 0),
-            ("v_at_even_index", idx, v_expected % p, v_idx, (v_idx - v_expected) % p == 0),
+            ("v_at_even_index", idx, v_expected, v_idx, v_idx == v_expected),
             (name, half, 0, x, x == 0),
         )
 

@@ -7,6 +7,7 @@ candidate moduli may well be composite, and the two coincide on primes.
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
@@ -50,6 +51,19 @@ def jacobi_period(a: int) -> list[int]:
     at even r are 0; no odd n reads them.
     """
     return [jacobi(a, r) if r % 2 else 0 for r in range(4 * abs(a))]
+
+
+def symbol_table(params: LucasParams) -> list[SymbolTriple | None]:
+    """The triple at each r = 0..P - 1, P the lcm of the periods of (D/n), (R/n) and (Q/n).
+
+    On odd n >= 3, table[n % P] is symbol_triple(params, n), or None where
+    that triple holds a 0 (n shares a factor with QRD); even r hold None.
+    One `jacobi_period` per numerator: P = 84 for (7, 1) and (3, -1).
+    """
+    d, r, q = (jacobi_period(a) for a in (params.D, params.R, params.Q))
+    period = math.lcm(len(d), len(r), len(q))
+    triples = (SymbolTriple(d[i % len(d)], r[i % len(r)], q[i % len(q)]) for i in range(period))
+    return [None if 0 in triple else triple for triple in triples]
 
 
 def symbol_triple(params: LucasParams, n: int) -> SymbolTriple:

@@ -33,7 +33,7 @@ from .primality import (
     s_sequence,
 )
 from .quadratic import qscale
-from .symbols import jacobi_period
+from .symbols import symbol_table
 
 
 def _check(name: str, ok: bool, detail: str | None = None) -> dict:
@@ -146,11 +146,10 @@ def congruences(*, p_max: int = 2000) -> Iterator[dict]:
     for params in (STANDARD_PARAMS, ALTERNATE_PARAMS):
         prefix = f"congruences_R{params.R}_Q{params.Q}_p"
         start = lehmer_pairs_exact(params, (1 << t) - 1)
-        d, r, q = (jacobi_period(a) for a in (params.D, params.R, params.Q))
-        nd, nr, nq = len(d), len(r), len(q)
-        # Sieved, so prime by construction; a 0 in the triple means p divides QRD.
-        primes = ((p, triple) for p in _odd_primes(flags)
-                  if 0 not in (triple := (d[p % nd], r[p % nr], q[p % nq])))
+        triples = symbol_table(params)
+        period = len(triples)
+        # Sieved, so prime by construction; None in place of a triple means p divides QRD.
+        primes = ((p, triple) for p in _odd_primes(flags) if (triple := triples[p % period]))
         for p, (c1, c2, c3, c4, c5) in _congruence_rows(params, primes, start):
             if c1[4] and c2[4] and c3[4] and c4[4] and c5[4]:  # each row's `passed`; a pass builds no list
                 yield _check(prefix + str(p), True)

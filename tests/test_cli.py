@@ -959,3 +959,49 @@ def test_cli_import_loads_no_inspect_dataclasses_or_ctypes():
     added = set(proc.stdout.split())
     assert "fermatlucas.cli" in added
     assert not added & {"inspect", "dataclasses", "ctypes"}, sorted(added)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit")
+def test_main_gives_the_callers_digit_limit_back(capsys, monkeypatch):
+    # main lifts Python's int-to-str limit while it writes a record, and hands the caller's
+    # limit back on every way out: a record, a refusal, an argparse exit, running out of
+    # memory and a reader gone.  F_14's witness (4932 digits) is past the default 4300.
+    from fermatlucas import cli
+    from test_cli_golden import capture, _golden
+
+    default = sys.int_info.default_max_str_digits
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(default)
+    try:
+        assert capture("test fermat 14") == _golden()["test fermat 14"]  # the witness in full
+        assert sys.get_int_max_str_digits() == default
+        for argv in (["test", "fermat", "14"], ["--human", "test", "fermat", "14"]):
+            assert cli.main(argv) == 1
+            assert sys.get_int_max_str_digits() == default
+        json_out, _, human_out = capsys.readouterr().out.splitlines()
+        [digits] = re.findall(r'"witness": (\d+)', json_out)
+        assert len(digits) == 4932 and human_out == f"witness residue: {digits}"
+
+        assert cli.main(["verify", "congruences", "--p-max", "3"]) == 2  # zero checks: refused
+        assert sys.get_int_max_str_digits() == default
+        with pytest.raises(SystemExit):
+            cli.main(["test", "fermat", "3", "--no-such-flag"])
+        assert sys.get_int_max_str_digits() == default
+
+        def out_of_memory(args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "_cmd_rank", out_of_memory)
+        assert cli.main(["rank", "17"]) == 2
+        assert sys.get_int_max_str_digits() == default
+
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        with pytest.raises(BrokenPipeError):
+            cli.main(["test", "fermat", "3"])
+        assert sys.get_int_max_str_digits() == default
+    finally:
+        sys.set_int_max_str_digits(limit)

@@ -415,12 +415,10 @@ def test_ladder_from_exact_start_tables_matches_the_default_start(params):
                 assert _uv_ladder(params, n, N, start) == _uv_ladder(params, n, N), (t, N, n)
 
 
-@pytest.mark.parametrize("params", [P7, P3], ids=["R7_Q1", "R3_Q-1"])
-def test_unit_q_ladder_matches_stepped_pairs_at_every_start_height(params):
-    # The Q = +-1 loop against `iter_pairs`, not against the ladder itself: with Q = -1
-    # a doubling subtracts 2Q at odd k and 2 at even k, with Q = 1 both are 2.
+def assert_ladder_matches_stepped_pairs_at_every_start_height(params, moduli):
+    """The int ladder from each start table (t = 0..10) against `iter_pairs`, not against the ladder itself."""
     rng = random.Random(48)
-    for N in START_TABLE_MODULI:
+    for N in moduli:
         stepped = list(itertools.islice(iter_pairs(params, N), 1 << 12))
         for t in range(11):
             start, top = lehmer_pairs_exact(params, (1 << t) - 1), 1 << t
@@ -429,6 +427,21 @@ def test_unit_q_ladder_matches_stepped_pairs_at_every_start_height(params):
             indices |= {rng.randrange(top, 1 << 12) for _ in range(6)}
             for n in sorted(indices):
                 assert _uv_ladder(params, n, N, start) == stepped[n][1:], (t, N, n)
+
+
+@pytest.mark.parametrize("params", [P7, P3], ids=["R7_Q1", "R3_Q-1"])
+def test_unit_q_ladder_matches_stepped_pairs_at_every_start_height(params):
+    # The Q = +-1 loop: with Q = -1 a doubling subtracts 2Q at odd k and 2 at even k,
+    # with Q = 1 both are 2.
+    assert_ladder_matches_stepped_pairs_at_every_start_height(params, START_TABLE_MODULI)
+
+
+@pytest.mark.parametrize("params", [LucasParams(5, 2), LucasParams(11, -3)], ids=["R5_Q2", "R11_Q-3"])
+def test_general_q_ladder_matches_stepped_pairs_at_every_start_height(params):
+    # The loop that carries Q^k, from Q^k mod N at the table's index k < 2^t, on the moduli
+    # coprime to Q; stepping never forms Q^k.
+    moduli = [N for N in START_TABLE_MODULI if math.gcd(N, params.Q) == 1]
+    assert_ladder_matches_stepped_pairs_at_every_start_height(params, moduli)
 
 
 @pytest.mark.parametrize("params", [P7, P3, LucasParams(5, 2)], ids=["R7_Q1", "R3_Q-1", "R5_Q2"])

@@ -1,10 +1,18 @@
+import math
 import random
 
 import pytest
 
 from fermatlucas.lucas import ALTERNATE_PARAMS, STANDARD_PARAMS, LucasParams
 from fermatlucas.primality import fermat_number
-from fermatlucas.symbols import SymbolTriple, fermat_symbols_closed_form, jacobi, jacobi_period, symbol_triple
+from fermatlucas.symbols import (
+    SymbolTriple,
+    fermat_symbols_closed_form,
+    jacobi,
+    jacobi_period,
+    symbol_table,
+    symbol_triple,
+)
 
 
 def _sieve(limit):
@@ -64,6 +72,20 @@ def test_jacobi_period_covers_every_odd_denominator():
         for n in range(1, 12 * abs(a), 2):
             assert table[n % len(table)] == jacobi(a, n), (a, n)
 
+
+
+@pytest.mark.parametrize("params", [LucasParams(7, 1), LucasParams(3, -1), LucasParams(5, 2), LucasParams(11, -3)],
+                         ids=["R7_Q1", "R3_Q-1", "R5_Q2", "R11_Q-3"])
+def test_symbol_table_holds_each_triple_at_n_mod_its_period(params):
+    # One table over the lcm of the three Jacobi periods: 84 classes for the suite's
+    # (7, 1) and (3, -1), 120 for (5, 2) and 3036 for (11, -3).
+    table = symbol_table(params)
+    assert len(table) == math.lcm(4 * abs(params.D), 4 * abs(params.R), 4 * abs(params.Q))
+    for n in range(3, 4 * len(table), 2):
+        triple = symbol_triple(params, n)
+        entry = table[n % len(table)]
+        assert entry == (None if 0 in triple else triple), n
+    assert all(entry is None for entry in table[::2])
 
 def test_jacobi_multiplicative_in_numerator():
     rng = random.Random(42)

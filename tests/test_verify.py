@@ -190,6 +190,21 @@ def test_wrong_ladder_residue_fails_exactly_that_prime(monkeypatch):
         assert "u_vanishes" in check.get("detail") and "v_at_even_index" not in check.get("detail")
 
 
+def test_wrong_ladder_v_fails_the_even_index_row(monkeypatch):
+    # A wrong v at (p - se)/2 reaches v_idx, so each set's prime fails v_at_even_index with the rest.
+    ladder = primality._uv_ladder
+    bad_p = 1009
+
+    def perturbed(params, n, N, start):
+        u, v = ladder(params, n, N, start)
+        return (u, (v + 1) % N) if N == bad_p else (u, v)
+
+    monkeypatch.setattr(primality, "_uv_ladder", perturbed)
+    failed = [c for c in verify.congruences(p_max=3000) if not c["pass"]]
+    assert [c["name"] for c in failed] == [f"congruences_R7_Q1_p{bad_p}", f"congruences_R3_Q-1_p{bad_p}"]
+    assert all("v_at_even_index" in c["detail"].split(", ") for c in failed), failed
+
+
 @pytest.mark.parametrize("row", range(5))
 def test_any_one_failed_row_fails_its_prime(monkeypatch, row):
     # The suite reads each of the five rows' `passed`: a prime fails on any one
