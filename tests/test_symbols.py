@@ -73,7 +73,6 @@ def test_jacobi_period_covers_every_odd_denominator():
             assert table[n % len(table)] == jacobi(a, n), (a, n)
 
 
-
 @pytest.mark.parametrize("params", [LucasParams(7, 1), LucasParams(3, -1), LucasParams(5, 2), LucasParams(11, -3)],
                          ids=["R7_Q1", "R3_Q-1", "R5_Q2", "R11_Q-3"])
 def test_symbol_table_holds_each_triple_at_n_mod_its_period(params):
@@ -86,6 +85,7 @@ def test_symbol_table_holds_each_triple_at_n_mod_its_period(params):
         entry = table[n % len(table)]
         assert entry == (None if 0 in triple else triple), n
     assert all(entry is None for entry in table[::2])
+
 
 def test_jacobi_multiplicative_in_numerator():
     rng = random.Random(42)
