@@ -89,13 +89,15 @@ class LehmerPair(NamedTuple):
     v_bar: int
 
     def __repr__(self) -> str:  # also `Verdict`'s and `SSequenceTrace`'s: their ints can be residues mod F_14
-        fields = []
-        for name, x in zip(self._fields, self):
-            try:
-                fields.append(f"{name}={x!r}")
-            except ValueError:  # past Python's int-to-str digit limit; hex is a valid literal too
-                fields.append(f"{name}={x:#x}")
-        return f"{type(self).__name__}({', '.join(fields)})"
+        return f"{type(self).__name__}({', '.join(f'{n}={_int_text(x)}' for n, x in zip(self._fields, self))})"
+
+
+def _int_text(x) -> str:
+    """repr(x), but an int past Python's int-to-str digit limit in hex, a valid literal too: safe in any message."""
+    try:
+        return repr(x)
+    except ValueError:
+        return f"{x:#x}"
 
 
 def _check_exact_index(max_index: int) -> None:
@@ -145,7 +147,7 @@ def iter_pairs(params: LucasParams, modulus: int | None = None, one=1) -> Iterat
     u, v = one, one            # index 1
     if modulus is not None:
         if modulus < 2:
-            raise ValueError(f"modulus must be >= 2, got {modulus}")
+            raise ValueError(f"modulus must be >= 2, got {_int_text(modulus)}")
         R, Q, vp = R % modulus, Q % modulus, vp % modulus  # 0 and 1 are already reduced
     yield LehmerPair(0, up, vp)
     k = 1
@@ -165,9 +167,9 @@ def iter_pairs(params: LucasParams, modulus: int | None = None, one=1) -> Iterat
 def _check_modulus(params: LucasParams, N: int) -> None:
     """Refuse a modulus `uv_mod` cannot take: even, below 3, or sharing a factor with Q."""
     if N < 3 or N % 2 == 0:
-        raise ValueError(f"modulus must be an odd integer >= 3, got {N}")
+        raise ValueError(f"modulus must be an odd integer >= 3, got {_int_text(N)}")
     if math.gcd(N, params.Q) != 1:
-        raise ValueError(f"modulus {N} shares a factor with Q = {params.Q}")
+        raise ValueError(f"modulus {_int_text(N)} shares a factor with Q = {params.Q}")
 
 
 def uv_mod(params: LucasParams, n: int, N: int) -> LehmerPair:
@@ -180,7 +182,7 @@ def uv_mod(params: LucasParams, n: int, N: int) -> LehmerPair:
     """
     _check_modulus(params, N)
     if n < 0:
-        raise ValueError(f"index must be >= 0, got {n}")
+        raise ValueError(f"index must be >= 0, got {_int_text(n)}")
     return LehmerPair(n, *uv_ladder(params, n, N))
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .lucas import STANDARD_PARAMS, LehmerPair, LucasParams, lehmer_pairs_exact, uv_mod
+from .lucas import STANDARD_PARAMS, LehmerPair, LucasParams, _int_text, lehmer_pairs_exact, uv_mod
 from .native import _LADDER_START, _uv_ladder, square_chain
 from .quadratic import fermat_mod
 from .symbols import symbol_triple
@@ -203,7 +203,7 @@ def is_prime(n: int) -> bool:
     if n < 1 << 20:
         return n >= 2 and trial_division(n) is None
     if n >= MR_EXACT_BOUND:
-        raise ValueError(f"{n} is not below {MR_EXACT_BOUND}; its primality cannot be proven here")
+        raise ValueError(f"{_int_text(n)} is not below {MR_EXACT_BOUND}; its primality cannot be proven here")
     s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s, d odd
     d = (n - 1) >> s
     for a in MR_BASES:
@@ -288,23 +288,24 @@ def certify_via_rank(
     check raises InconclusiveError.
     """
     if N < 3:
-        raise ValueError(f"N must be >= 3, got {N}")
+        raise ValueError(f"N must be >= 3, got {_int_text(N)}")
     if N % 2 == 0 or 0 in (triple := symbol_triple(params, N)):  # (a/N) = 0 iff gcd(a, N) > 1
-        raise ValueError(f"N = {N} shares a factor with 2*Q*R*D")
+        raise ValueError(f"N = {_int_text(N)} shares a factor with 2*Q*R*D")
     top = N - triple.sigma * triple.epsilon
     if factors is None and top & (top - 1):
-        raise ValueError(f"N - sigma*epsilon = {top} is not a power of two; supply its distinct prime factors")
+        raise ValueError(f"N - sigma*epsilon = {_int_text(top)} is not a power of two; "
+                         "supply its distinct prime factors")
     primes = sorted(set((2,) if factors is None else factors))
     remaining = top
     for q in primes:
         if q < 2 or top % q != 0:
-            raise ValueError(f"{q} is not a divisor of N - sigma*epsilon = {top}")
+            raise ValueError(f"{_int_text(q)} is not a divisor of N - sigma*epsilon = {_int_text(top)}")
         if not is_prime(q):
             raise ValueError(f"{q} is not prime; the certificate needs the prime factors of N - sigma*epsilon")
         while remaining % q == 0:
             remaining //= q
     if remaining != 1:
-        raise ValueError(f"supplied factors do not cover N - sigma*epsilon = {top} completely")
+        raise ValueError(f"supplied factors do not cover N - sigma*epsilon = {_int_text(top)} completely")
 
     u_top = uv_mod(params, top, N).u_bar
     if u_top != 0:
@@ -312,7 +313,8 @@ def certify_via_rank(
     for q in primes:
         if uv_mod(params, top // q, N).u_bar == 0:
             raise InconclusiveError(
-                f"u_bar({top}/{q}) == 0 mod {N}: rank is a proper divisor candidate, no conclusion"
+                f"u_bar({_int_text(top)}/{q}) == 0 mod {_int_text(N)}: "
+                "rank is a proper divisor candidate, no conclusion"
             )
     return Verdict("prime", "rank-certificate")
 
@@ -336,31 +338,36 @@ def lehmer_congruence_checks(params: LucasParams, p: int) -> CongruenceReport:
     (D*u' + v')/2); for se = -1, 2Q*U_{k-1} = P*U_k - V_k and
     2Q*V_{k-1} = P*V_k - D*U_k give ((R*u' - v')/(2Q), (v' - D*u')/(2Q)).
     2Q is a unit mod p, as p is odd and does not divide Q.
+    `_congruence_residues` takes that walk; p's triple is its table of one class.
     """
     if p < 3 or not is_prime(p):
-        raise ValueError(f"p must be an odd prime, got {p}")
+        raise ValueError(f"p must be an odd prime, got {_int_text(p)}")
     triple = symbol_triple(params, p)
     if 0 in triple:  # p is prime, so (a/p) = 0 exactly when p divides a
         raise ValueError(f"p = {p} divides QRD")
-    [(_, rows)] = _congruence_rows(params, [(p, triple)])
-    return CongruenceReport(p, params, *triple, tuple(map(ResidueCheck._make, rows)))
+    [(_, actual, expected)] = _congruence_residues(params, [p], [triple])
+    return CongruenceReport(p, params, *triple, _residue_checks(p, *triple, actual, expected))
 
 
-def _congruence_rows(
-    params: LucasParams, primes: Iterable[tuple[int, tuple]], start: Sequence[LehmerPair] = _LADDER_START
-) -> Iterator[tuple[int, tuple[tuple, ...]]]:
-    """(p, the rows of `lehmer_congruence_checks` at p) per odd prime p not dividing QRD, unchecked.
+def _congruence_residues(
+    params: LucasParams, primes: Iterable[int], table: Sequence, start: Sequence[LehmerPair] = _LADDER_START
+) -> Iterator[tuple[int, tuple, tuple]]:
+    """(p, actual, expected) per odd prime p in `primes` whose class p % len(table) is not None, unchecked.
 
-    `primes` yields (p, (eps, sig, tau)) and `start` is the ladder's start
-    table (see `native._uv_ladder`), both for one parameter set.  Each row is
-    a plain `ResidueCheck` tuple (name, index, expected % p, actual, passed);
-    this is the one place each congruence is decided.
+    `table` (a `symbols.symbol_table`) and the ladder's `start` table are for one parameter set.  `actual`
+    holds the residues mod p of rows 1-5 of `lehmer_congruence_checks`, from the one walk its docstring
+    derives, and `expected` their reduced right sides: p passes exactly when `actual == expected`, the
+    one place the congruences are decided.
     """
     R, Q, D = params.R, params.Q, params.D
     unit = Q * Q == 1  # then Q^h = Q^(h % 2) and 1/(2Q) = Q*(p + 1)/2, with no pow
-    for p, (eps, sig, tau) in primes:
+    period = len(table)
+    for p in primes:
+        if (triple := table[p % period]) is None:
+            continue
+        eps, sig, tau = triple
         se = sig * eps
-        half = (idx := p - se) >> 1
+        half = (p - se) >> 1
         u, v = _uv_ladder(params, half, p, start)
         u_idx = u * v % p
         q_half = (Q if half & 1 else 1) if unit else pow(Q, half, p)
@@ -371,15 +378,15 @@ def _congruence_rows(
         else:
             inv = Q * (p + 1) // 2 if unit else pow(2 * Q, -1, p)
             u_p, v_p, v_expected = (R * u_idx - v_idx) * inv % p, (v_idx - D * u_idx) * inv % p, 2 * sig * Q
-        name, x = ("v_vanishes_at_half", v) if sig == -tau else ("u_vanishes_at_half", u)
-        eps_p, sig_p, v_expected = eps % p, sig % p, v_expected % p  # u_p, v_p and v_idx are reduced too
-        yield p, (
-            ("u_at_p", p, eps_p, u_p, u_p == eps_p),
-            ("v_at_p", p, sig_p, v_p, v_p == sig_p),
-            ("u_vanishes", idx, 0, u_idx, u_idx == 0),
-            ("v_at_even_index", idx, v_expected, v_idx, v_idx == v_expected),
-            (name, half, 0, x, x == 0),
-        )
+        yield p, (u_p, v_p, u_idx, v_idx, v if sig == -tau else u), (eps % p, sig % p, 0, v_expected % p, 0)
+
+
+def _residue_checks(p: int, eps: int, sig: int, tau: int, actual: tuple, expected: tuple) -> tuple[ResidueCheck, ...]:
+    """The rows of `lehmer_congruence_checks` at p, from p's triple and `_congruence_residues`' two tuples for p."""
+    names = "u_at_p", "v_at_p", "u_vanishes", "v_at_even_index", f"{'v' if sig == -tau else 'u'}_vanishes_at_half"
+    idx = p - sig * eps
+    passed = map(int.__eq__, actual, expected)
+    return tuple(map(ResidueCheck, names, (p, p, idx, idx, idx >> 1), expected, actual, passed))
 
 
 def appendix_residues(params: LucasParams, n: int) -> tuple[ResidueCheck, ...]:

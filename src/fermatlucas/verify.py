@@ -23,7 +23,8 @@ from .lucas import (
 )
 from .native import _uv_ladder
 from .primality import (
-    _congruence_rows,
+    _congruence_residues,
+    _residue_checks,
     _u_zeros,
     appendix_residues,
     certify_via_rank,
@@ -136,25 +137,23 @@ def congruences(*, p_max: int = 2000) -> Iterator[dict]:
         raise ValueError(f"p_max must be <= {sys.maxsize}, got {p_max}")
     flags = _odd_prime_flags(p_max)
     # Every walk starts from the exact pairs at its index's top t bits.  The suite in ms
-    # by t, best of 4-15 round-robin calls (2-CPU sandbox, Python 3.11.7), * the rule's t:
-    #     p_max     t = 7   8      9      10     11     12     13
-    #     20,000    16.7    15.6   15.2*  15.5   17.7   25.9   48.9   (t = 9 and 10 swap places between runs)
-    #     200,000   185     185    170    170*   173    207    277
-    #     10^6      909     833    791    775*   787    900    1112
-    # This rule picks the best t or ties it at each; built after the sieve, which refuses a huge p_max.
+    # by t, median of 15-31 round-robin calls (2-CPU sandbox, Python 3.11.7), * the rule's t:
+    #     p_max     t = 7   8      9      10     11     12
+    #     20,000    17.1    16.3   16.0*  16.4   20.8   31.0
+    #     200,000   181     164    153    154*   166    196
+    #     10^6      861     817    785    785*   804    932
+    # This rule picks the best t or ties it within 1% at each; built after the sieve, which refuses a huge p_max.
     t = min(p_max.bit_length() // 2 + 2, 10)
     for params in (STANDARD_PARAMS, ALTERNATE_PARAMS):
         prefix = f"congruences_R{params.R}_Q{params.Q}_p"
-        start = lehmer_pairs_exact(params, (1 << t) - 1)
-        triples = symbol_table(params)
-        period = len(triples)
-        # Sieved, so prime by construction; None in place of a triple means p divides QRD.
-        primes = ((p, triple) for p in _odd_primes(flags) if (triple := triples[p % period]))
-        for p, (c1, c2, c3, c4, c5) in _congruence_rows(params, primes, start):
-            if c1[4] and c2[4] and c3[4] and c4[4] and c5[4]:  # each row's `passed`; a pass builds no list
+        table, start = symbol_table(params), lehmer_pairs_exact(params, (1 << t) - 1)
+        # Sieved, so prime by construction; the core skips a p whose class is None (p divides QRD).
+        for p, actual, expected in _congruence_residues(params, _odd_primes(flags), table, start):
+            if actual == expected:  # a pass builds no row
                 yield _check(prefix + str(p), True)
             else:
-                yield _check(prefix + str(p), False, ", ".join(c[0] for c in (c1, c2, c3, c4, c5) if not c[4]))
+                checks = _residue_checks(p, *table[p % len(table)], actual, expected)
+                yield _check(prefix + str(p), False, ", ".join(c.name for c in checks if not c.passed))
 
 
 def appendix(*, n: int | None = None) -> Iterator[dict]:

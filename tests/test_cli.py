@@ -799,7 +799,7 @@ def test_check_records_are_the_bytes_json_dumps_writes(monkeypatch, capsys):
     # One forced failure per suite, as the failure tests force them: a detail where the
     # failed check has one (congruences, appendix), none where it has none (traces), and
     # each kind once where the suite has both (identities, rank).
-    pairs, rows, residues, ranks, certify = (verify.lehmer_pairs_exact, verify._congruence_rows,
+    pairs, core, residues, ranks, certify = (verify.lehmer_pairs_exact, verify._congruence_residues,
                                              verify.appendix_residues, verify.rank_of_apparition,
                                              verify.certify_via_rank)
 
@@ -808,9 +808,9 @@ def test_check_records_are_the_bytes_json_dumps_writes(monkeypatch, capsys):
         table[151] = LehmerPair(151, table[151].u_bar, table[151].v_bar + table[151].u_bar)
         return table
 
-    def failed_row(params, primes, start):
-        for p, (c1, *rest) in rows(params, primes, start):
-            yield p, ((*c1[:4], p != 1009), *rest)
+    def failed_row(params, primes, table, start):
+        for p, (u_p, *rest), expected in core(params, primes, table, start):
+            yield p, ((u_p + (p == 1009)) % p, *rest), expected
 
     def failed_residue(params, k):
         first, *rest = residues(params, k)
@@ -824,7 +824,7 @@ def test_check_records_are_the_bytes_json_dumps_writes(monkeypatch, capsys):
     for suite, bounds, stubs in [
         ("identities", {"m_max": 2, "n_max": 2},
          {"lehmer_pairs_exact": perturbed_pairs, "alternate_params_pair": lambda n, pairs7: None}),
-        ("congruences", {"p_max": 1100}, {"_congruence_rows": failed_row}),
+        ("congruences", {"p_max": 1100}, {"_congruence_residues": failed_row}),
         ("appendix", {"n": 2}, {"appendix_residues": failed_residue}),
         ("rank", {}, {"rank_of_apparition": perturbed_omega,
                       "certify_via_rank": lambda params, N: certify(params, N)._replace(classification="composite")}),

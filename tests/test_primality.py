@@ -38,7 +38,7 @@ from fermatlucas.primality import (
     trial_division,
     _u_zeros,
 )
-from fermatlucas.symbols import jacobi, symbol_triple
+from fermatlucas.symbols import jacobi, symbol_table, symbol_triple
 
 from golden_data import TRACES
 
@@ -540,6 +540,77 @@ def test_one_walk_congruence_report_matches_three_walks(R, Q):
         assert all(type(c) is ResidueCheck for c in r.checks)
         signs.add(r.sigma * r.epsilon)
     assert signs == {1, -1}
+
+
+@pytest.mark.parametrize("R, Q", [(7, 1), (3, -1), (5, 2), (11, -3)])
+def test_core_residues_decide_what_the_rows_decide(R, Q):
+    # The suite's core yields two tuples per prime and passes it when they are equal;
+    # the report's rows must hold the same residues and decide the same way.  (5, 2)
+    # and (11, -3) take the core's pow route for Q^h and 1/(2Q).
+    params = LucasParams(R, Q)
+    primes = [p for p in range(3, 3000, 2) if is_prime(p)]
+    kept = [p for p in primes if (params.Q * params.R * params.D) % p]
+    table, start = symbol_table(params), primality.lehmer_pairs_exact(params, 63)
+    out = list(primality._congruence_residues(params, primes, table, start))
+    assert [p for p, _, _ in out] == kept  # the core skips a prime whose class is None itself
+    for p, actual, expected in out:
+        report = lehmer_congruence_checks(params, p)
+        assert (actual == expected) == report.ok
+        assert tuple(c.actual for c in report.checks) == actual
+        assert tuple(c.expected for c in report.checks) == expected
+        names = [c.name for c in report.checks]
+        for row in range(5):
+            wrong = tuple((a + 1) % p if i == row else a for i, a in enumerate(actual))
+            checks = primality._residue_checks(p, *table[p % len(table)], wrong, expected)
+            assert wrong != expected
+            assert [c.name for c in checks if not c.passed] == [names[row]]
+
+
+BIG = 10**4400  # past Python's default int-to-str limit of 4300 digits
+
+
+def uninformative_uv_mod(params, n, N):
+    return LehmerPair(n, 0, 0)  # every u_bar zero: the certificate cannot conclude
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit")
+@pytest.mark.parametrize("call, message", [
+    (lambda: uv_mod(LucasParams(5, 3), 1, 3 * 10**5000 + 3), "modulus 0x.* shares a factor with Q = 3"),
+    (lambda: uv_mod(P7, 1, 2 * BIG), "modulus must be an odd integer >= 3, got 0x"),
+    (lambda: uv_mod(P7, -BIG, 5), "index must be >= 0, got -0x"),
+    (lambda: next(iter_pairs(P7, -BIG)), "modulus must be >= 2, got -0x"),
+    (lambda: certify_via_rank(P7, -BIG), "N must be >= 3, got -0x"),
+    (lambda: certify_via_rank(P7, 3 * BIG + 3), r"N = 0x.* shares a factor with 2\*Q\*R\*D"),
+    (lambda: certify_via_rank(P7, BIG + 1), r"N - sigma\*epsilon = 0x.* is not a power of two"),
+    (lambda: certify_via_rank(P7, BIG + 1, factors=(-BIG,)), r"-0x.* is not a divisor of N - sigma\*epsilon = 0x"),
+    (lambda: certify_via_rank(P7, BIG + 1, factors=(2,)), r"do not cover N - sigma\*epsilon = 0x"),
+    (lambda: is_prime(BIG), "0x.* is not below"),
+    (lambda: lehmer_congruence_checks(P7, -BIG), "p must be an odd prime, got -0x"),
+], ids=["uv_mod_Q", "uv_mod_parity", "uv_mod_index", "iter_pairs", "certify_size", "certify_2qrd",
+        "certify_top", "certify_divisor", "certify_cover", "is_prime", "congruence_checks"])
+def test_refusals_write_ints_past_the_digit_limit_in_hex(call, message):
+    # Under the default limit a refusal must still be the refusal, not the
+    # ValueError that str() raises on the caller's int.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    try:
+        with pytest.raises(ValueError, match=message):
+            call()
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit")
+def test_inconclusive_certificate_writes_ints_past_the_digit_limit_in_hex(monkeypatch):
+    # F_14 has 4933 digits; with every u_bar zero the certificate reaches its InconclusiveError.
+    monkeypatch.setattr(primality, "uv_mod", uninformative_uv_mod)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    try:
+        with pytest.raises(InconclusiveError, match=r"u_bar\(0x1(0{4096})/2\) == 0 mod 0x1(0{4095})1:"):
+            certify_via_rank(P7, fermat_number(14))
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 @pytest.mark.parametrize("params", [STANDARD_PARAMS, ALTERNATE_PARAMS], ids=["R7_Q1", "R3_Q-1"])

@@ -207,17 +207,17 @@ def test_wrong_ladder_v_fails_the_even_index_row(monkeypatch):
 
 @pytest.mark.parametrize("row", range(5))
 def test_any_one_failed_row_fails_its_prime(monkeypatch, row):
-    # The suite reads each of the five rows' `passed`: a prime fails on any one
-    # of them alone, and its detail names that row.
-    core, bad_p = verify._congruence_rows, 1009
+    # The suite compares all five residues with their expected values: a prime
+    # fails on any one of them alone, and its detail names that row.
+    core, bad_p = verify._congruence_residues, 1009
 
-    def one_row_failed(params, primes, start):
-        for p, rows in core(params, primes, start):
+    def one_row_failed(params, primes, table, start):
+        for p, actual, expected in core(params, primes, table, start):
             if p == bad_p:
-                rows = tuple(r[:4] + (False,) if i == row else r for i, r in enumerate(rows))
-            yield p, rows
+                actual = tuple((a + 1) % p if i == row else a for i, a in enumerate(actual))
+            yield p, actual, expected
 
-    monkeypatch.setattr(verify, "_congruence_rows", one_row_failed)
+    monkeypatch.setattr(verify, "_congruence_residues", one_row_failed)
     failed = [c for c in verify.congruences(p_max=1100) if not c["pass"]]
     assert failed == [
         {"name": f"congruences_R{params.R}_Q{params.Q}_p{bad_p}", "pass": False,
