@@ -13,6 +13,7 @@ from fermatlucas.lucas import (
     LehmerPair,
     LucasParams,
     iter_pairs,
+    lehmer_pairs_exact,
     uv_mod,
 )
 from fermatlucas.primality import (
@@ -550,7 +551,7 @@ def test_core_residues_decide_what_the_rows_decide(R, Q):
     params = LucasParams(R, Q)
     primes = [p for p in range(3, 3000, 2) if is_prime(p)]
     kept = [p for p in primes if (params.Q * params.R * params.D) % p]
-    table, start = symbol_table(params), primality.lehmer_pairs_exact(params, 63)
+    table, start = symbol_table(params), lehmer_pairs_exact(params, 63)
     out = list(primality._congruence_residues(params, primes, table, start))
     assert [p for p, _, _ in out] == kept  # the core skips a prime whose class is None itself
     for p, actual, expected in out:
