@@ -26,6 +26,7 @@ from .quadratic import (
     SQRT,
     ZERO,
     QuadInt,
+    _int_text,
     is_perfect_square,
     qadd,
     qmul,
@@ -57,13 +58,13 @@ class LucasParams(_Params):
 
     def __new__(cls, R: int, Q: int):
         if R <= 0 or is_perfect_square(R):
-            raise ValueError(f"R must be a positive non-square, got {R}")
+            raise ValueError(f"R must be a positive non-square, got {_int_text(R)}")
         if Q == 0:
             raise ValueError("Q must be nonzero")
         # This also keeps D = R - 4Q nonzero: R = 4Q with gcd(R, Q) = 1 forces
         # Q = +-1, and R = 4 is a square, R = -4 not positive.
         if math.gcd(R, Q) != 1:
-            raise ValueError(f"R and Q must be coprime, got ({R}, {Q})")
+            raise ValueError(f"R and Q must be coprime, got ({_int_text(R)}, {_int_text(Q)})")
         return super().__new__(cls, R, Q)
 
     @classmethod
@@ -92,19 +93,11 @@ class LehmerPair(NamedTuple):
         return f"{type(self).__name__}({', '.join(f'{n}={_int_text(x)}' for n, x in zip(self._fields, self))})"
 
 
-def _int_text(x) -> str:
-    """repr(x), but an int past Python's int-to-str digit limit in hex, a valid literal too: safe in any message."""
-    try:
-        return repr(x)
-    except ValueError:
-        return f"{x:#x}"
-
-
 def _check_exact_index(max_index: int) -> None:
     if max_index < 0:
-        raise ValueError(f"index must be >= 0, got {max_index}")
+        raise ValueError(f"index must be >= 0, got {_int_text(max_index)}")
     if max_index > EXACT_INDEX_CAP:
-        raise ValueError(f"exact evaluation is capped at index {EXACT_INDEX_CAP}, got {max_index}")
+        raise ValueError(f"exact evaluation is capped at index {EXACT_INDEX_CAP}, got {_int_text(max_index)}")
 
 
 def iter_uv_exact(params: LucasParams, max_index: int) -> Iterator[tuple[int, QuadInt, QuadInt]]:
@@ -169,7 +162,7 @@ def _check_modulus(params: LucasParams, N: int) -> None:
     if N < 3 or N % 2 == 0:
         raise ValueError(f"modulus must be an odd integer >= 3, got {_int_text(N)}")
     if math.gcd(N, params.Q) != 1:
-        raise ValueError(f"modulus {_int_text(N)} shares a factor with Q = {params.Q}")
+        raise ValueError(f"modulus {_int_text(N)} shares a factor with Q = {_int_text(params.Q)}")
 
 
 def uv_mod(params: LucasParams, n: int, N: int) -> LehmerPair:
@@ -193,7 +186,7 @@ def s_from_v(k: int, N: int) -> int:
     evaluated by fast doubling.
     """
     if k < 0:
-        raise ValueError(f"chain index must be >= 0, got {k}")
+        raise ValueError(f"chain index must be >= 0, got {_int_text(k)}")
     return uv_mod(STANDARD_PARAMS, 1 << (k + 1), N).v_bar
 
 
@@ -218,7 +211,7 @@ def sum_identity_holds(
     exact table checks every (m, n) without re-stepping the recurrence.
     """
     if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+        raise ValueError(f"m must be >= 1, got {_int_text(m)}")
     u_side, v_side = ZERO, ONE
     for _ in range(m):
         u_side, v_side = _sum_identity_step(params, u_side, v_side, Un, Vn)
@@ -233,9 +226,9 @@ def alternate_params_pair(n: int, pairs: Sequence[LehmerPair]) -> LehmerPair:
     reach index n.
     """
     if n < 0:
-        raise ValueError(f"index must be >= 0, got {n}")
+        raise ValueError(f"index must be >= 0, got {_int_text(n)}")
     if n >= len(pairs) or pairs[n].index != n:
-        raise ValueError(f"no pair with index {n} at position {n}")
+        raise ValueError(f"no pair with index {_int_text(n)} at position {_int_text(n)}")
     p = pairs[n]
     if n % 2:
         return LehmerPair(n, p.v_bar, p.u_bar)

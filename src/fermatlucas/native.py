@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
-from .quadratic import fermat_form_exponent, fermat_mod, mersenne_mod
+from .quadratic import _int_text, fermat_form_exponent, fermat_mod, mersenne_mod
 
 # The two moduli the paper uses (`takes`) with GMP_MIN_BITS <= m <=
 # GMP_MAX_BITS run on libgmp when it loads; other 2^m +- 1 run on Python
@@ -58,7 +58,7 @@ def square_chain(x: int, steps: int, c: int, m: int, sign: int) -> int:
     both return the same canonical residue.
     """
     if sign not in (1, -1):
-        raise ValueError(f"sign must be +-1, got {sign}")
+        raise ValueError(f"sign must be +-1, got {_int_text(sign)}")
     native = native_kernel(m, sign)
     if native is not None:
         return native.square_chain(x, steps, c, m, sign)

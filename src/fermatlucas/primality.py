@@ -13,9 +13,9 @@ from __future__ import annotations
 import math
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .lucas import STANDARD_PARAMS, LehmerPair, LucasParams, _int_text, lehmer_pairs_exact, uv_mod
+from .lucas import STANDARD_PARAMS, LehmerPair, LucasParams, lehmer_pairs_exact, uv_mod
 from .native import _LADDER_START, _uv_ladder, square_chain
-from .quadratic import fermat_mod
+from .quadratic import _int_text, fermat_mod
 from .symbols import symbol_triple
 
 # Full traces are only kept for small indices; 2^n - 1 residues of 2^n bits
@@ -39,9 +39,9 @@ class InconclusiveError(Exception):
 def fermat_exponent(n: int) -> int:
     """e = 2^n, so F_n = 2^e + 1, for 1 <= n <= MAX_FERMAT_INDEX: the one index check, building no F_n."""
     if n < 1:
-        raise ValueError(f"Fermat index must be >= 1, got {n}")
+        raise ValueError(f"Fermat index must be >= 1, got {_int_text(n)}")
     if n > MAX_FERMAT_INDEX:
-        raise ValueError(f"Fermat index must be <= {MAX_FERMAT_INDEX}, got {n}")
+        raise ValueError(f"Fermat index must be <= {MAX_FERMAT_INDEX}, got {_int_text(n)}")
     return 1 << n
 
 
@@ -118,7 +118,7 @@ def s_sequence(n: int, keep_trace: bool = False, seed: int = PROVEN_SEED) -> SSe
     limited to n <= TRACE_INDEX_LIMIT.
     """
     if keep_trace and n > TRACE_INDEX_LIMIT:
-        raise ValueError(f"tracing is limited to n <= {TRACE_INDEX_LIMIT}, got {n}")
+        raise ValueError(f"tracing is limited to n <= {TRACE_INDEX_LIMIT}, got {_int_text(n)}")
     e = fermat_exponent(n)
     s = fermat_mod(seed, e)
     if not keep_trace:
@@ -137,7 +137,7 @@ def fermat_llt(n: int, seed: int = PROVEN_SEED, experimental: bool = False) -> V
     """
     if seed != PROVEN_SEED and not experimental:
         raise ValueError(
-            f"seed {seed} has no correctness proof; pass experimental=True to run it anyway"
+            f"seed {_int_text(seed)} has no correctness proof; pass experimental=True to run it anyway"
         )
     return _verdict("llt-fermat", s_sequence(n, seed=seed).final, 0, proven=seed == PROVEN_SEED)
 
@@ -159,16 +159,16 @@ def mersenne_llt(q: int) -> Verdict:
     would take 512 MiB there, and its q - 2 steps could not finish.
     """
     if q > 1 << MAX_FERMAT_INDEX:
-        raise ValueError(f"Mersenne exponent must be <= 2^{MAX_FERMAT_INDEX}, got {q}")
+        raise ValueError(f"Mersenne exponent must be <= 2^{MAX_FERMAT_INDEX}, got {_int_text(q)}")
     if q < 3 or not is_prime(q):
-        raise ValueError(f"exponent must be an odd prime, got {q}")
+        raise ValueError(f"exponent must be an odd prime, got {_int_text(q)}")
     return _verdict("llt-mersenne", square_chain(4, q - 2, 2, q, -1), 0)
 
 
 def trial_division(N: int) -> int | None:
     """Smallest prime factor of a composite N, or None when N is prime."""
     if N < 2:
-        raise ValueError(f"N must be >= 2, got {N}")
+        raise ValueError(f"N must be >= 2, got {_int_text(N)}")
     for d in (2, 3):
         if d * d > N:
             return None
@@ -263,11 +263,11 @@ def rank_of_apparition(params: LucasParams, m: int, cap: int = RANK_SEARCH_CAP) 
     sweep stops at the period P: omega <= P, so the search ends first.
     """
     if m < 2:
-        raise ValueError(f"m must be >= 2, got {m}")
+        raise ValueError(f"m must be >= 2, got {_int_text(m)}")
     if math.gcd(m, params.Q) != 1:
-        raise ValueError(f"m = {m} shares a factor with Q = {params.Q}")
+        raise ValueError(f"m = {_int_text(m)} shares a factor with Q = {_int_text(params.Q)}")
     if cap < 1:
-        raise ValueError(f"cap must be >= 1, got {cap}")
+        raise ValueError(f"cap must be >= 1, got {_int_text(cap)}")
     zeros = _u_zeros(params, m, cap, first=True)
     return RankResult(m, zeros[0] if zeros else None, cap)
 
@@ -402,7 +402,7 @@ def appendix_residues(params: LucasParams, n: int) -> tuple[ResidueCheck, ...]:
     if params != STANDARD_PARAMS:
         raise ValueError("the flanking pattern is stated only for parameters (7, 1)")
     if n not in (1, 2, 3, 4):
-        raise ValueError(f"the pattern needs F_n prime and prime to QRD, n in 1..4, got {n}")
+        raise ValueError(f"the pattern needs F_n prime and prime to QRD, n in 1..4, got {_int_text(n)}")
     F = fermat_number(n)
     pairs = lehmer_pairs_exact(params, 4)
     checks = []

@@ -22,6 +22,15 @@ def is_perfect_square(n: int) -> bool:
     return r * r == n
 
 
+# Here, in the one module that imports none of the package's others, so that every module's refusals can use it.
+def _int_text(x) -> str:
+    """repr(x), but an int past Python's int-to-str digit limit in hex, a valid literal too: safe in any message."""
+    try:
+        return repr(x)
+    except ValueError:
+        return f"{x:#x}"
+
+
 class QuadInt(NamedTuple):
     """The element a + b*sqrt(R); R is passed to the products, not stored."""
 
@@ -53,7 +62,7 @@ def fermat_mod(x: int, m: int) -> int:
     performed.
     """
     if m < 1:  # 2^0 + 1 = 2 folds x to -x and back, forever
-        raise ValueError(f"m must be >= 1, got {m}")
+        raise ValueError(f"m must be >= 1, got {_int_text(m)}")
     top = 1 << m
     mask = top - 1
     while x < 0 or x > top:
@@ -67,7 +76,7 @@ def mersenne_mod(x: int, q: int) -> int:
     As in `fermat_mod`, Python's >> floors, so a negative x needs no division.
     """
     if q < 1:  # 2^0 - 1 = 0: the fold would never move x
-        raise ValueError(f"q must be >= 1, got {q}")
+        raise ValueError(f"q must be >= 1, got {_int_text(q)}")
     M = (1 << q) - 1
     while x < 0 or x > M:
         x = (x & M) + (x >> q)

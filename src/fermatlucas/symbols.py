@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
+from .quadratic import _int_text
+
 if TYPE_CHECKING:
     from .lucas import LucasParams
 
@@ -26,7 +28,7 @@ def jacobi(a: int, n: int) -> int:
     Negative or oversized numerators are reduced mod n first; (0/1) = 1.
     """
     if n <= 0 or n % 2 == 0:
-        raise ValueError(f"Jacobi symbol needs an odd positive denominator, got {n}")
+        raise ValueError(f"Jacobi symbol needs an odd positive denominator, got {_int_text(n)}")
     a %= n
     result = 1
     while a:
@@ -69,7 +71,7 @@ def symbol_table(params: LucasParams) -> list[SymbolTriple | None]:
 def symbol_triple(params: LucasParams, n: int) -> SymbolTriple:
     """(epsilon, sigma, tau) for the given parameters over odd n >= 3."""
     if n < 3 or n % 2 == 0:
-        raise ValueError(f"modulus must be an odd integer >= 3, got {n}")
+        raise ValueError(f"modulus must be an odd integer >= 3, got {_int_text(n)}")
     return SymbolTriple(jacobi(params.D, n), jacobi(params.R, n), jacobi(params.Q, n))
 
 
@@ -86,5 +88,5 @@ def fermat_symbols_closed_form(n: int) -> SymbolTriple:
     - (1/F_n) = +1.
     """
     if n < 1:
-        raise ValueError(f"Fermat index must be >= 1, got {n}")
+        raise ValueError(f"Fermat index must be >= 1, got {_int_text(n)}")
     return SymbolTriple(-1, -1, 1)

@@ -33,7 +33,7 @@ from .primality import (
     rank_of_apparition,
     s_sequence,
 )
-from .quadratic import qscale
+from .quadratic import _int_text, qscale
 from .symbols import symbol_table
 
 
@@ -48,9 +48,9 @@ def identities(*, m_max: int = 9, n_max: int = 9) -> Iterator[dict]:
     """Parity structure, doubling, gcd, sum identities and the parity swap."""
     # Below these bounds no sum identity would be checked.
     if m_max < 2:
-        raise ValueError(f"m_max must be >= 2, got {m_max}")
+        raise ValueError(f"m_max must be >= 2, got {_int_text(m_max)}")
     if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
+        raise ValueError(f"n_max must be >= 1, got {_int_text(n_max)}")
     # One exact (7, 1) table serves the parity check and every sum identity; building
     # it first checks m_max*n_max against the exact-index cap before any other work.
     ring = list(iter_uv_exact(STANDARD_PARAMS, max(200, m_max * n_max)))
@@ -134,7 +134,7 @@ def _odd_primes(flags: bytes) -> Iterator[int]:
 def congruences(*, p_max: int = 2000) -> Iterator[dict]:
     """The five classical congruences at every odd prime below p_max not dividing QRD."""
     if p_max > sys.maxsize:  # past any index: refused by name, before the sieve
-        raise ValueError(f"p_max must be <= {sys.maxsize}, got {p_max}")
+        raise ValueError(f"p_max must be <= {sys.maxsize}, got {_int_text(p_max)}")
     flags = _odd_prime_flags(p_max)
     # Every walk starts from the exact pairs at its index's top t bits.  The suite in ms
     # by t, median of 15-31 round-robin calls (2-CPU sandbox, Python 3.11.7), * the rule's t:
@@ -200,7 +200,7 @@ def rank() -> Iterator[dict]:
 def traces(*, max_n: int = 8) -> Iterator[dict]:
     """Chain traces against plain `%` and the v-side bridge; final residues to max_n on the int ladder."""
     if max_n < 1:  # no final residue would be checked
-        raise ValueError(f"max_n must be >= 1, got {max_n}")
+        raise ValueError(f"max_n must be >= 1, got {_int_text(max_n)}")
     fermat_exponent(max_n)  # refuse an index out of range before any chain runs
     for n in (1, 2, 3, 4):
         F = fermat_number(n)

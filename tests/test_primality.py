@@ -5,17 +5,22 @@ from itertools import islice
 
 import pytest
 
-from fermatlucas import primality
+from fermatlucas import primality, verify
 
 from fermatlucas.lucas import (
     ALTERNATE_PARAMS,
+    EXACT_INDEX_CAP,
     STANDARD_PARAMS,
     LehmerPair,
     LucasParams,
+    alternate_params_pair,
     iter_pairs,
     lehmer_pairs_exact,
+    s_from_v,
+    sum_identity_holds,
     uv_mod,
 )
+from fermatlucas.native import square_chain
 from fermatlucas.primality import (
     MR_BASES,
     MR_EXACT_BOUND,
@@ -39,7 +44,8 @@ from fermatlucas.primality import (
     trial_division,
     _u_zeros,
 )
-from fermatlucas.symbols import jacobi, symbol_table, symbol_triple
+from fermatlucas.quadratic import ONE, ZERO, fermat_mod, mersenne_mod
+from fermatlucas.symbols import fermat_symbols_closed_form, jacobi, symbol_table, symbol_triple
 
 from golden_data import TRACES
 
@@ -565,6 +571,10 @@ def test_core_residues_decide_what_the_rows_decide(R, Q):
             checks = primality._residue_checks(p, *table[p % len(table)], wrong, expected)
             assert wrong != expected
             assert [c.name for c in checks if not c.passed] == [names[row]]
+    # Every prime below 20000 passes, from the start table the suite builds there (exact pairs to 2^9 - 1).
+    primes = [p for p in range(3, 20000, 2) if is_prime(p)]
+    out = list(primality._congruence_residues(params, primes, table, lehmer_pairs_exact(params, 511)))
+    assert len(out) > 2000 and all(actual == expected for _, actual, expected in out)
 
 
 BIG = 10**4400  # past Python's default int-to-str limit of 4300 digits
@@ -587,8 +597,44 @@ def uninformative_uv_mod(params, n, N):
     (lambda: certify_via_rank(P7, BIG + 1, factors=(2,)), r"do not cover N - sigma\*epsilon = 0x"),
     (lambda: is_prime(BIG), "0x.* is not below"),
     (lambda: lehmer_congruence_checks(P7, -BIG), "p must be an odd prime, got -0x"),
+    (lambda: fermat_exponent(-BIG), "Fermat index must be >= 1, got -0x"),
+    (lambda: fermat_exponent(BIG), f"Fermat index must be <= {MAX_FERMAT_INDEX}, got 0x"),
+    (lambda: rank_of_apparition(P7, -BIG), "m must be >= 2, got -0x"),
+    (lambda: rank_of_apparition(P7, 5, cap=-BIG), "cap must be >= 1, got -0x"),
+    (lambda: symbol_triple(P7, 2 * BIG), "modulus must be an odd integer >= 3, got 0x"),
+    (lambda: jacobi(1, 2 * BIG), "odd positive denominator, got 0x"),
+    (lambda: lehmer_pairs_exact(P7, BIG), f"capped at index {EXACT_INDEX_CAP}, got 0x"),
+    (lambda: mersenne_llt(BIG), rf"Mersenne exponent must be <= 2\^{MAX_FERMAT_INDEX}, got 0x"),
+    (lambda: s_sequence(BIG, keep_trace=True), f"tracing is limited to n <= {TRACE_INDEX_LIMIT}, got 0x"),
+    (lambda: fermat_llt(5, seed=BIG), "seed 0x.* has no correctness proof"),
+    (lambda: trial_division(-BIG), "N must be >= 2, got -0x"),
+    (lambda: s_from_v(-BIG, 7), "chain index must be >= 0, got -0x"),
+    (lambda: alternate_params_pair(-BIG, []), "index must be >= 0, got -0x"),
+    (lambda: fermat_mod(1, -BIG), "m must be >= 1, got -0x"),
+    (lambda: mersenne_mod(1, -BIG), "q must be >= 1, got -0x"),
+    (lambda: LucasParams(-BIG, 1), "R must be a positive non-square, got -0x"),
+    (lambda: LucasParams(2 * BIG, 2), r"R and Q must be coprime, got \(0x.*, 2\)"),
+    (lambda: uv_mod(LucasParams(7, 3 * BIG), 1, 3), "modulus 3 shares a factor with Q = 0x"),
+    (lambda: lehmer_pairs_exact(P7, -BIG), "index must be >= 0, got -0x"),
+    (lambda: sum_identity_holds(P7, -BIG, ZERO, ONE, ZERO, True), "m must be >= 1, got -0x"),
+    (lambda: alternate_params_pair(BIG, []), "no pair with index 0x.* at position 0x"),
+    (lambda: square_chain(1, 1, 2, 5, BIG), r"sign must be \+-1, got 0x"),
+    (lambda: mersenne_llt(-BIG), "exponent must be an odd prime, got -0x"),
+    (lambda: rank_of_apparition(LucasParams(7, 3 * BIG), 3 * BIG), "m = 0x.* shares a factor with Q = 0x"),
+    (lambda: appendix_residues(P7, BIG), "n in 1..4, got 0x"),
+    (lambda: fermat_symbols_closed_form(-BIG), "Fermat index must be >= 1, got -0x"),
+    (lambda: next(verify.identities(m_max=-BIG)), "m_max must be >= 2, got -0x"),
+    (lambda: next(verify.identities(n_max=-BIG)), "n_max must be >= 1, got -0x"),
+    (lambda: next(verify.congruences(p_max=BIG)), "p_max must be <= .*, got 0x"),
+    (lambda: next(verify.traces(max_n=-BIG)), "max_n must be >= 1, got -0x"),
 ], ids=["uv_mod_Q", "uv_mod_parity", "uv_mod_index", "iter_pairs", "certify_size", "certify_2qrd",
-        "certify_top", "certify_divisor", "certify_cover", "is_prime", "congruence_checks"])
+        "certify_top", "certify_divisor", "certify_cover", "is_prime", "congruence_checks",
+        "fermat_exponent_low", "fermat_exponent_high", "rank_m", "rank_cap", "symbol_triple", "jacobi",
+        "pairs_exact_cap", "mersenne_bound", "trace_bound", "llt_seed", "trial_division", "s_from_v",
+        "alternate_index", "fermat_mod", "mersenne_mod", "params_R", "params_coprime", "uv_mod_big_Q",
+        "pairs_exact_index", "sum_identity_m", "alternate_position", "square_chain_sign", "mersenne_prime",
+        "rank_shared_Q", "appendix_n", "closed_form_n", "identities_m", "identities_n", "congruences_p",
+        "traces_n"])
 def test_refusals_write_ints_past_the_digit_limit_in_hex(call, message):
     # Under the default limit a refusal must still be the refusal, not the
     # ValueError that str() raises on the caller's int.
