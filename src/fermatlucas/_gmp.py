@@ -31,6 +31,7 @@ import ctypes
 import functools
 
 from .native import LIMB_BITS, takes
+from .quadratic import _int_text
 
 MAX_LIMB = (1 << LIMB_BITS) - 1
 
@@ -112,7 +113,7 @@ class GmpKernel:
         """
         ring = _Ring(self, m, 1)
         if (Q := params.Q) not in (1, -1) or n < 0:
-            raise ValueError(f"need Q = +-1 and n >= 0, got Q = {Q}, n = {n}")
+            raise ValueError(f"need Q = +-1 and n >= 0, got Q = {_int_text(Q)}, n = {_int_text(n)}")
         N, ml, pl = ring.N, ring.ml, ring.pl
         R, D = params.R % N, params.D % N
         u, v, n_limbs = (ring.array(pl, value) for value in (0, 2, N))
@@ -183,7 +184,7 @@ class _Ring:
 
     def __init__(self, kernel: GmpKernel, m: int, sign: int):
         if not takes(m, sign):
-            raise ValueError(f"libgmp does not take 2^m + sign for m = {m}, sign = {sign}")
+            raise ValueError(f"libgmp does not take 2^m + sign for m = {_int_text(m)}, sign = {_int_text(sign)}")
         self.kernel = kernel
         self.N = (1 << m) + sign
         self.ml = -(-m // LIMB_BITS)

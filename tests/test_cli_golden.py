@@ -87,13 +87,19 @@ _TIMING = re.compile(r', "timing_ms": [-+.0-9eE]+\}$', re.MULTILINE)
 
 
 def capture(command: str) -> dict:
-    """Run one command in-process and reduce it to its golden entry."""
+    """Run one command in-process and reduce it to its golden entry.
+
+    A JSON record (not `--human`, exit other than 2) must end in exactly one
+    `timing_ms`, which is cut; the rest of the record is the golden's bytes.
+    """
     from fermatlucas.cli import main
 
+    argv = shlex.split(command)
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
-        code = main(shlex.split(command))
-    out = _TIMING.sub("}", buf.getvalue())
+        code = main(argv)
+    out, timings = _TIMING.subn("}", buf.getvalue())
+    assert timings == int("--human" not in argv and code != 2), f"{command!r} wrote {timings} timing_ms fields"
     entry = {"command": command, "exit": code}
     if len(out.encode()) > INLINE_LIMIT:
         entry["stdout_sha256"] = hashlib.sha256(out.encode()).hexdigest()

@@ -5,7 +5,7 @@ from itertools import islice
 
 import pytest
 
-from fermatlucas import primality, verify
+from fermatlucas import _gmp, primality, verify
 
 from fermatlucas.lucas import (
     ALTERNATE_PARAMS,
@@ -627,6 +627,10 @@ def uninformative_uv_mod(params, n, N):
     (lambda: next(verify.identities(n_max=-BIG)), "n_max must be >= 1, got -0x"),
     (lambda: next(verify.congruences(p_max=BIG)), "p_max must be <= .*, got 0x"),
     (lambda: next(verify.traces(max_n=-BIG)), "max_n must be >= 1, got -0x"),
+    # libgmp's own checks, reached before any call into libgmp, so they run without it too.
+    (lambda: _gmp._Ring(None, -BIG, 1), r"libgmp does not take 2\^m \+ sign for m = -0x.*, sign = 1"),
+    (lambda: _gmp.GmpKernel.uv_ladder(None, LucasParams(7, 2), -BIG, 64),
+     r"need Q = \+-1 and n >= 0, got Q = 2, n = -0x"),
 ], ids=["uv_mod_Q", "uv_mod_parity", "uv_mod_index", "iter_pairs", "certify_size", "certify_2qrd",
         "certify_top", "certify_divisor", "certify_cover", "is_prime", "congruence_checks",
         "fermat_exponent_low", "fermat_exponent_high", "rank_m", "rank_cap", "symbol_triple", "jacobi",
@@ -634,7 +638,7 @@ def uninformative_uv_mod(params, n, N):
         "alternate_index", "fermat_mod", "mersenne_mod", "params_R", "params_coprime", "uv_mod_big_Q",
         "pairs_exact_index", "sum_identity_m", "alternate_position", "square_chain_sign", "mersenne_prime",
         "rank_shared_Q", "appendix_n", "closed_form_n", "identities_m", "identities_n", "congruences_p",
-        "traces_n"])
+        "traces_n", "gmp_ring", "gmp_uv_ladder"])
 def test_refusals_write_ints_past_the_digit_limit_in_hex(call, message):
     # Under the default limit a refusal must still be the refusal, not the
     # ValueError that str() raises on the caller's int.
