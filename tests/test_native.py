@@ -17,6 +17,7 @@ import sys
 import types
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import cli_env, deadline
 from fermatlucas import _gmp
@@ -29,7 +30,7 @@ from fermatlucas.lucas import (
     iter_pairs,
     uv_mod,
 )
-from fermatlucas.native import GMP_MAX_BITS, GMP_MIN_BITS, native_kernel, square_chain, uv_ladder
+from fermatlucas.native import GMP_MAX_BITS, GMP_MIN_BITS, native_kernel, square_chain
 from fermatlucas.primality import (
     fermat_llt,
     is_prime,
@@ -126,9 +127,6 @@ def test_no_steps_returns_the_start_unreduced():
 
 @needs_gmp
 def test_property_random_x_and_m():
-    pytest.importorskip("hypothesis")
-    from hypothesis import given, settings, strategies as st
-
     native = _gmp.load()
 
     @settings(deadline=None, max_examples=200)
@@ -598,18 +596,15 @@ def test_dispatch_by_modulus_size(monkeypatch):
 def test_uv_mod_dispatch_by_modulus_form_size_and_q(monkeypatch):
     kernel = RecordingKernel()
     monkeypatch.setattr(_gmp, "load", lambda: kernel)
+    # The kernel gets the parameters themselves and m, at every index, 0 included.
     for m in (GMP_MIN_BITS, GMP_MAX_BITS):
         for params in (STANDARD_PARAMS, ALTERNATE_PARAMS):
-            assert uv_mod(params, 5, (1 << m) + 1) == LehmerPair(5, -1, -1)
-    assert kernel.calls == [("uv", GMP_MIN_BITS, 1), ("uv", GMP_MIN_BITS, -1),
-                            ("uv", GMP_MAX_BITS, 1), ("uv", GMP_MAX_BITS, -1)]
+            for n in (0, 5):
+                assert uv_mod(params, n, (1 << m) + 1) == LehmerPair(n, -1, -1)
+    assert kernel.calls == [("uv", m, Q) for m in (GMP_MIN_BITS, GMP_MAX_BITS) for Q in (1, 1, -1, -1)]
     kernel.calls.clear()
 
     fermat = (1 << GMP_MIN_BITS) + 1
-    # Index 0 takes the kernel too, on a modulus it takes.
-    assert uv_mod(STANDARD_PARAMS, 0, fermat) == LehmerPair(0, -1, -1)
-    assert kernel.calls == [("uv", GMP_MIN_BITS, 1)]
-    kernel.calls.clear()
     int_route = [
         (STANDARD_PARAMS, (1 << (GMP_MIN_BITS - 1)) + 1),   # below the lower bound
         (ALTERNATE_PARAMS, (1 << (GMP_MAX_BITS + 1)) + 1),  # above the upper bound
@@ -623,33 +618,6 @@ def test_uv_mod_dispatch_by_modulus_form_size_and_q(monkeypatch):
         for n in (0, 5, 6):
             expected = next(itertools.islice(iter_pairs(params, N), n, None))
             assert uv_mod(params, n, N) == expected
-    assert kernel.calls == []
-
-
-def test_uv_ladder_routes_by_modulus_form_size_and_q(monkeypatch):
-    # The route `uv_mod` calls, called without `uv_mod`'s checks: the kernel
-    # gets the parameters themselves and m, at every index, 0 included.
-    kernel = RecordingKernel()
-    monkeypatch.setattr(_gmp, "load", lambda: kernel)
-    for m in (GMP_MIN_BITS, GMP_MAX_BITS):
-        for params in (STANDARD_PARAMS, ALTERNATE_PARAMS):
-            for n in (0, 5):
-                assert uv_ladder(params, n, (1 << m) + 1) == (-1, -1)
-    assert kernel.calls == [("uv", m, Q) for m in (GMP_MIN_BITS, GMP_MAX_BITS) for Q in (1, 1, -1, -1)]
-    kernel.calls.clear()
-
-    fermat = (1 << GMP_MIN_BITS) + 1
-    for params, N in [
-        (STANDARD_PARAMS, (1 << (GMP_MIN_BITS - 1)) + 1),   # below the lower bound
-        (ALTERNATE_PARAMS, (1 << (GMP_MAX_BITS + 1)) + 1),  # above the upper bound
-        (STANDARD_PARAMS, (1 << (GMP_MIN_BITS + 1)) + 1),   # 2^m + 1 with 64 not dividing m
-        (STANDARD_PARAMS, (1 << GMP_MIN_BITS) - 1),         # not 2^m + 1
-        (STANDARD_PARAMS, fermat + 2),
-        (LucasParams(7, 3), fermat),                        # |Q| != 1
-        (LucasParams(5, -2), fermat),
-    ]:
-        for n in (0, 5, 6):
-            assert uv_ladder(params, n, N) == next(itertools.islice(iter_pairs(params, N), n, None))[1:]
     assert kernel.calls == []
 
 

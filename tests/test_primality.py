@@ -207,14 +207,6 @@ def test_trial_division():
         trial_division(1)
 
 
-def test_is_prime_matches_naive():
-    def naive(n):
-        return n >= 2 and all(n % d for d in range(2, n))
-
-    for n in range(2, 600):
-        assert is_prime(n) == naive(n)
-
-
 def test_rank_of_apparition_examples():
     # Acceptance criterion 8 checks omega(5), omega(17) and omega(257).
     assert rank_of_apparition(P7, 31).omega == 16  # 31 divides v_bar(8) = 527

@@ -1,13 +1,7 @@
-"""Property tests: fast paths against their plain definitions.
-
-Skipped when hypothesis is not installed (`pip install -e .[test]` brings it).
-"""
+"""Property tests: fast paths against their plain definitions."""
 
 import itertools
 
-import pytest
-
-pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from fermatlucas.lucas import ALTERNATE_PARAMS, STANDARD_PARAMS, LehmerPair, iter_pairs, uv_mod

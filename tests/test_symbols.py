@@ -134,11 +134,3 @@ def test_closed_form_agrees_with_jacobi():
     for n in range(1, 21):  # F_20 has 315653 digits; jacobi is fast
         F = fermat_number(n)
         assert fermat_symbols_closed_form(n) == symbol_triple(STANDARD_PARAMS, F)
-
-
-def test_closed_form_matches_generic_params_object():
-    # D = 3 for the standard parameters, so epsilon is (3/F_n) specifically.
-    params = LucasParams(7, 1)
-    for n in (1, 2, 6):
-        F = fermat_number(n)
-        assert fermat_symbols_closed_form(n).epsilon == jacobi(params.D, F)

@@ -1,14 +1,10 @@
 """Third-party oracle: `is_prime` (trial division and Miller-Rabin) and the
 Jacobi symbol against sympy.
-
-Skipped when sympy is not installed.
 """
 
 import random
 
-import pytest
-
-sympy = pytest.importorskip("sympy")
+import sympy
 
 from fermatlucas.primality import is_prime
 from fermatlucas.symbols import jacobi
