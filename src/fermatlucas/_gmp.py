@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import sys
 
 from .native import LIMB_BITS, takes
 from .quadratic import _int_text
@@ -41,7 +42,9 @@ def load() -> GmpKernel | None:
     """The libgmp chain kernel, or None if `libgmp.so.10` does not load or is not usable.
 
     A libgmp whose limbs are not 64 bits wide, or that lacks a symbol used
-    here, is not usable.  The outcome is cached for the life of the process.
+    here, is not usable, nor is any on a big-endian host: `_Ring.get` and
+    `_Ring.put` move limbs as little-endian bytes, which libgmp and `a[i]`
+    read in native order.  The outcome is cached for the life of the process.
     """
     try:
         # The ELF soname; Debian and Ubuntu install it with coreutils.
@@ -50,7 +53,7 @@ def load() -> GmpKernel | None:
         return None
     try:
         limb_bits = ctypes.cast(lib["__gmp_bits_per_limb"], ctypes.POINTER(ctypes.c_int))[0]
-        return GmpKernel(lib) if limb_bits == LIMB_BITS else None
+        return GmpKernel(lib) if limb_bits == LIMB_BITS and sys.byteorder == "little" else None
     except AttributeError:  # a library without the symbols used here
         return None
 

@@ -216,10 +216,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     # Records legitimately carry multi-thousand-digit integers (e.g. the witness
     # residue for F_14): lift the int-to-str conversion guard for this call, and
-    # give the caller's limit back on every way out (Python 3.10 has none).
-    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
-    if limit is not None:
-        sys.set_int_max_str_digits(0)
+    # give the caller's limit back on every way out.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         # The parser is built once per process; the handler is looked up per call.
         args = build_parser().parse_args(argv)
@@ -242,8 +241,7 @@ def main(argv: list[str] | None = None) -> int:
             return 2
         return _exit_code(record)
     finally:
-        if limit is not None:
-            sys.set_int_max_str_digits(limit)
+        sys.set_int_max_str_digits(limit)
 
 
 # The result key whose items a handler yields lazily.  It sorts first in its
@@ -360,6 +358,3 @@ def _check_line(check: dict) -> str:
     detail = f"  ({check['detail']})" if "detail" in check else ""
     return f"{'ok  ' if check['pass'] else 'FAIL'} {check['name']}{detail}"
 
-
-if __name__ == "__main__":
-    entry()

@@ -4,13 +4,27 @@ import signal
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
+from fermatlucas import _gmp  # noqa: E402
+
 # The suite round-trips multi-thousand-digit integers (witness residues).
-if hasattr(sys, "set_int_max_str_digits"):
-    sys.set_int_max_str_digits(0)
+sys.set_int_max_str_digits(0)
+
+needs_gmp = pytest.mark.skipif(_gmp.load() is None, reason="libgmp did not load")
+
+
+@pytest.fixture
+def default_digit_limit():
+    """Python's default int-to-str digit limit for one test, and the suite's lifted limit back after it."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    yield sys.int_info.default_max_str_digits
+    sys.set_int_max_str_digits(limit)
 
 
 def cli_env() -> dict:

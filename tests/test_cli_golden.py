@@ -135,8 +135,7 @@ def test_cli_output_matches_golden(command):
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: PYTHONPATH=src python tests/test_cli_golden.py --write")
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
+    sys.set_int_max_str_digits(0)
     payload = {"commands": [capture(c) for c in COMMANDS]}
     GOLDEN_PATH.write_text(json.dumps(payload, indent=1, ensure_ascii=False) + "\n")
     print(f"wrote {len(COMMANDS)} commands to {GOLDEN_PATH.name}")

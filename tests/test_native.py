@@ -19,7 +19,7 @@ import types
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import cli_env, deadline
+from conftest import cli_env, deadline, needs_gmp
 from fermatlucas import _gmp
 from fermatlucas.lucas import (
     ALTERNATE_PARAMS,
@@ -39,7 +39,6 @@ from fermatlucas.primality import (
 )
 from fermatlucas.quadratic import fermat_mod, is_perfect_square, mersenne_mod
 
-needs_gmp = pytest.mark.skipif(_gmp.load() is None, reason="libgmp did not load")
 
 # Exponents q <= 4423 with 2^q - 1 prime.
 MERSENNE_PRIME_EXPONENTS = (3, 5, 7, 13, 17, 19, 31, 61, 89, 107, 127, 521, 607, 1279,
@@ -429,6 +428,15 @@ def test_loader_refuses_32_bit_limbs(monkeypatch):
     monkeypatch.setattr(ctypes, "PyDLL", stand_in_gmp(32))
     assert _gmp.load.__wrapped__() is None
     monkeypatch.setattr(ctypes, "PyDLL", stand_in_gmp(64))
+    assert isinstance(_gmp.load.__wrapped__(), _gmp.GmpKernel)
+
+
+def test_loader_refuses_a_big_endian_host(monkeypatch):
+    # `_Ring.get` and `_Ring.put` move limbs as little-endian bytes.
+    monkeypatch.setattr(ctypes, "PyDLL", stand_in_gmp(64))
+    monkeypatch.setattr(sys, "byteorder", "big")
+    assert _gmp.load.__wrapped__() is None
+    monkeypatch.setattr(sys, "byteorder", "little")
     assert isinstance(_gmp.load.__wrapped__(), _gmp.GmpKernel)
 
 

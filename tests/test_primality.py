@@ -1,5 +1,4 @@
 import math
-import sys
 import time
 from itertools import islice
 
@@ -533,7 +532,6 @@ def uninformative_uv_mod(params, n, N):
     return LehmerPair(n, 0, 0)  # every u_bar zero: the certificate cannot conclude
 
 
-@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit")
 @pytest.mark.parametrize("call, message", [
     (lambda: uv_mod(LucasParams(5, 3), 1, 3 * 10**5000 + 3), "modulus 0x.* shares a factor with Q = 3"),
     (lambda: uv_mod(P7, 1, 2 * BIG), "modulus must be an odd integer >= 3, got 0x"),
@@ -588,29 +586,18 @@ def uninformative_uv_mod(params, n, N):
         "pairs_exact_index", "sum_identity_m", "alternate_position", "square_chain_sign", "mersenne_prime",
         "rank_shared_Q", "appendix_n", "closed_form_n", "identities_m", "identities_n", "congruences_p",
         "traces_n", "gmp_ring", "gmp_uv_ladder"])
-def test_refusals_write_ints_past_the_digit_limit_in_hex(call, message):
+def test_refusals_write_ints_past_the_digit_limit_in_hex(call, message, default_digit_limit):
     # Under the default limit a refusal must still be the refusal, not the
     # ValueError that str() raises on the caller's int.
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
-    try:
-        with pytest.raises(ValueError, match=message):
-            call()
-    finally:
-        sys.set_int_max_str_digits(limit)
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
-@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit")
-def test_inconclusive_certificate_writes_ints_past_the_digit_limit_in_hex(monkeypatch):
+def test_inconclusive_certificate_writes_ints_past_the_digit_limit_in_hex(monkeypatch, default_digit_limit):
     # F_14 has 4933 digits; with every u_bar zero the certificate reaches its InconclusiveError.
     monkeypatch.setattr(primality, "uv_mod", uninformative_uv_mod)
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
-    try:
-        with pytest.raises(InconclusiveError, match=r"u_bar\(0x1(0{4096})/2\) == 0 mod 0x1(0{4095})1:"):
-            certify_via_rank(P7, fermat_number(14))
-    finally:
-        sys.set_int_max_str_digits(limit)
+    with pytest.raises(InconclusiveError, match=r"u_bar\(0x1(0{4096})/2\) == 0 mod 0x1(0{4095})1:"):
+        certify_via_rank(P7, fermat_number(14))
 
 
 @pytest.mark.parametrize("params", [STANDARD_PARAMS, ALTERNATE_PARAMS], ids=["R7_Q1", "R3_Q-1"])
@@ -685,29 +672,23 @@ def test_gcd_step_at_the_half_index():
             assert pair.v_bar == 0 and pair.u_bar != 0
 
 
-@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit")
-def test_repr_writes_ints_past_the_digit_limit_in_hex():
+def test_repr_writes_ints_past_the_digit_limit_in_hex(default_digit_limit):
     # Residues mod F_14 have about 4933 digits, past Python's default limit of 4300,
     # which only the CLI lifts; a library caller's repr must not raise on them.
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
-    try:
-        F = fermat_number(14)
-        pair = uv_mod(STANDARD_PARAMS, (1 << 200) + 12345, F)
-        big = pair.v_bar
-        values = (pair, Verdict("composite", "llt-fermat", witness=big), SSequenceTrace(14, 5, big))
-        with pytest.raises(ValueError):
-            str(big)
-        for value in values:
-            text = repr(value)
-            assert f"={big:#x}" in text
-            assert eval(text, {type(value).__name__: type(value)}) == value  # hex is still a literal
-        # Everything else reads as NamedTuple's own repr.
-        assert repr(LehmerPair(3, 6, 18)) == "LehmerPair(index=3, u_bar=6, v_bar=18)"
-        assert repr(STANDARD_PARAMS) == "LucasParams(R=7, Q=1)"
-        assert repr(Verdict("prime", "pepin")) == "Verdict(classification='prime', method='pepin', witness=None, proven=True)"
-        assert repr(SSequenceTrace(3, 5, 0, (5, 23, 0))) == "SSequenceTrace(n=3, seed=5, final=0, residues=(5, 23, 0))"
-        small = Verdict("composite", "pepin", witness=-(10**4299), proven=False)
-        assert repr(small) == f"Verdict(classification='composite', method='pepin', witness={-(10**4299)}, proven=False)"
-    finally:
-        sys.set_int_max_str_digits(limit)
+    F = fermat_number(14)
+    pair = uv_mod(STANDARD_PARAMS, (1 << 200) + 12345, F)
+    big = pair.v_bar
+    values = (pair, Verdict("composite", "llt-fermat", witness=big), SSequenceTrace(14, 5, big))
+    with pytest.raises(ValueError):
+        str(big)
+    for value in values:
+        text = repr(value)
+        assert f"={big:#x}" in text
+        assert eval(text, {type(value).__name__: type(value)}) == value  # hex is still a literal
+    # Everything else reads as NamedTuple's own repr.
+    assert repr(LehmerPair(3, 6, 18)) == "LehmerPair(index=3, u_bar=6, v_bar=18)"
+    assert repr(STANDARD_PARAMS) == "LucasParams(R=7, Q=1)"
+    assert repr(Verdict("prime", "pepin")) == "Verdict(classification='prime', method='pepin', witness=None, proven=True)"
+    assert repr(SSequenceTrace(3, 5, 0, (5, 23, 0))) == "SSequenceTrace(n=3, seed=5, final=0, residues=(5, 23, 0))"
+    small = Verdict("composite", "pepin", witness=-(10**4299), proven=False)
+    assert repr(small) == f"Verdict(classification='composite', method='pepin', witness={-(10**4299)}, proven=False)"

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from conftest import cli_env, deadline
+from conftest import cli_env, deadline, needs_gmp
 from fermatlucas import _gmp, primality, symbols, verify
 from fermatlucas.lucas import ALTERNATE_PARAMS, LehmerPair, iter_uv_exact, sum_identity_holds
 from fermatlucas.lucas import STANDARD_PARAMS as P7
@@ -258,7 +258,7 @@ def test_prime_sieve_matches_trial_division():
         assert list(verify._odd_primes(verify._odd_prime_flags(p_max))) == [p for p in range(3, p_max, 2) if is_prime(p)]
 
 
-@pytest.mark.skipif(_gmp.load() is None, reason="libgmp did not load")
+@needs_gmp
 def test_traces_check_the_libgmp_chain_against_the_int_ladder(monkeypatch):
     # A defect both libgmp routes share: each returns residues one too high.
     # From F_11 on the chain runs on libgmp and the v-route on ints, so only
